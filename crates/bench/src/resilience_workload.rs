@@ -31,7 +31,7 @@
 
 use std::time::Instant;
 
-use cqchase_core::{check_batch_cancellable, ContainmentOptions, ContainmentPair};
+use cqchase_core::{check_batch, BatchPair, ContainmentOptions, ContainmentPair};
 use cqchase_index::{CancelToken, JoinScratch, PlanCache};
 use cqchase_storage::{evaluate_indexed_with, Database, DbIndex};
 use cqchase_workload::chain_query;
@@ -65,7 +65,7 @@ pub const REACTION_SAMPLES: usize = 100;
 /// One measured pair of batch-check throughputs.
 #[derive(Debug, Clone, Copy)]
 pub struct OverheadMeasurement {
-    /// Checks/sec with no tokens threaded (`cancels: None`).
+    /// Checks/sec with no tokens threaded (plain pairs).
     pub tokenfree_cps: f64,
     /// Checks/sec with a deadline-armed (never-firing) token per pair.
     pub tokened_cps: f64,
@@ -106,24 +106,17 @@ impl DeadlineMeasurement {
 /// machine, so each side is timed over this many consecutive passes.
 const CHECK_PASSES: usize = 3;
 
-fn run_checks(w: &ServiceWorkload, tokens: Option<&[CancelToken]>) -> (f64, Vec<(bool, bool)>) {
-    let pairs: Vec<ContainmentPair> = w
-        .batch
-        .pairs
-        .iter()
-        .map(|&(q, q_prime)| ContainmentPair { q, q_prime })
-        .collect();
+fn run_checks<P: BatchPair>(w: &ServiceWorkload, pairs: &[P]) -> (f64, Vec<(bool, bool)>) {
     let opts = ContainmentOptions::default();
     let mut shape: Vec<(bool, bool)> = Vec::new();
     let t0 = Instant::now();
     for pass in 0..CHECK_PASSES {
-        let answers = check_batch_cancellable(
+        let answers = check_batch(
             &w.batch.queries,
-            &pairs,
+            pairs,
             &w.batch.program.deps,
             &w.batch.program.catalog,
             &opts,
-            tokens,
         );
         if pass == 0 {
             shape = answers
@@ -149,16 +142,23 @@ fn run_checks(w: &ServiceWorkload, tokens: Option<&[CancelToken]>) -> (f64, Vec<
 /// best-of strips scheduler noise and leaves the intrinsic per-check
 /// cost the ratio is meant to expose.
 pub fn measure_cancel_overhead(w: &ServiceWorkload) -> OverheadMeasurement {
+    let pairs: Vec<ContainmentPair> = w
+        .batch
+        .pairs
+        .iter()
+        .map(|&(q, q_prime)| ContainmentPair { q, q_prime })
+        .collect();
     // Deadline-armed so every coalesced check reads the clock — the
     // most expensive steady state a served request can be in.
-    let tokens: Vec<CancelToken> = (0..w.batch.pairs.len())
-        .map(|_| CancelToken::with_deadline_ms(3_600_000))
+    let tokened: Vec<(ContainmentPair, CancelToken)> = pairs
+        .iter()
+        .map(|&p| (p, CancelToken::with_deadline_ms(3_600_000)))
         .collect();
     let mut tokenfree_cps = 0f64;
     let mut tokened_cps = 0f64;
     for _ in 0..3 {
-        let (free_cps, free_shape) = run_checks(w, None);
-        let (tok_cps, tokened_shape) = run_checks(w, Some(&tokens));
+        let (free_cps, free_shape) = run_checks(w, &pairs);
+        let (tok_cps, tokened_shape) = run_checks(w, &tokened);
         assert_eq!(free_shape, tokened_shape, "unfired tokens changed answers");
         tokenfree_cps = tokenfree_cps.max(free_cps);
         tokened_cps = tokened_cps.max(tok_cps);

@@ -178,7 +178,8 @@ fn answer(
 /// Tests `Σ ⊨ Q ⊆∞ Q′`.
 ///
 /// See the module docs for the per-class algorithm and the meaning of
-/// [`ContainmentAnswer::exact`].
+/// [`ContainmentAnswer::exact`]. To run a test under a [`CancelToken`],
+/// pass it as a one-pair [`check_batch`].
 ///
 /// ```
 /// use cqchase_core::{contained, ContainmentOptions};
@@ -204,28 +205,12 @@ pub fn contained(
     catalog: &Catalog,
     opts: &ContainmentOptions,
 ) -> Result<ContainmentAnswer, ContainmentEngineError> {
-    contained_with_cancel(q, q_prime, sigma, catalog, opts, &CancelToken::unlimited())
-}
-
-/// [`contained`] under a [`CancelToken`]: the chase driver checks the
-/// token between scheduling steps and the homomorphism searches at
-/// coalesced candidate intervals, so a fired token surfaces as
-/// [`ContainmentEngineError::Cancelled`] (with partial-progress
-/// counters) in bounded time. A cancelled probe never certifies a
-/// negative; positives found before the stop are still returned.
-pub fn contained_with_cancel(
-    q: &ConjunctiveQuery,
-    q_prime: &ConjunctiveQuery,
-    sigma: &DependencySet,
-    catalog: &Catalog,
-    opts: &ContainmentOptions,
-    cancel: &CancelToken,
-) -> Result<ContainmentAnswer, ContainmentEngineError> {
     validate::validate_comparable(q, q_prime)?;
     let class = classify(sigma, catalog);
     let mode = opts.mode.unwrap_or_else(|| class.preferred_mode());
     let mut chase = Chase::new(q, sigma, catalog, mode);
-    contained_against(&mut chase, q_prime, sigma, class, opts, cancel)
+    let unlimited = CancelToken::unlimited();
+    contained_against(&mut chase, q_prime, sigma, class, opts, &unlimited)
 }
 
 /// The containment loop against an already-initialized (possibly
@@ -346,6 +331,44 @@ pub struct ContainmentPair {
     pub q_prime: usize,
 }
 
+/// An item of a [`check_batch`]: a [`ContainmentPair`] alone (run to
+/// completion) or paired with the [`CancelToken`] its test runs under.
+pub trait BatchPair {
+    /// The query indices to test.
+    fn pair(&self) -> ContainmentPair;
+
+    /// The stop signal for this pair; `None` runs it to completion.
+    fn cancel(&self) -> Option<&CancelToken> {
+        None
+    }
+}
+
+impl BatchPair for ContainmentPair {
+    fn pair(&self) -> ContainmentPair {
+        *self
+    }
+}
+
+impl BatchPair for (ContainmentPair, CancelToken) {
+    fn pair(&self) -> ContainmentPair {
+        self.0
+    }
+
+    fn cancel(&self) -> Option<&CancelToken> {
+        Some(&self.1)
+    }
+}
+
+impl<P: BatchPair + ?Sized> BatchPair for &P {
+    fn pair(&self) -> ContainmentPair {
+        (**self).pair()
+    }
+
+    fn cancel(&self) -> Option<&CancelToken> {
+        (**self).cancel()
+    }
+}
+
 /// Tests a batch of containments over one dependency set, sequentially.
 ///
 /// Semantically this is exactly `pairs.map(|p| contained(..))` — the
@@ -371,37 +394,21 @@ pub struct ContainmentPair {
 /// chase-size diagnostics (`levels_explored`, `chase_conjuncts`,
 /// `chase_steps`) likewise describe the possibly-shared chase.
 ///
-/// This is the sequential reference engine; `cqchase-par` runs the same
-/// computation across worker threads.
-pub fn check_batch(
-    queries: &[ConjunctiveQuery],
-    pairs: &[ContainmentPair],
-    sigma: &DependencySet,
-    catalog: &Catalog,
-    opts: &ContainmentOptions,
-) -> Vec<Result<ContainmentAnswer, ContainmentEngineError>> {
-    check_batch_cancellable(queries, pairs, sigma, catalog, opts, None)
-}
-
-/// [`check_batch`] with an optional per-pair [`CancelToken`] slice
-/// (aligned with `pairs`; `None` runs every pair to completion).
-///
-/// A fired token turns that pair's answer into
+/// A pair carrying a fired [`CancelToken`] answers
 /// [`ContainmentEngineError::Cancelled`] without disturbing the rest of
 /// the batch: on a shared chase the stop lands between scheduling
 /// steps, leaving a consistent partial chase that the next pair's token
 /// re-arms and resumes.
-pub fn check_batch_cancellable(
+///
+/// This is the sequential reference engine; `cqchase-par` runs the same
+/// computation across worker threads.
+pub fn check_batch<P: BatchPair>(
     queries: &[ConjunctiveQuery],
-    pairs: &[ContainmentPair],
+    pairs: &[P],
     sigma: &DependencySet,
     catalog: &Catalog,
     opts: &ContainmentOptions,
-    cancels: Option<&[CancelToken]>,
 ) -> Vec<Result<ContainmentAnswer, ContainmentEngineError>> {
-    if let Some(c) = cancels {
-        assert_eq!(c.len(), pairs.len(), "one cancel token per pair");
-    }
     let class = classify(sigma, catalog);
     let mode = opts.mode.unwrap_or_else(|| class.preferred_mode());
     let share_chases = sigma.fds().next().is_none() || sigma.inds().next().is_none();
@@ -409,9 +416,9 @@ pub fn check_batch_cancellable(
     let unlimited = CancelToken::unlimited();
     pairs
         .iter()
-        .enumerate()
-        .map(|(i, &ContainmentPair { q: qi, q_prime })| {
-            let cancel = cancels.map_or(&unlimited, |c| &c[i]);
+        .map(|item| {
+            let ContainmentPair { q: qi, q_prime } = item.pair();
+            let cancel = item.cancel().unwrap_or(&unlimited);
             let (q, qp) = (&queries[qi], &queries[q_prime]);
             validate::validate_comparable(q, qp)?;
             if share_chases {
@@ -736,28 +743,6 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_check_is_error_not_negative() {
-        let p = parse_program(
-            "relation R(a, b).
-             ind R[2] <= R[1].
-             Q(x) :- R(x, y).
-             Qp(x) :- R(y, x).",
-        )
-        .unwrap();
-        let token = CancelToken::unlimited();
-        token.cancel();
-        let r = contained_with_cancel(
-            p.query("Q").unwrap(),
-            p.query("Qp").unwrap(),
-            &p.deps,
-            &p.catalog,
-            &ContainmentOptions::default(),
-            &token,
-        );
-        assert!(matches!(r, Err(ContainmentEngineError::Cancelled { .. })));
-    }
-
-    #[test]
     fn cancelled_pair_does_not_poison_shared_chase() {
         let p = parse_program(
             "relation R(a, b).
@@ -766,22 +751,12 @@ mod tests {
              Qp(x) :- R(x, y), R(y, z).",
         )
         .unwrap();
-        let pairs = vec![
-            ContainmentPair { q: 0, q_prime: 1 },
-            ContainmentPair { q: 0, q_prime: 1 },
-        ];
+        let pair = ContainmentPair { q: 0, q_prime: 1 };
         let fired = CancelToken::unlimited();
         fired.cancel();
-        let cancels = vec![fired, CancelToken::unlimited()];
+        let pairs = vec![(pair, fired), (pair, CancelToken::unlimited())];
         let opts = ContainmentOptions::default();
-        let out = check_batch_cancellable(
-            &p.queries,
-            &pairs,
-            &p.deps,
-            &p.catalog,
-            &opts,
-            Some(&cancels),
-        );
+        let out = check_batch(&p.queries, &pairs, &p.deps, &p.catalog, &opts);
         assert!(matches!(
             out[0],
             Err(ContainmentEngineError::Cancelled { .. })

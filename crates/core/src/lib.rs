@@ -35,8 +35,8 @@ pub mod minimize;
 pub use chase::{chase_query, theorem2_bound, Chase, ChaseBudget, ChaseMode, ChaseStatus};
 pub use classify::{classify, SigmaClass};
 pub use containment::{
-    check_batch, check_batch_cancellable, contained, contained_with_cancel, equivalent,
-    ContainmentAnswer, ContainmentEngineError, ContainmentOptions, ContainmentPair,
+    check_batch, contained, equivalent, BatchPair, ContainmentAnswer, ContainmentEngineError,
+    ContainmentOptions, ContainmentPair,
 };
 pub use hom::{find_query_hom, render_chase_witness, ChaseHomFinder, HomFinder, Homomorphism};
 pub use isomorphism::{cm_core, is_isomorphic, iso_key};

@@ -153,7 +153,7 @@ impl CompiledQuery {
     /// Whether the source's relation cardinalities have drifted ≥2x (in
     /// either direction) from the snapshot this plan was costed against.
     /// Plan owners recompile on drift so a stale ordering is never
-    /// served forever; changes entirely below [`DRIFT_FLOOR`] rows are
+    /// served forever; changes entirely below `DRIFT_FLOOR` rows are
     /// ignored.
     pub fn stats_drifted(&self, src: &impl FactSource) -> bool {
         self.stats.iter().any(|&(rel, then)| {

@@ -1,6 +1,6 @@
 //! Caching of compiled query plans.
 //!
-//! [`compile`](crate::engine::compile) is cheap but not free — it walks
+//! [`compile`] is cheap but not free — it walks
 //! every atom, clones slot vectors, and resolves constants against the
 //! source's symbol pool. Workloads that run the *same* query against the
 //! same source many times (the containment engine probes `Q′` against a

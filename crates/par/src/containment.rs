@@ -8,11 +8,8 @@
 //! engine runs unchanged, so results are bit-for-bit those of
 //! [`cqchase_core::check_batch`] regardless of thread count.
 
-use cqchase_core::{
-    check_batch_cancellable as check_batch_seq_cancellable, ContainmentAnswer,
-    ContainmentEngineError, ContainmentOptions, ContainmentPair,
-};
-use cqchase_index::{CancelToken, FxHashMap};
+use cqchase_core::{BatchPair, ContainmentAnswer, ContainmentEngineError, ContainmentOptions};
+use cqchase_index::FxHashMap;
 use cqchase_ir::{Catalog, ConjunctiveQuery, DependencySet};
 
 use crate::pool::{map_with, BatchOptions};
@@ -20,37 +17,21 @@ use crate::pool::{map_with, BatchOptions};
 /// Tests a batch of containments across worker threads.
 ///
 /// Returns exactly what [`cqchase_core::check_batch`] returns for the
-/// same inputs (and it *is* that function when `opts.threads == 1`);
+/// same inputs (and it *is* that function when `batch.threads == 1`);
 /// the differential property tests in this crate hold every thread
-/// count to that.
-pub fn check_batch(
+/// count to that. Pairs may carry a [`CancelToken`](cqchase_index::CancelToken)
+/// (see [`BatchPair`]); a token follows its pair to whichever worker
+/// runs the chase group, and a fired one cancels only that pair.
+pub fn check_batch<P: BatchPair + Sync>(
     queries: &[ConjunctiveQuery],
-    pairs: &[ContainmentPair],
+    pairs: &[P],
     sigma: &DependencySet,
     catalog: &Catalog,
     opts: &ContainmentOptions,
     batch: BatchOptions,
-) -> Vec<Result<ContainmentAnswer, ContainmentEngineError>> {
-    check_batch_cancellable(queries, pairs, sigma, catalog, opts, batch, None)
-}
-
-/// [`check_batch`] with an optional per-pair [`CancelToken`] slice
-/// (aligned with `pairs`) — the serving layer's entry point. Fired
-/// tokens turn their pairs into
-/// [`ContainmentEngineError::Cancelled`](cqchase_core::ContainmentEngineError)
-/// without disturbing the rest of the batch; tokens follow their pairs
-/// to whichever worker runs the chase group.
-pub fn check_batch_cancellable(
-    queries: &[ConjunctiveQuery],
-    pairs: &[ContainmentPair],
-    sigma: &DependencySet,
-    catalog: &Catalog,
-    opts: &ContainmentOptions,
-    batch: BatchOptions,
-    cancels: Option<&[CancelToken]>,
 ) -> Vec<Result<ContainmentAnswer, ContainmentEngineError>> {
     if batch.threads <= 1 {
-        return check_batch_seq_cancellable(queries, pairs, sigma, catalog, opts, cancels);
+        return cqchase_core::check_batch(queries, pairs, sigma, catalog, opts);
     }
 
     // Group pair positions by left query, preserving in-group order so
@@ -59,8 +40,9 @@ pub fn check_batch_cancellable(
     let mut order: Vec<usize> = Vec::new(); // group id per first sight
     let mut groups: FxHashMap<usize, Vec<usize>> = FxHashMap::default();
     for (pos, p) in pairs.iter().enumerate() {
-        let slot = groups.entry(p.q).or_insert_with(|| {
-            order.push(p.q);
+        let q = p.pair().q;
+        let slot = groups.entry(q).or_insert_with(|| {
+            order.push(q);
             Vec::new()
         });
         slot.push(pos);
@@ -75,18 +57,12 @@ pub fn check_batch_cancellable(
     let group_results = map_with(
         grouped.len(),
         task_opts,
-        // Per-worker reusable pair and token buffers.
-        || (Vec::new(), Vec::new()),
-        |bufs: &mut (Vec<ContainmentPair>, Vec<CancelToken>), g| {
-            let (pair_buf, cancel_buf) = bufs;
-            pair_buf.clear();
-            pair_buf.extend(grouped[g].iter().map(|&pos| pairs[pos]));
-            let group_cancels = cancels.map(|cs| {
-                cancel_buf.clear();
-                cancel_buf.extend(grouped[g].iter().map(|&pos| cs[pos].clone()));
-                &cancel_buf[..]
-            });
-            check_batch_seq_cancellable(queries, pair_buf, sigma, catalog, opts, group_cancels)
+        // Per-worker reusable buffer of borrowed group items.
+        Vec::new,
+        |group: &mut Vec<&P>, g| {
+            group.clear();
+            group.extend(grouped[g].iter().map(|&pos| &pairs[pos]));
+            cqchase_core::check_batch(queries, group, sigma, catalog, opts)
         },
     );
 
@@ -107,6 +83,8 @@ pub fn check_batch_cancellable(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cqchase_core::ContainmentPair;
+    use cqchase_index::CancelToken;
     use cqchase_ir::parse_program;
 
     #[test]
@@ -163,17 +141,20 @@ mod tests {
         ];
         let fired = CancelToken::unlimited();
         fired.cancel();
-        let cancels = vec![CancelToken::unlimited(), fired, CancelToken::unlimited()];
+        let tokened: Vec<_> = pairs
+            .iter()
+            .zip([CancelToken::unlimited(), fired, CancelToken::unlimited()])
+            .map(|(&p, t)| (p, t))
+            .collect();
         let opts = ContainmentOptions::default();
         for threads in [1usize, 4] {
-            let out = check_batch_cancellable(
+            let out = check_batch(
                 &p.queries,
-                &pairs,
+                &tokened,
                 &p.deps,
                 &p.catalog,
                 &opts,
                 BatchOptions::with_threads(threads),
-                Some(&cancels),
             );
             assert!(
                 matches!(out[1], Err(ContainmentEngineError::Cancelled { .. })),

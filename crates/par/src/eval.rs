@@ -5,7 +5,7 @@
 //! join scratch, so the steady state takes no locks and performs no
 //! allocation beyond result tuples.
 
-use cqchase_index::{CancelToken, JoinScratch, PlanCache};
+use cqchase_index::{JoinScratch, PlanCache};
 use cqchase_ir::ConjunctiveQuery;
 use cqchase_storage::{evaluate_indexed_with, Database, DbIndex, Tuple};
 
@@ -36,35 +36,6 @@ pub fn evaluate_batch_indexed(
     )
 }
 
-/// [`evaluate_batch_indexed`] with one [`CancelToken`] per query
-/// (aligned with `qs`). A query whose token fires mid-join yields
-/// `None` — its partial rows are discarded, never surfaced as a
-/// complete answer — while the other queries finish normally.
-pub fn evaluate_batch_indexed_cancellable(
-    qs: &[ConjunctiveQuery],
-    idx: &DbIndex,
-    batch: BatchOptions,
-    cancels: &[CancelToken],
-) -> Vec<Option<Vec<Tuple>>> {
-    assert_eq!(qs.len(), cancels.len(), "one token per query");
-    map_with(
-        qs.len(),
-        batch,
-        || (PlanCache::new(), JoinScratch::new()),
-        |(cache, scratch), i| {
-            scratch.set_cancel(cancels[i].clone());
-            let rows = evaluate_indexed_with(&qs[i], idx, cache, scratch);
-            let cancelled = scratch.cancelled();
-            scratch.clear_cancel();
-            if cancelled {
-                None
-            } else {
-                Some(rows)
-            }
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,35 +62,6 @@ mod tests {
         for threads in [1usize, 2, 4] {
             let par = evaluate_batch(&p.queries, &db, BatchOptions::with_threads(threads));
             assert_eq!(par, seq, "{threads} threads");
-        }
-    }
-
-    #[test]
-    fn fired_token_cancels_only_its_query() {
-        let p = parse_program(
-            "relation R(a, b).
-             Q1(x, y) :- R(x, y).
-             Q2(x) :- R(x, y), R(y, x).",
-        )
-        .unwrap();
-        let mut db = Database::new(&p.catalog);
-        for (a, b) in [(1i64, 2), (2, 1), (2, 3)] {
-            db.insert_named("R", [a, b]).unwrap();
-        }
-        let idx = DbIndex::build(&db);
-        let fired = CancelToken::unlimited();
-        fired.cancel();
-        let cancels = vec![fired, CancelToken::unlimited()];
-        let seq = cqchase_storage::evaluate_batch(&p.queries, &db);
-        for threads in [1usize, 4] {
-            let out = evaluate_batch_indexed_cancellable(
-                &p.queries,
-                &idx,
-                BatchOptions::with_threads(threads),
-                &cancels,
-            );
-            assert!(out[0].is_none(), "fired query yields None @ {threads}");
-            assert_eq!(out[1].as_ref(), Some(&seq[1]), "{threads} threads");
         }
     }
 }

@@ -33,6 +33,6 @@ pub mod containment;
 pub mod eval;
 pub mod pool;
 
-pub use containment::{check_batch, check_batch_cancellable};
-pub use eval::{evaluate_batch, evaluate_batch_indexed, evaluate_batch_indexed_cancellable};
+pub use containment::check_batch;
+pub use eval::{evaluate_batch, evaluate_batch_indexed};
 pub use pool::{default_threads, map_with, parallel_map, BatchOptions, ThreadPool};

@@ -2,12 +2,13 @@
 //! batches that run through `cqchase-par`'s batch engines.
 //!
 //! Connection threads do not run containment or evaluation themselves.
-//! They [`submit`](Batcher::submit) work and block on a result channel;
-//! a submitter that finds no batch in flight becomes the **leader**,
+//! They [`submit`](Batcher::submit) a [`Job`] — the [`Work`] plus its
+//! trace id and [`CancelToken`] — and block on a result channel; a
+//! submitter that finds no batch in flight becomes the **leader**,
 //! drains everything queued, runs it as one batch, and answers every
 //! waiter (admission windows form naturally under load: requests
 //! arriving while a batch runs ride the next one). Leadership is
-//! bounded — after [`MAX_LEADER_ROUNDS`] rounds the leader hands back,
+//! bounded — after `MAX_LEADER_ROUNDS` rounds the leader hands back,
 //! and any still-unanswered waiter promotes itself within one poll
 //! tick, so no single client is starved and a crashed leader cannot
 //! wedge the queue. This shape gives three things a thread-per-request
@@ -32,7 +33,8 @@
 //! updates coalesce into one write-lock acquisition — see
 //! [`Work::Update`].
 
-use std::sync::mpsc::{channel, Sender};
+use std::sync::atomic::Ordering;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -137,21 +139,73 @@ pub enum Outcome {
     },
 }
 
+impl Work {
+    fn session(&self) -> &Arc<Session> {
+        match self {
+            Work::Check { session, .. }
+            | Work::Eval { session, .. }
+            | Work::Update { session, .. } => session,
+        }
+    }
+}
+
+/// One unit of work with its request context — what
+/// [`Batcher::submit`] takes. A bare [`Work`] converts to an untraced,
+/// never-cancelled job, a `(Work, CancelToken)` pair to an untraced one
+/// under that token.
+#[derive(Debug, Clone)]
+pub struct Job {
+    /// What to run.
+    pub work: Work,
+    /// The submitting request's trace id (0 = untraced). When tracing
+    /// is on, the semantic-cache probe, admission wait, batch drain,
+    /// and downstream eval/fsync sections are recorded as spans on it.
+    pub trace_id: u64,
+    /// The request's cancellation token, armed *before* admission so
+    /// queue wait counts against the deadline. It is consulted at
+    /// admission (a fired token is refused before the cache probe or
+    /// the queue), at leader pickup (expired work is never executed),
+    /// before an update's commit point, and — for checks and evals — at
+    /// coalesced intervals inside the engines.
+    pub cancel: CancelToken,
+}
+
+impl From<Work> for Job {
+    fn from(work: Work) -> Job {
+        Job {
+            work,
+            trace_id: 0,
+            cancel: CancelToken::default(),
+        }
+    }
+}
+
+impl From<(Work, CancelToken)> for Job {
+    fn from((work, cancel): (Work, CancelToken)) -> Job {
+        Job {
+            work,
+            trace_id: 0,
+            cancel,
+        }
+    }
+}
+
+/// A queued job: the job, its reply channel, and its enqueue stamps.
 struct Pending {
-    work: Work,
+    job: Job,
     tx: Sender<Outcome>,
-    /// The submitting request's trace id (0 = untraced).
-    trace_id: u64,
     /// Enqueue instant, for the always-on queue-wait metric.
     enqueued: Instant,
     /// Enqueue time on the tracer's clock (0 when untraced).
     enqueued_us: u64,
-    /// The request's cancellation token (unlimited when the request
-    /// carried no deadline and no disconnect watcher). Armed *before*
-    /// admission, so queue wait counts against the deadline; a token
-    /// found fired at leader pickup refuses the work without running
-    /// it.
-    cancel: CancelToken,
+}
+
+/// What admission made of one job.
+enum Admitted {
+    /// Answered without queueing: refused, or a semantic-cache hit.
+    Ready(Outcome),
+    /// Bound for the queue, with the channel its outcome arrives on.
+    Queued(Pending, Receiver<Outcome>),
 }
 
 #[derive(Default)]
@@ -231,9 +285,8 @@ pub struct Batcher {
     state: Mutex<QueueState>,
     threads: usize,
     metrics: Arc<Metrics>,
-    /// Which metrics lane shard this queue feeds (0 for a standalone
-    /// queue). Batching counters are recorded twice: once in the
-    /// global aggregates, once in this lane's shard.
+    /// Which metrics lane shard this queue's batching counters feed (0
+    /// for a standalone queue).
     lane: usize,
     barrier_mode: BarrierMode,
     /// When set, update batches route through the durability layer —
@@ -322,52 +375,132 @@ impl Batcher {
         }
     }
 
-    /// The single mutation choke point for both barrier modes: a run of
-    /// update deltas applies through the durability layer when one is
-    /// configured (log + fsync, *then* apply) and directly otherwise.
-    /// `trace_ids` carries the waiters' trace ids (aligned with
-    /// `deltas`) so the WAL fsync is recorded as a span on each.
-    fn apply_deltas(
-        &self,
-        session: &Session,
-        deltas: &[(Vec<crate::proto::FactSpec>, Vec<crate::proto::FactSpec>)],
-        trace_ids: &[u64],
-    ) -> Vec<Result<crate::session::UpdateSummary, String>> {
-        match &self.durability {
-            Some(d) => d.apply_updates_traced(session, deltas, self.trace_ctx(trace_ids)),
-            None => session.apply_updates(deltas),
-        }
-    }
-
-    /// Submits one unit of work and blocks until its outcome is ready.
+    /// Submits one job — a bare [`Work`], a `(Work, CancelToken)` pair,
+    /// or a full [`Job`] — and blocks until its outcome is ready.
     ///
-    /// Checks are first tried against the session's semantic cache; a
-    /// hit returns immediately. Otherwise the work is enqueued and the
+    /// A job whose token already fired is refused at admission, and a
+    /// check whose isomorphism class is in the session's semantic cache
+    /// returns immediately. Otherwise the job is enqueued and the
     /// calling thread alternates between waiting for a leader to answer
     /// it and — whenever no leader is running — taking leadership
-    /// itself. Leadership is bounded to [`MAX_LEADER_ROUNDS`] drain
+    /// itself. Leadership is bounded to `MAX_LEADER_ROUNDS` drain
     /// rounds, then handed back (a waiter promotes itself within one
     /// poll tick), so one leader's client is never starved by a
     /// sustained stream of other clients' requests. Returns `Err` only
     /// if a leader panicked while holding this item (the engine's
-    /// invariants were violated); the queue itself recovers — see
-    /// [`LeaderGuard`].
-    pub fn submit(&self, work: Work) -> Result<Outcome, String> {
-        self.submit_cancellable(work, 0, CancelToken::unlimited())
+    /// invariants were violated); the queue itself recovers.
+    pub fn submit(&self, job: impl Into<Job>) -> Result<Outcome, String> {
+        let (pending, rx) = match self.admit(job.into()) {
+            Admitted::Ready(outcome) => return Ok(outcome),
+            Admitted::Queued(pending, rx) => (pending, rx),
+        };
+        self.state.lock().expect("queue lock").pending.push(pending);
+        self.metrics
+            .lane(self.lane)
+            .queue_depth
+            .fetch_add(1, Ordering::Relaxed);
+        self.await_outcome(&rx)
     }
 
-    /// [`Batcher::submit`] carrying the request's trace id, so the
-    /// semantic-cache probe, admission wait, batch drain, and downstream
-    /// eval/fsync sections are recorded as spans when tracing is on.
-    pub fn submit_traced(&self, work: Work, trace_id: u64) -> Result<Outcome, String> {
-        self.submit_cancellable(work, trace_id, CancelToken::unlimited())
+    /// Submits a whole script of jobs as **one enqueued batch** and
+    /// blocks until every outcome is ready, returned in submission
+    /// order.
+    ///
+    /// All queued items land under a single lock acquisition, so a
+    /// quiescent queue drains them as one batch — the deterministic
+    /// way to exercise segment splitting, update-run coalescing, and
+    /// in-batch coalescing that concurrent `submit` calls only produce
+    /// probabilistically. Admission is exactly as in
+    /// [`Batcher::submit`]. Used by the differential proptests and the
+    /// churn benchmark; servers use `submit`.
+    pub fn submit_many(&self, jobs: Vec<impl Into<Job>>) -> Vec<Result<Outcome, String>> {
+        // Admission runs BEFORE the queue lock (cache probes take
+        // per-session mutexes and do isomorphism lookups — too slow for
+        // the queue's critical section, which must stay at plain Vec
+        // pushes).
+        let admitted: Vec<Admitted> = jobs.into_iter().map(|j| self.admit(j.into())).collect();
+        let mut enqueued = 0u64;
+        let slots: Vec<Result<Outcome, Receiver<Outcome>>> = {
+            let mut state = self.state.lock().expect("queue lock");
+            admitted
+                .into_iter()
+                .map(|a| match a {
+                    Admitted::Ready(outcome) => Ok(outcome),
+                    Admitted::Queued(pending, rx) => {
+                        state.pending.push(pending);
+                        enqueued += 1;
+                        Err(rx)
+                    }
+                })
+                .collect()
+        };
+        self.metrics
+            .lane(self.lane)
+            .queue_depth
+            .fetch_add(enqueued, Ordering::Relaxed);
+        slots
+            .into_iter()
+            .map(|slot| slot.or_else(|rx| self.await_outcome(&rx)))
+            .collect()
+    }
+
+    /// Admission, shared by [`Batcher::submit`] and
+    /// [`Batcher::submit_many`]: a fired token is refused, and a check
+    /// whose isomorphism class is cached is answered without ever
+    /// touching the queue (the probe is a span when traced). Anything
+    /// else becomes a queue item.
+    fn admit(&self, job: Job) -> Admitted {
+        if job.cancel.should_stop() {
+            return Admitted::Ready(self.cancelled_outcome(&job.cancel, "refused at admission"));
+        }
+        let tracing = job.trace_id != 0 && self.tracer.is_enabled();
+        if let Work::Check {
+            session,
+            q,
+            q_prime,
+        } = &job.work
+        {
+            let start = tracing.then(|| self.tracer.now_us());
+            let hit = session
+                .sem_cache
+                .lock()
+                .expect("semantic cache lock")
+                .lookup(
+                    session.sigma_fp(),
+                    session.query(*q),
+                    session.query(*q_prime),
+                );
+            if let Some(start) = start {
+                self.tracer.record(
+                    job.trace_id,
+                    SpanKind::SemCacheLookup,
+                    start,
+                    self.tracer.now_us(),
+                );
+            }
+            if let Some(summary) = hit {
+                return Admitted::Ready(Outcome::Check {
+                    summary: Ok(summary),
+                    cached: true,
+                    coalesced: false,
+                });
+            }
+        }
+        let (tx, rx) = channel();
+        let enqueued_us = if tracing { self.tracer.now_us() } else { 0 };
+        let pending = Pending {
+            job,
+            tx,
+            enqueued: Instant::now(),
+            enqueued_us,
+        };
+        Admitted::Queued(pending, rx)
     }
 
     /// Turns a fired token into the [`Outcome::Cancelled`] it is
     /// answered with, counting it on the resilience metrics (disconnect
     /// vs deadline attribution comes from the token itself).
     fn cancelled_outcome(&self, cancel: &CancelToken, detail: &str) -> Outcome {
-        use std::sync::atomic::Ordering;
         let disconnect = cancel.is_cancelled();
         if disconnect {
             self.metrics
@@ -384,61 +517,20 @@ impl Batcher {
         }
     }
 
-    /// [`Batcher::submit_traced`] under a [`CancelToken`]: the token is
-    /// consulted at admission (a fired token is refused before the
-    /// cache probe or the queue), at leader pickup (expired work is
-    /// never executed), and — for checks and evals — at coalesced
-    /// intervals inside the engines. The full request lifecycle path.
-    pub fn submit_cancellable(
-        &self,
-        work: Work,
-        trace_id: u64,
-        cancel: CancelToken,
-    ) -> Result<Outcome, String> {
-        // The per-request hot path: same protocol as `submit_many`
-        // (probe, enqueue, await) without its per-script vectors.
-        if cancel.should_stop() {
-            return Ok(self.cancelled_outcome(&cancel, "refused at admission"));
+    /// Answers `p` with [`Outcome::Cancelled`] when its token has
+    /// fired; `true` means the item was refused and must not run.
+    fn refuse_if_stopped(&self, p: &Pending, detail: &str) -> bool {
+        let stop = p.job.cancel.should_stop();
+        if stop {
+            let _ = p.tx.send(self.cancelled_outcome(&p.job.cancel, detail));
         }
-        let tracing = trace_id != 0 && self.tracer.is_enabled();
-        let probe_start =
-            (tracing && matches!(work, Work::Check { .. })).then(|| self.tracer.now_us());
-        let hit = Batcher::try_cache_hit(&work);
-        if let Some(start) = probe_start {
-            self.tracer.record(
-                trace_id,
-                SpanKind::SemCacheLookup,
-                start,
-                self.tracer.now_us(),
-            );
-        }
-        if let Some(outcome) = hit {
-            return Ok(outcome);
-        }
-        let (tx, rx) = channel();
-        let enqueued_us = if tracing { self.tracer.now_us() } else { 0 };
-        {
-            let mut state = self.state.lock().expect("queue lock");
-            state.pending.push(Pending {
-                work,
-                tx,
-                trace_id,
-                enqueued: Instant::now(),
-                enqueued_us,
-                cancel,
-            });
-        }
-        self.metrics
-            .lane(self.lane)
-            .queue_depth
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        self.await_outcome(&rx)
+        stop
     }
 
     /// Blocks until `rx` delivers, alternating with leadership: whenever
     /// no leader is running and work is pending, the caller takes
     /// leadership and drains. The wait half of `submit`/`submit_many`.
-    fn await_outcome(&self, rx: &std::sync::mpsc::Receiver<Outcome>) -> Result<Outcome, String> {
+    fn await_outcome(&self, rx: &Receiver<Outcome>) -> Result<Outcome, String> {
         loop {
             let lead = {
                 let mut state = self.state.lock().expect("queue lock");
@@ -466,128 +558,9 @@ impl Batcher {
         }
     }
 
-    /// The pre-enqueue semantic-cache probe shared by [`Batcher::submit`]
-    /// and [`Batcher::submit_many`]: a check whose isomorphism class is
-    /// cached is answered without ever touching the queue.
-    fn try_cache_hit(work: &Work) -> Option<Outcome> {
-        let Work::Check {
-            session,
-            q,
-            q_prime,
-        } = work
-        else {
-            return None;
-        };
-        let hit = {
-            let mut cache = session.sem_cache.lock().expect("semantic cache lock");
-            cache.lookup(
-                session.sigma_fp(),
-                session.query(*q),
-                session.query(*q_prime),
-            )
-        };
-        hit.map(|summary| Outcome::Check {
-            summary: Ok(summary),
-            cached: true,
-            coalesced: false,
-        })
-    }
-
-    /// Submits a whole script of work as **one enqueued batch** and
-    /// blocks until every outcome is ready, returned in submission
-    /// order.
-    ///
-    /// All items land in the queue under a single lock acquisition, so
-    /// a quiescent queue drains them as one batch — the deterministic
-    /// way to exercise segment splitting, update-run coalescing, and
-    /// in-batch coalescing that concurrent `submit` calls only produce
-    /// probabilistically. Semantic-cache hits short-circuit exactly as
-    /// in [`Batcher::submit`]. Used by the differential proptests and
-    /// the churn benchmark; servers use `submit`.
-    pub fn submit_many(&self, works: Vec<Work>) -> Vec<Result<Outcome, String>> {
-        let works = works
-            .into_iter()
-            .map(|w| (w, CancelToken::unlimited()))
-            .collect();
-        self.submit_many_cancellable(works)
-    }
-
-    /// [`Batcher::submit_many`] with one [`CancelToken`] per item — the
-    /// differential cancellation proptest's entry point. An item whose
-    /// token is already fired at submission is answered
-    /// [`Outcome::Cancelled`] without probing the cache or touching the
-    /// queue; the rest land in the queue as one batch exactly as in
-    /// `submit_many`.
-    pub fn submit_many_cancellable(
-        &self,
-        works: Vec<(Work, CancelToken)>,
-    ) -> Vec<Result<Outcome, String>> {
-        enum Slot {
-            Ready(Outcome),
-            Wait(std::sync::mpsc::Receiver<Outcome>),
-        }
-        // Cache probes run BEFORE the queue lock (they take per-session
-        // mutexes and do isomorphism lookups — too slow for the global
-        // critical section, which must stay at plain Vec pushes).
-        type Unanswered = (
-            Work,
-            CancelToken,
-            Sender<Outcome>,
-            std::sync::mpsc::Receiver<Outcome>,
-        );
-        let probed: Vec<Result<Outcome, Unanswered>> = works
-            .into_iter()
-            .map(|(work, cancel)| {
-                if cancel.should_stop() {
-                    return Ok(self.cancelled_outcome(&cancel, "refused at admission"));
-                }
-                match Batcher::try_cache_hit(&work) {
-                    Some(outcome) => Ok(outcome),
-                    None => {
-                        let (tx, rx) = channel();
-                        Err((work, cancel, tx, rx))
-                    }
-                }
-            })
-            .collect();
-        let mut slots = Vec::with_capacity(probed.len());
-        let mut enqueued = 0u64;
-        {
-            let mut state = self.state.lock().expect("queue lock");
-            for p in probed {
-                match p {
-                    Ok(outcome) => slots.push(Slot::Ready(outcome)),
-                    Err((work, cancel, tx, rx)) => {
-                        state.pending.push(Pending {
-                            work,
-                            tx,
-                            trace_id: 0,
-                            enqueued: Instant::now(),
-                            enqueued_us: 0,
-                            cancel,
-                        });
-                        slots.push(Slot::Wait(rx));
-                        enqueued += 1;
-                    }
-                }
-            }
-        }
-        self.metrics
-            .lane(self.lane)
-            .queue_depth
-            .fetch_add(enqueued, std::sync::atomic::Ordering::Relaxed);
-        slots
-            .into_iter()
-            .map(|slot| match slot {
-                Slot::Ready(outcome) => Ok(outcome),
-                Slot::Wait(rx) => self.await_outcome(&rx),
-            })
-            .collect()
-    }
-
-    /// Leads for up to [`MAX_LEADER_ROUNDS`] drain rounds, then
-    /// releases leadership (leftover work is picked up by a waiting
-    /// submitter's next poll tick or the next fresh submit).
+    /// Leads for up to `MAX_LEADER_ROUNDS` drain rounds, then releases
+    /// leadership (leftover work is picked up by a waiting submitter's
+    /// next poll tick or the next fresh submit).
     fn drain(&self) {
         let mut guard = LeaderGuard {
             state: &self.state,
@@ -595,8 +568,9 @@ impl Batcher {
             lane: self.lane,
             armed: true,
         };
+        let shard = self.metrics.lane(self.lane);
         for _ in 0..MAX_LEADER_ROUNDS {
-            let batch = {
+            let mut batch = {
                 let mut state = self.state.lock().expect("queue lock");
                 if state.pending.is_empty() {
                     break;
@@ -612,41 +586,27 @@ impl Batcher {
             } else {
                 0
             };
-            self.metrics
-                .lane(self.lane)
+            shard
                 .queue_depth
-                .fetch_sub(batch.len() as u64, std::sync::atomic::Ordering::Relaxed);
+                .fetch_sub(batch.len() as u64, Ordering::Relaxed);
             let mut traced: Vec<u64> = Vec::new();
             for p in &batch {
-                self.metrics
-                    .record_lane_queue_wait(self.lane, p.enqueued.elapsed());
-                if p.trace_id != 0 && p.enqueued_us != 0 {
+                shard.queue_wait.record(p.enqueued.elapsed(), true);
+                if p.job.trace_id != 0 && p.enqueued_us != 0 {
                     self.tracer.record(
-                        p.trace_id,
+                        p.job.trace_id,
                         SpanKind::AdmissionWait,
                         p.enqueued_us,
                         pickup_us,
                     );
-                    traced.push(p.trace_id);
+                    traced.push(p.job.trace_id);
                 }
             }
             // Work whose token fired while it queued (deadline expired,
             // or its client disconnected) is refused here — never
             // executed. Queue wait counts against the deadline by
             // construction: the token was armed before admission.
-            let batch: Vec<Pending> = batch
-                .into_iter()
-                .filter_map(|p| {
-                    if p.cancel.should_stop() {
-                        let outcome =
-                            self.cancelled_outcome(&p.cancel, "expired in the admission queue");
-                        let _ = p.tx.send(outcome);
-                        None
-                    } else {
-                        Some(p)
-                    }
-                })
-                .collect();
+            batch.retain(|p| !self.refuse_if_stopped(p, "expired in the admission queue"));
             self.run_batch(batch);
             if !traced.is_empty() {
                 let end_us = self.tracer.now_us();
@@ -676,163 +636,98 @@ impl Batcher {
     /// order as maximal update-free segments; every update flushes the
     /// whole segment before it and applies alone.
     fn run_batch(&self, batch: Vec<Pending>) {
-        use std::sync::atomic::Ordering;
         let shard = self.metrics.lane(self.lane);
-        self.metrics.batches.fetch_add(1, Ordering::Relaxed);
         shard.batches.fetch_add(1, Ordering::Relaxed);
-        self.metrics
-            .batched_items
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
         shard
             .batched_items
             .fetch_add(batch.len() as u64, Ordering::Relaxed);
-
         match self.barrier_mode {
-            BarrierMode::Global => {
-                let mut segment: Vec<Pending> = Vec::new();
-                for p in batch {
-                    let trace_id = p.trace_id;
-                    if let Work::Update {
-                        session,
-                        insert,
-                        delete,
-                    } = p.work
-                    {
-                        if !segment.is_empty() {
-                            self.metrics.barrier_flushes.fetch_add(1, Ordering::Relaxed);
-                            shard.barrier_flushes.fetch_add(1, Ordering::Relaxed);
-                        }
-                        self.run_segment(std::mem::take(&mut segment));
-                        if p.cancel.should_stop() {
-                            let outcome = self.cancelled_outcome(
-                                &p.cancel,
-                                "update refused before its commit point",
-                            );
-                            let _ = p.tx.send(outcome);
-                            continue;
-                        }
-                        let result = self
-                            .apply_deltas(&session, &[(insert, delete)], &[trace_id])
-                            .pop()
-                            .expect("one delta in, one summary out");
-                        let _ = p.tx.send(Outcome::Update(result));
-                    } else {
-                        segment.push(p);
-                    }
-                }
-                self.run_segment(segment);
-            }
+            BarrierMode::Global => self.run_lane(batch, false),
             BarrierMode::PerSession => {
-                let mut lanes: Vec<(Arc<Session>, Vec<Pending>)> = Vec::new();
+                let mut lanes: Vec<Vec<Pending>> = Vec::new();
                 for p in batch {
-                    let session = match &p.work {
-                        Work::Check { session, .. }
-                        | Work::Eval { session, .. }
-                        | Work::Update { session, .. } => Arc::clone(session),
-                    };
-                    match lanes.iter_mut().find(|(s, _)| Arc::ptr_eq(s, &session)) {
-                        Some((_, lane)) => lane.push(p),
-                        None => lanes.push((session, vec![p])),
+                    let session = p.job.work.session();
+                    match lanes
+                        .iter_mut()
+                        .find(|lane| Arc::ptr_eq(lane[0].job.work.session(), session))
+                    {
+                        Some(lane) => lane.push(p),
+                        None => lanes.push(vec![p]),
                     }
                 }
-                for (session, lane) in lanes {
-                    self.run_lane(&session, lane);
+                for lane in lanes {
+                    self.run_lane(lane, true);
                 }
             }
         }
     }
 
-    /// Runs one session's lane of a drained batch: maximal update-free
-    /// segments alternate with **runs of adjacent updates**; each run
-    /// applies through one [`Session::apply_updates`] call.
-    fn run_lane(&self, session: &Arc<Session>, lane: Vec<Pending>) {
-        use std::sync::atomic::Ordering;
+    /// Runs a lane in arrival order: maximal update-free segments
+    /// alternate with **runs of adjacent updates**, each run applied by
+    /// one [`Batcher::flush_updates`]. With `coalesce` off (global
+    /// barriers) every update is a run of its own.
+    fn run_lane(&self, lane: Vec<Pending>, coalesce: bool) {
         let shard = self.metrics.lane(self.lane);
         let mut segment: Vec<Pending> = Vec::new();
-        let mut updates: Vec<(Vec<crate::proto::FactSpec>, Vec<crate::proto::FactSpec>)> =
-            Vec::new();
-        let mut update_txs: Vec<Sender<Outcome>> = Vec::new();
-        let mut update_ids: Vec<u64> = Vec::new();
-        let mut update_cancels: Vec<CancelToken> = Vec::new();
-        type Deltas = Vec<(Vec<crate::proto::FactSpec>, Vec<crate::proto::FactSpec>)>;
-        let flush_updates = |updates: &mut Deltas,
-                             update_txs: &mut Vec<Sender<Outcome>>,
-                             update_ids: &mut Vec<u64>,
-                             update_cancels: &mut Vec<CancelToken>| {
-            if updates.is_empty() {
-                return;
-            }
-            // Last pre-commit token check: a delta whose token fired
-            // between pickup and here is excluded before anything is
-            // WAL-logged or applied, so a cancelled update is
-            // indistinguishable from one never submitted. Past this
-            // point the run is committed — cancellation never bisects
-            // an update.
-            let mut deltas: Deltas = Vec::with_capacity(updates.len());
-            let mut txs: Vec<Sender<Outcome>> = Vec::with_capacity(update_txs.len());
-            let mut ids: Vec<u64> = Vec::with_capacity(update_ids.len());
-            for ((delta, tx), (id, cancel)) in updates
-                .drain(..)
-                .zip(update_txs.drain(..))
-                .zip(update_ids.drain(..).zip(update_cancels.drain(..)))
-            {
-                if cancel.should_stop() {
-                    let outcome =
-                        self.cancelled_outcome(&cancel, "update refused before its commit point");
-                    let _ = tx.send(outcome);
-                } else {
-                    deltas.push(delta);
-                    txs.push(tx);
-                    ids.push(id);
-                }
-            }
-            if deltas.is_empty() {
-                return;
-            }
-            if deltas.len() > 1 {
-                self.metrics
-                    .updates_coalesced
-                    .fetch_add(deltas.len() as u64 - 1, Ordering::Relaxed);
-                shard
-                    .updates_coalesced
-                    .fetch_add(deltas.len() as u64 - 1, Ordering::Relaxed);
-            }
-            let results = self.apply_deltas(session, &deltas, &ids);
-            for (result, tx) in results.into_iter().zip(txs) {
-                let _ = tx.send(Outcome::Update(result));
-            }
-        };
+        let mut updates: Vec<Pending> = Vec::new();
         for p in lane {
-            match p.work {
-                Work::Update { insert, delete, .. } => {
-                    if !segment.is_empty() {
-                        self.metrics.barrier_flushes.fetch_add(1, Ordering::Relaxed);
-                        shard.barrier_flushes.fetch_add(1, Ordering::Relaxed);
-                    }
+            if matches!(p.job.work, Work::Update { .. }) {
+                if !segment.is_empty() {
+                    shard.barrier_flushes.fetch_add(1, Ordering::Relaxed);
                     self.run_segment(std::mem::take(&mut segment));
-                    updates.push((insert, delete));
-                    update_txs.push(p.tx);
-                    update_ids.push(p.trace_id);
-                    update_cancels.push(p.cancel);
                 }
-                _ => {
-                    flush_updates(
-                        &mut updates,
-                        &mut update_txs,
-                        &mut update_ids,
-                        &mut update_cancels,
-                    );
-                    segment.push(p);
+                if !coalesce {
+                    self.flush_updates(&mut updates);
                 }
+                updates.push(p);
+            } else {
+                self.flush_updates(&mut updates);
+                segment.push(p);
             }
         }
-        flush_updates(
-            &mut updates,
-            &mut update_txs,
-            &mut update_ids,
-            &mut update_cancels,
-        );
+        self.flush_updates(&mut updates);
         self.run_segment(segment);
+    }
+
+    /// Applies a run of same-session updates as one write-lock
+    /// acquisition and one epoch bump, answering each waiter with its
+    /// own summary. This is the single mutation choke point: with a
+    /// durability layer configured the run is logged and fsync'd
+    /// *before* it applies (the fsync recorded as a span on each
+    /// waiter's trace id).
+    fn flush_updates(&self, run: &mut Vec<Pending>) {
+        // Last pre-commit token check: an update whose token fired
+        // between pickup and here is excluded before anything is
+        // WAL-logged or applied, so a cancelled update is
+        // indistinguishable from one never submitted. Past this point
+        // the run is committed — cancellation never bisects an update.
+        run.retain(|p| !self.refuse_if_stopped(p, "update refused before its commit point"));
+        let Some(first) = run.first() else {
+            return;
+        };
+        let session = Arc::clone(first.job.work.session());
+        if run.len() > 1 {
+            self.metrics
+                .lane(self.lane)
+                .updates_coalesced
+                .fetch_add(run.len() as u64 - 1, Ordering::Relaxed);
+        }
+        let mut deltas = Vec::with_capacity(run.len());
+        let mut trace_ids = Vec::with_capacity(run.len());
+        for p in run.iter_mut() {
+            let Work::Update { insert, delete, .. } = &mut p.job.work else {
+                unreachable!("only updates are buffered into a run");
+            };
+            deltas.push((std::mem::take(insert), std::mem::take(delete)));
+            trace_ids.push(p.job.trace_id);
+        }
+        let results = match &self.durability {
+            Some(d) => d.apply_updates_traced(&session, &deltas, self.trace_ctx(&trace_ids)),
+            None => session.apply_updates(&deltas),
+        };
+        for (result, p) in results.into_iter().zip(run.drain(..)) {
+            let _ = p.tx.send(Outcome::Update(result));
+        }
     }
 
     /// Runs one update-free segment: group per session, coalesce
@@ -841,7 +736,7 @@ impl Batcher {
         if batch.is_empty() {
             return;
         }
-        // Group by (session identity, kind), preserving arrival order.
+        // Group by session identity, preserving arrival order.
         struct Group {
             session: Arc<Session>,
             checks: Vec<(usize, usize, Sender<Outcome>, CancelToken)>,
@@ -849,27 +744,24 @@ impl Batcher {
         }
         let mut groups: Vec<Group> = Vec::new();
         for p in batch {
-            let session = match &p.work {
-                Work::Check { session, .. } | Work::Eval { session, .. } => Arc::clone(session),
-                Work::Update { .. } => unreachable!("updates are barriers, not segment items"),
-            };
-            let slot = match groups
-                .iter_mut()
-                .find(|g| Arc::ptr_eq(&g.session, &session))
-            {
-                Some(g) => g,
+            let session = p.job.work.session();
+            let i = match groups.iter().position(|g| Arc::ptr_eq(&g.session, session)) {
+                Some(i) => i,
                 None => {
                     groups.push(Group {
-                        session,
+                        session: Arc::clone(session),
                         checks: Vec::new(),
                         evals: Vec::new(),
                     });
-                    groups.last_mut().expect("just pushed")
+                    groups.len() - 1
                 }
             };
-            match p.work {
-                Work::Check { q, q_prime, .. } => slot.checks.push((q, q_prime, p.tx, p.cancel)),
-                Work::Eval { q, .. } => slot.evals.push((q, p.trace_id, p.tx, p.cancel)),
+            let Pending { job, tx, .. } = p;
+            match job.work {
+                Work::Check { q, q_prime, .. } => {
+                    groups[i].checks.push((q, q_prime, tx, job.cancel))
+                }
+                Work::Eval { q, .. } => groups[i].evals.push((q, job.trace_id, tx, job.cancel)),
                 Work::Update { .. } => unreachable!("updates are barriers, not segment items"),
             }
         }
@@ -885,7 +777,6 @@ impl Batcher {
         session: &Session,
         checks: Vec<(usize, usize, Sender<Outcome>, CancelToken)>,
     ) {
-        use std::sync::atomic::Ordering;
         if checks.is_empty() {
             return;
         }
@@ -894,16 +785,13 @@ impl Batcher {
         // riders share its fate (documented trade — a rider with a
         // longer deadline may see the representative's cancellation,
         // but the shared chase stays live for every other pair).
-        let mut unique: Vec<ContainmentPair> = Vec::new();
-        let mut tokens: Vec<CancelToken> = Vec::new();
+        let mut unique: Vec<(ContainmentPair, CancelToken)> = Vec::new();
         let mut waiters: FxHashMap<(usize, usize), Vec<Sender<Outcome>>> = FxHashMap::default();
         for (q, q_prime, tx, cancel) in checks {
             let entry = waiters.entry((q, q_prime)).or_default();
             if entry.is_empty() {
-                unique.push(ContainmentPair { q, q_prime });
-                tokens.push(cancel);
+                unique.push((ContainmentPair { q, q_prime }, cancel));
             } else {
-                self.metrics.coalesced_items.fetch_add(1, Ordering::Relaxed);
                 self.metrics
                     .lane(self.lane)
                     .coalesced_items
@@ -913,17 +801,16 @@ impl Batcher {
         }
 
         let program = session.program();
-        let answers = cqchase_par::check_batch_cancellable(
+        let answers = cqchase_par::check_batch(
             &program.queries,
             &unique,
             &program.deps,
             &program.catalog,
             &session.opts,
             BatchOptions::with_threads(self.threads),
-            Some(&tokens),
         );
 
-        for ((pair, cancel), answer) in unique.iter().zip(&tokens).zip(answers) {
+        for ((pair, cancel), answer) in unique.iter().zip(answers) {
             let txs = waiters
                 .remove(&(pair.q, pair.q_prime))
                 .expect("every unique pair has waiters");
@@ -970,7 +857,6 @@ impl Batcher {
     }
 
     fn run_evals(&self, session: &Session, evals: Vec<(usize, u64, Sender<Outcome>, CancelToken)>) {
-        use std::sync::atomic::Ordering;
         if evals.is_empty() {
             return;
         }
@@ -983,7 +869,6 @@ impl Batcher {
             if entry.is_empty() {
                 unique.push((q, cancel));
             } else {
-                self.metrics.coalesced_items.fetch_add(1, Ordering::Relaxed);
                 self.metrics
                     .lane(self.lane)
                     .coalesced_items
@@ -998,7 +883,7 @@ impl Batcher {
                 .iter()
                 .map(|(id, _)| *id)
                 .collect();
-            let answer = session.eval_observed_cancellable(q, self.trace_ctx(&ids), Some(&cancel));
+            let answer = session.eval_request(q, &cancel, self.trace_ctx(&ids));
             let txs = waiters.remove(&q).expect("every unique query has waiters");
             let Some((rows, cached, annotation)) = answer else {
                 // Cancelled mid-join: the partial rows were discarded
@@ -1253,8 +1138,8 @@ mod tests {
         assert_eq!(coalesced, [false, true, true]);
         // A's barrier flushed no B segment (B work all ran together),
         // and the adjacent A updates merged: one run of 2 counts 1.
-        assert_eq!(metrics.barrier_flushes.load(Ordering::Relaxed), 0);
-        assert_eq!(metrics.updates_coalesced.load(Ordering::Relaxed), 1);
+        assert_eq!(metrics.lane(0).barrier_flushes.load(Ordering::Relaxed), 0);
+        assert_eq!(metrics.lane(0).updates_coalesced.load(Ordering::Relaxed), 1);
         // Merged updates: per-delta summaries, one shared epoch bump.
         let sums: Vec<_> = outs
             .iter()
@@ -1295,8 +1180,11 @@ mod tests {
             .into_iter()
             .map(Result::unwrap)
             .collect();
-        assert_eq!(metrics2.barrier_flushes.load(Ordering::Relaxed), 1);
-        assert_eq!(metrics2.updates_coalesced.load(Ordering::Relaxed), 0);
+        assert_eq!(metrics2.lane(0).barrier_flushes.load(Ordering::Relaxed), 1);
+        assert_eq!(
+            metrics2.lane(0).updates_coalesced.load(Ordering::Relaxed),
+            0
+        );
         assert_eq!(a2.facts_epoch(), 2, "global barriers bump per update");
         // The observable answers agree between the modes.
         for (x, y) in outs.iter().zip(outs2.iter()) {
@@ -1335,7 +1223,7 @@ mod tests {
         assert_eq!(outs.len(), 2);
         assert!(matches!(outs[0], Ok(Outcome::Eval { .. })));
         assert!(matches!(outs[1], Ok(Outcome::Check { .. })));
-        assert_eq!(metrics.batches.load(Ordering::Relaxed), 1);
+        assert_eq!(metrics.lane(0).batches.load(Ordering::Relaxed), 1);
         // A semantic-cache hit short-circuits without enqueueing.
         let outs = batcher.submit_many(vec![Work::Check {
             session: Arc::clone(&s),
@@ -1346,7 +1234,7 @@ mod tests {
             matches!(&outs[0], Ok(Outcome::Check { cached: true, .. })),
             "{outs:?}"
         );
-        assert_eq!(metrics.batches.load(Ordering::Relaxed), 1);
+        assert_eq!(metrics.lane(0).batches.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -1384,7 +1272,7 @@ mod tests {
         }
         use std::sync::atomic::Ordering;
         let computed = 8
-            - metrics.coalesced_items.load(Ordering::Relaxed)
+            - metrics.lane(0).coalesced_items.load(Ordering::Relaxed)
             - s.sem_cache.lock().unwrap().stats().hits;
         assert!(
             computed >= 2,
@@ -1405,7 +1293,7 @@ mod tests {
         // A disconnected check, an expired eval, an expired update, and
         // a live eval, submitted as one batch.
         let outs: Vec<Outcome> = batcher
-            .submit_many_cancellable(vec![
+            .submit_many(vec![
                 (
                     Work::Check {
                         session: Arc::clone(&s),

@@ -6,7 +6,7 @@
 //! scopes are disjoint, so the renamings are independent). A cache
 //! keyed by *syntactic* identity would miss every client that spells
 //! the same question differently; this one buckets by
-//! [`iso_key`](cqchase_core::iso_key) of both sides (plus a Σ
+//! [`iso_key`] of both sides (plus a Σ
 //! fingerprint, so one cache can safely serve several sessions) and
 //! confirms candidates with the exact [`is_isomorphic`] test before
 //! returning them. A hash collision therefore costs one extra

@@ -332,7 +332,7 @@ impl Durability {
 
     /// [`Durability::register`] with the WAL fsync recorded as a span on
     /// the request's trace id when tracing is active.
-    pub fn register_traced(
+    pub(crate) fn register_traced(
         &self,
         name: &str,
         program: &str,
@@ -396,7 +396,7 @@ impl Durability {
     /// [`Durability::apply_updates`] with the WAL fsync recorded as a
     /// [`SpanKind::Fsync`] span on every waiter's trace id (a coalesced
     /// update run logs once; every rider shares the wait).
-    pub fn apply_updates_traced(
+    pub(crate) fn apply_updates_traced(
         &self,
         session: &Session,
         deltas: &[(Vec<FactSpec>, Vec<FactSpec>)],

@@ -69,7 +69,7 @@ pub mod proto;
 pub mod server;
 pub mod session;
 
-pub use batch::{BarrierMode, Batcher, Outcome, TraceAnnotations, Work};
+pub use batch::{BarrierMode, Batcher, Job, Outcome, TraceAnnotations, Work};
 pub use cache::{CacheStats, SemanticCache};
 pub use catalog::{BaseFacts, CatalogRegistry, FrozenCatalog};
 pub use client::{Client, ClientError, RetryPolicy};

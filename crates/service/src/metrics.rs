@@ -60,61 +60,63 @@ impl EndpointStats {
         self.hist[bucket_of(us)].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// The inclusive upper edge (µs) of the bucket containing the
-    /// `q`-quantile sample ([`bucket_edge_us`]), or 0 with no samples —
-    /// so the reported quantile is the tightest value with "the
-    /// q-fraction of samples took at most this long" at bucket
-    /// granularity.
-    fn quantile_us(&self, q: f64) -> u64 {
-        let counts: Vec<u64> = self
-            .hist
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((total as f64 * q).ceil() as u64).clamp(1, total);
-        let mut seen = 0;
-        for (i, c) in counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return bucket_edge_us(i);
+    /// Snapshot of the sum of `stats` (one endpoint, or one histogram
+    /// sharded over lanes): count, errors, total, mean, p50/p99, and the
+    /// raw buckets.
+    fn snapshot_sum<'a>(stats: impl IntoIterator<Item = &'a EndpointStats>) -> Value {
+        let (mut count, mut errors, mut total_us, mut hist) = (0, 0, 0, [0u64; BUCKETS]);
+        for s in stats {
+            count += s.count.load(Ordering::Relaxed);
+            errors += s.errors.load(Ordering::Relaxed);
+            total_us += s.total_us.load(Ordering::Relaxed);
+            for (sum, b) in hist.iter_mut().zip(&s.hist) {
+                *sum += b.load(Ordering::Relaxed);
             }
         }
-        bucket_edge_us(BUCKETS - 1)
-    }
-
-    fn snapshot(&self) -> Value {
-        let count = self.count.load(Ordering::Relaxed);
-        let total_us = self.total_us.load(Ordering::Relaxed);
         let mut m = Map::new();
         m.insert("count".into(), Value::from(count));
-        m.insert(
-            "errors".into(),
-            Value::from(self.errors.load(Ordering::Relaxed)),
-        );
+        m.insert("errors".into(), Value::from(errors));
         m.insert("total_us".into(), Value::from(total_us));
         if let Some(mean) = total_us.checked_div(count) {
             m.insert("mean_us".into(), Value::from(mean));
-            m.insert("p50_us".into(), Value::from(self.quantile_us(0.50)));
-            m.insert("p99_us".into(), Value::from(self.quantile_us(0.99)));
+            m.insert("p50_us".into(), Value::from(quantile_us(&hist, 0.50)));
+            m.insert("p99_us".into(), Value::from(quantile_us(&hist, 0.99)));
         }
-        let hist: Vec<Value> = self
-            .hist
-            .iter()
-            .map(|b| Value::from(b.load(Ordering::Relaxed)))
-            .collect();
+        let hist: Vec<Value> = hist.iter().map(|&c| Value::from(c)).collect();
         m.insert("histogram_us_pow2".into(), Value::Array(hist));
         Value::Object(m)
     }
+
+    fn snapshot(&self) -> Value {
+        EndpointStats::snapshot_sum([self])
+    }
 }
 
-/// One lane's slice of the batching metrics: every counter the global
-/// aggregates keep, sharded by admission lane, plus a live queue-depth
-/// gauge — the per-lane families the `stats`/`metrics` endpoints expose
-/// so a hot tenant's lane is distinguishable from its neighbors.
+/// The inclusive upper edge (µs) of the bucket containing the
+/// `q`-quantile sample of `hist` ([`bucket_edge_us`]), or 0 with no
+/// samples — so the reported quantile is the tightest value with "the
+/// q-fraction of samples took at most this long" at bucket granularity.
+fn quantile_us(hist: &[u64; BUCKETS], q: f64) -> u64 {
+    let total: u64 = hist.iter().sum();
+    if total == 0 {
+        return 0;
+    }
+    let rank = ((total as f64 * q).ceil() as u64).clamp(1, total);
+    let mut seen = 0;
+    for (i, c) in hist.iter().enumerate() {
+        seen += c;
+        if seen >= rank {
+            return bucket_edge_us(i);
+        }
+    }
+    bucket_edge_us(BUCKETS - 1)
+}
+
+/// One lane's slice of the batching metrics, plus a live queue-depth
+/// gauge. The shards are the only home of these counters: the global
+/// `batching` block and `queue_wait` histogram are their sums, taken at
+/// read time, so a hot tenant's lane is distinguishable from its
+/// neighbors and the totals cannot drift from the lanes.
 #[derive(Debug, Default)]
 pub struct LaneShard {
     /// Batches executed by this lane's leader.
@@ -124,9 +126,11 @@ pub struct LaneShard {
     /// Items answered by riding an identical in-flight item.
     pub coalesced_items: AtomicU64,
     /// Updates merged into a preceding same-session update's
-    /// write-lock acquisition.
+    /// write-lock acquisition (a run of *n* counts *n − 1*).
     pub updates_coalesced: AtomicU64,
-    /// Update-free segments flushed early ahead of an update barrier.
+    /// Update-free segments flushed early ahead of an update barrier
+    /// (the cost per-session barriers avoid paying for *other*
+    /// sessions' work).
     pub barrier_flushes: AtomicU64,
     /// Work items currently enqueued in this lane (gauge: incremented
     /// at admission, decremented at leader pickup).
@@ -136,29 +140,27 @@ pub struct LaneShard {
     pub queue_wait: EndpointStats,
 }
 
+type Counter = fn(&LaneShard) -> &AtomicU64;
+
+/// The per-lane batching counters that also appear summed under
+/// `stats.batching`, with their stats keys.
+const BATCHING_COUNTERS: [(&str, Counter); 5] = [
+    ("batches", |s| &s.batches),
+    ("batched_items", |s| &s.batched_items),
+    ("coalesced_items", |s| &s.coalesced_items),
+    ("updates_coalesced", |s| &s.updates_coalesced),
+    ("barrier_flushes", |s| &s.barrier_flushes),
+];
+
 impl LaneShard {
     fn snapshot(&self) -> Value {
         let mut m = Map::new();
-        m.insert(
-            "batches".into(),
-            Value::from(self.batches.load(Ordering::Relaxed)),
-        );
-        m.insert(
-            "batched_items".into(),
-            Value::from(self.batched_items.load(Ordering::Relaxed)),
-        );
-        m.insert(
-            "coalesced_items".into(),
-            Value::from(self.coalesced_items.load(Ordering::Relaxed)),
-        );
-        m.insert(
-            "updates_coalesced".into(),
-            Value::from(self.updates_coalesced.load(Ordering::Relaxed)),
-        );
-        m.insert(
-            "barrier_flushes".into(),
-            Value::from(self.barrier_flushes.load(Ordering::Relaxed)),
-        );
+        for (key, counter) in BATCHING_COUNTERS {
+            m.insert(
+                key.into(),
+                Value::from(counter(self).load(Ordering::Relaxed)),
+            );
+        }
         m.insert(
             "queue_depth".into(),
             Value::from(self.queue_depth.load(Ordering::Relaxed)),
@@ -173,27 +175,9 @@ impl LaneShard {
 pub struct Metrics {
     start: Instant,
     endpoints: [EndpointStats; ALL_OPS.len()],
-    /// Admission-queue wait per batched work item (enqueue → leader
-    /// pickup), across all lanes; the `errors` column is unused.
-    queue_wait: EndpointStats,
-    /// Per-lane shards of the batching counters. The global aggregates
-    /// below stay authoritative (and backward compatible); each shard
-    /// holds its lane's slice.
+    /// Per-lane batching counters and queue-wait histograms (summed at
+    /// read time for the global view).
     lanes: Vec<LaneShard>,
-    /// Batches executed by the admission queue's leader(s).
-    pub batches: AtomicU64,
-    /// Work items that went through a batch.
-    pub batched_items: AtomicU64,
-    /// Items answered by riding an identical in-flight item
-    /// (admission-queue coalescing).
-    pub coalesced_items: AtomicU64,
-    /// Updates that merged into a preceding adjacent same-session
-    /// update's write-lock acquisition (a run of *n* counts *n − 1*).
-    pub updates_coalesced: AtomicU64,
-    /// Update-free segments flushed early because an update barrier
-    /// followed them in the batch (the cost per-session barriers
-    /// avoid paying for *other* sessions' work).
-    pub barrier_flushes: AtomicU64,
     /// Connections accepted over the server's lifetime.
     pub connections: AtomicU64,
     /// Connections refused at the accept loop because the server was
@@ -237,13 +221,7 @@ impl Metrics {
         Metrics {
             start: Instant::now(),
             endpoints: Default::default(),
-            queue_wait: EndpointStats::default(),
             lanes: (0..lanes.max(1)).map(|_| LaneShard::default()).collect(),
-            batches: AtomicU64::new(0),
-            batched_items: AtomicU64::new(0),
-            coalesced_items: AtomicU64::new(0),
-            updates_coalesced: AtomicU64::new(0),
-            barrier_flushes: AtomicU64::new(0),
             connections: AtomicU64::new(0),
             overload_refusals: AtomicU64::new(0),
             deadline_exceeded: AtomicU64::new(0),
@@ -277,17 +255,12 @@ impl Metrics {
         self.endpoints[op.index()].count.load(Ordering::Relaxed)
     }
 
-    /// Records one work item's admission-queue wait (enqueue → leader
-    /// pickup) against the global histogram only.
-    pub fn record_queue_wait(&self, wait: Duration) {
-        self.queue_wait.record(wait, true);
-    }
-
-    /// Records one work item's admission-queue wait against both the
-    /// global histogram and lane `lane`'s shard.
-    pub fn record_lane_queue_wait(&self, lane: usize, wait: Duration) {
-        self.queue_wait.record(wait, true);
-        self.lane(lane).queue_wait.record(wait, true);
+    /// One batching counter summed over every lane.
+    pub fn lane_total(&self, counter: fn(&LaneShard) -> &AtomicU64) -> u64 {
+        self.lanes
+            .iter()
+            .map(|s| counter(s).load(Ordering::Relaxed))
+            .sum()
     }
 
     /// Time since the metrics (and server) started.
@@ -304,26 +277,9 @@ impl Metrics {
             endpoints.insert(op.as_str().into(), self.endpoints[op.index()].snapshot());
         }
         let mut batching = Map::new();
-        batching.insert(
-            "batches".into(),
-            Value::from(self.batches.load(Ordering::Relaxed)),
-        );
-        batching.insert(
-            "batched_items".into(),
-            Value::from(self.batched_items.load(Ordering::Relaxed)),
-        );
-        batching.insert(
-            "coalesced_items".into(),
-            Value::from(self.coalesced_items.load(Ordering::Relaxed)),
-        );
-        batching.insert(
-            "updates_coalesced".into(),
-            Value::from(self.updates_coalesced.load(Ordering::Relaxed)),
-        );
-        batching.insert(
-            "barrier_flushes".into(),
-            Value::from(self.barrier_flushes.load(Ordering::Relaxed)),
-        );
+        for (key, counter) in BATCHING_COUNTERS {
+            batching.insert(key.into(), Value::from(self.lane_total(counter)));
+        }
         let mut lane_detail = Map::new();
         for (i, shard) in self.lanes.iter().enumerate() {
             lane_detail.insert(i.to_string(), shard.snapshot());
@@ -346,7 +302,10 @@ impl Metrics {
         );
         m.insert("endpoints".into(), Value::Object(endpoints));
         m.insert("batching".into(), Value::Object(batching));
-        m.insert("queue_wait".into(), self.queue_wait.snapshot());
+        m.insert(
+            "queue_wait".into(),
+            EndpointStats::snapshot_sum(self.lanes.iter().map(|s| &s.queue_wait)),
+        );
         m.insert("lanes".into(), Value::Object(lanes));
         let mut resilience = Map::new();
         resilience.insert(
@@ -419,15 +378,15 @@ mod tests {
     #[test]
     fn quantiles_report_inclusive_bucket_edges() {
         for (us, edge) in [(0u64, 0u64), (1, 1), (2, 3), (1024, 2047), (4096, 8191)] {
-            let e = EndpointStats::default();
-            e.record(Duration::from_micros(us), true);
-            assert_eq!(e.quantile_us(0.5), edge, "single sample at {us} µs");
-            assert!(e.quantile_us(0.5) >= us, "edge never under-reports");
+            let mut hist = [0; BUCKETS];
+            hist[bucket_of(us)] = 1;
+            assert_eq!(quantile_us(&hist, 0.5), edge, "single sample at {us} µs");
+            assert!(quantile_us(&hist, 0.5) >= us, "edge never under-reports");
         }
         // Overflow bucket saturates at its nominal edge.
-        let e = EndpointStats::default();
-        e.record(Duration::from_micros(1 << 30), true);
-        assert_eq!(e.quantile_us(0.99), (1u64 << (BUCKETS - 1)) - 1);
+        let mut hist = [0; BUCKETS];
+        hist[bucket_of(1 << 30)] = 1;
+        assert_eq!(quantile_us(&hist, 0.99), (1u64 << (BUCKETS - 1)) - 1);
     }
 
     #[test]
@@ -452,13 +411,16 @@ mod tests {
     fn lane_shards_appear_in_snapshot() {
         let m = Metrics::with_lanes(2);
         m.lane(1).batches.fetch_add(3, Ordering::Relaxed);
-        m.record_lane_queue_wait(1, Duration::from_micros(5));
+        m.lane(1).queue_wait.record(Duration::from_micros(5), true);
+        m.lane(0).barrier_flushes.fetch_add(2, Ordering::Relaxed);
         m.overload_refusals.fetch_add(1, Ordering::Relaxed);
         let snap = Value::Object(m.snapshot());
         assert_eq!(snap["lanes"]["count"], 2u64);
         assert_eq!(snap["lanes"]["detail"]["1"]["batches"], 3u64);
         assert_eq!(snap["lanes"]["detail"]["1"]["queue_wait"]["count"], 1u64);
         assert_eq!(snap["lanes"]["detail"]["0"]["batches"], 0u64);
+        assert_eq!(snap["batching"]["batches"], 3u64, "lanes sum to the total");
+        assert_eq!(snap["batching"]["barrier_flushes"], 2u64);
         assert_eq!(snap["overload_refusals"], 1u64);
         assert_eq!(
             snap["queue_wait"]["count"], 1u64,

@@ -26,7 +26,7 @@ use cqchase_obs::{SpanKind, Tracer};
 use cqchase_par::ThreadPool;
 use serde_json::{Map, Value};
 
-use crate::batch::{rows_to_value, Batcher, Outcome, TraceAnnotations, Work};
+use crate::batch::{rows_to_value, Batcher, Job, Outcome, TraceAnnotations, Work};
 use crate::catalog::CatalogRegistry;
 use crate::durable::{Durability, RecoveryReport, StdIo};
 use crate::lanes::{lane_of, LaneSet};
@@ -247,7 +247,8 @@ pub struct ServeOptions {
     /// are refused with `retry_after_ms` and one cache-eviction pass
     /// drops rebuildable state (result caches, plan caches, semantic
     /// caches). Residency is recomputed at most every
-    /// [`PRESSURE_RECHECK`]. `None` disables memory-based shedding.
+    /// `PRESSURE_RECHECK` (250 ms). `None` disables memory-based
+    /// shedding.
     pub shed_resident_bytes: Option<u64>,
     /// Write timeout on every accepted connection: a response write
     /// that stalls this long (a reader that stopped draining) counts
@@ -1087,15 +1088,15 @@ fn dispatch(shared: &Shared, req: Request, trace_id: u64, stream: &TcpStream) ->
                 return refusal;
             }
             let lc = arm_lifecycle(shared, stream, deadline_ms);
-            let result = shared.lanes.for_session(&session).submit_cancellable(
-                Work::Update {
+            let result = shared.lanes.for_session(&session).submit(Job {
+                work: Work::Update {
                     session: s,
                     insert,
                     delete,
                 },
                 trace_id,
-                lc.token.clone(),
-            );
+                cancel: lc.token.clone(),
+            });
             finish_lifecycle(shared, &lc);
             match result {
                 Ok(Outcome::Update(Ok(sum))) => {
@@ -1133,15 +1134,15 @@ fn dispatch(shared: &Shared, req: Request, trace_id: u64, stream: &TcpStream) ->
                 return refusal;
             }
             let lc = arm_lifecycle(shared, stream, deadline_ms);
-            let result = shared.lanes.for_session(&session).submit_cancellable(
-                Work::Check {
+            let result = shared.lanes.for_session(&session).submit(Job {
+                work: Work::Check {
                     session: s,
                     q: qi,
                     q_prime: qpi,
                 },
                 trace_id,
-                lc.token.clone(),
-            );
+                cancel: lc.token.clone(),
+            });
             finish_lifecycle(shared, &lc);
             match result {
                 Ok(Outcome::Check {
@@ -1182,11 +1183,11 @@ fn dispatch(shared: &Shared, req: Request, trace_id: u64, stream: &TcpStream) ->
                 return refusal;
             }
             let lc = arm_lifecycle(shared, stream, deadline_ms);
-            let result = shared.lanes.for_session(&session).submit_cancellable(
-                Work::Eval { session: s, q: qi },
+            let result = shared.lanes.for_session(&session).submit(Job {
+                work: Work::Eval { session: s, q: qi },
                 trace_id,
-                lc.token.clone(),
-            );
+                cancel: lc.token.clone(),
+            });
             finish_lifecycle(shared, &lc);
             match result {
                 Ok(Outcome::Eval {
@@ -1529,11 +1530,11 @@ fn stats_value(shared: &Shared) -> Map<String, Value> {
     mutation.insert("bytes_reclaimed".into(), Value::from(bytes_reclaimed));
     mutation.insert(
         "updates_coalesced".into(),
-        Value::from(shared.metrics.updates_coalesced.load(Ordering::Relaxed)),
+        Value::from(shared.metrics.lane_total(|s| &s.updates_coalesced)),
     );
     mutation.insert(
         "barrier_flushes".into(),
-        Value::from(shared.metrics.barrier_flushes.load(Ordering::Relaxed)),
+        Value::from(shared.metrics.lane_total(|s| &s.barrier_flushes)),
     );
     m.insert("mutation".into(), Value::Object(mutation));
     m.insert(

@@ -24,10 +24,10 @@
 //!   facts-independent and survive untouched.
 //!
 //! A session attached to a shared catalog starts with
-//! [`FactsRep::Shared`] facts — a pointer into the catalog's base, zero
+//! `FactsRep::Shared` facts — a pointer into the catalog's base, zero
 //! marginal bytes — and **promotes copy-on-write** on its first
 //! *effective* update: the base database + index are cloned into
-//! [`FactsRep::Owned`] private state and mutated there, invisibly to
+//! `FactsRep::Owned` private state and mutated there, invisibly to
 //! the catalog's other tenants. No-op updates (deltas the base already
 //! satisfies) report zero-effect summaries without promoting.
 //!
@@ -366,43 +366,39 @@ impl Session {
     /// [`Session::eval`], also reporting whether the rows were served
     /// from the epoch-tagged result cache without recomputation.
     pub fn eval_cached(&self, idx: usize) -> (Vec<Tuple>, bool) {
-        let (rows, cached, _) = self.eval_observed(idx, None);
+        let (rows, cached, _) = self
+            .eval_request(idx, &CancelToken::default(), None)
+            .expect("an unlimited token never fires");
         (rows, cached)
     }
 
-    /// [`Session::eval_cached`] with observability: when `obs` carries
-    /// the tracer and the waiting requests' trace ids, the result-cache
-    /// probe, plan compile (or cache hit), and join execution are
-    /// recorded as timed spans, and a join annotation — plan
-    /// provenance, join order, per-atom estimated vs actual candidate
-    /// rows, engine counters — is returned for the slow-query log.
+    /// [`Session::eval_cached`] in a request's context: under the
+    /// request's `cancel` token and, when `obs` carries the tracer and
+    /// the waiting requests' trace ids, traced.
+    ///
+    /// Returns `None` when the token fires — before the run (the work
+    /// is refused outright) or mid-join (the partial rows are
+    /// discarded, **not** inserted into the result cache, so session
+    /// state is indistinguishable from the eval never having run).
+    ///
+    /// When traced, the result-cache probe, plan compile (or cache
+    /// hit), and join execution are recorded as timed spans, and a join
+    /// annotation — plan provenance, join order, per-atom estimated vs
+    /// actual candidate rows, engine counters — is returned for the
+    /// slow-query log.
     ///
     /// While the facts are the shared catalog base, the plan runs
     /// against the catalog's shared plan cache (one compile serves
     /// every attached tenant); once promoted, against the private one.
     /// Either way the per-session mirror counters attribute this call's
     /// plan-cache activity to this session.
-    pub fn eval_observed(
+    pub fn eval_request(
         &self,
         idx: usize,
+        cancel: &CancelToken,
         obs: Option<(&Tracer, &[u64])>,
-    ) -> (Vec<Tuple>, bool, Option<Json>) {
-        self.eval_observed_cancellable(idx, obs, None)
-            .expect("uncancellable eval always completes")
-    }
-
-    /// [`Session::eval_observed`] under an optional [`CancelToken`].
-    /// Returns `None` when the token fires — before the run (the work
-    /// is refused outright) or mid-join (the partial rows are
-    /// discarded, **not** inserted into the result cache, so session
-    /// state is indistinguishable from the eval never having run).
-    pub fn eval_observed_cancellable(
-        &self,
-        idx: usize,
-        obs: Option<(&Tracer, &[u64])>,
-        cancel: Option<&CancelToken>,
     ) -> Option<(Vec<Tuple>, bool, Option<Json>)> {
-        if cancel.is_some_and(|c| c.should_stop()) {
+        if cancel.should_stop() {
             return None;
         }
         let q = &self.catalog.program.queries[idx];
@@ -447,9 +443,7 @@ impl Session {
         } else {
             None
         };
-        if let Some(c) = cancel {
-            state.scratch.set_cancel(c.clone());
-        }
+        state.scratch.set_cancel(cancel.clone());
         let EvalState {
             plans,
             scratch,
@@ -525,10 +519,8 @@ impl Session {
             Some(m) => run(&mut m.lock().expect("shared plan cache lock")),
             None => run(plans),
         };
-        let cancelled = cancel.is_some() && scratch.cancelled();
-        if cancel.is_some() {
-            scratch.clear_cancel();
-        }
+        let cancelled = scratch.cancelled();
+        scratch.clear_cancel();
         if cancelled {
             // Partial rows never reach the result cache: the session
             // looks exactly as if this eval was never submitted.
@@ -1096,7 +1088,7 @@ mod tests {
         let fired = CancelToken::unlimited();
         fired.cancel();
         assert!(
-            s.eval_observed_cancellable(0, None, Some(&fired)).is_none(),
+            s.eval_request(0, &fired, None).is_none(),
             "pre-fired token refuses the eval"
         );
         {
@@ -1106,7 +1098,7 @@ mod tests {
         }
         // A live token runs to completion and caches normally.
         let live = CancelToken::unlimited();
-        let (rows, cached, _) = s.eval_observed_cancellable(0, None, Some(&live)).unwrap();
+        let (rows, cached, _) = s.eval_request(0, &live, None).unwrap();
         assert_eq!(rows.len(), 2);
         assert!(!cached);
         assert!(s.eval_cached(0).1, "completed eval warmed the cache");

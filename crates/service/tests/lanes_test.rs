@@ -113,7 +113,7 @@ fn churn_in_one_lane_stays_out_of_the_other() {
     // Queues drained: both gauges are back to zero.
     assert_eq!(lane0["queue_depth"], 0);
     assert_eq!(lane1["queue_depth"], 0);
-    // Global aggregates stay authoritative: the shards decompose them.
+    // The global aggregate is the sum of the shards.
     let total = stats["batching"]["batched_items"].as_u64().unwrap();
     assert_eq!(
         total,

@@ -273,6 +273,34 @@ fn shedding_refuses_with_retry_hint_and_ping_stays_inline() {
 }
 
 #[test]
+fn nesting_bomb_line_is_refused_and_the_server_survives() {
+    use std::io::{BufRead, BufReader, Write};
+    let (addr, handle) = spawn(ServeOptions::default());
+    let mut conn = std::net::TcpStream::connect(addr).unwrap();
+    let mut replies = BufReader::new(conn.try_clone().unwrap());
+    let mut read_reply = || {
+        let mut line = String::new();
+        replies.read_line(&mut line).unwrap();
+        serde_json::from_str(&line).unwrap_or_else(|e| panic!("{e}: {line}"))
+    };
+    // 100k `[` bytes: far under the line cap, deep enough to overflow
+    // a handler thread's stack if the JSON parser recursed unbounded.
+    let mut bomb = "[".repeat(100_000);
+    bomb.push('\n');
+    conn.write_all(bomb.as_bytes()).unwrap();
+    let v: serde_json::Value = read_reply();
+    assert_eq!(v["ok"], false, "{v:?}");
+    // The same connection, and the server, keep answering.
+    conn.write_all(b"{\"op\":\"ping\"}\n").unwrap();
+    let p: serde_json::Value = read_reply();
+    assert_eq!(p["ok"], true, "{p:?}");
+    let mut c = Client::connect(addr).unwrap();
+    assert_eq!(c.ping().unwrap()["ok"], true);
+    c.shutdown().unwrap();
+    handle.join().unwrap().unwrap();
+}
+
+#[test]
 fn ping_works_on_an_unloaded_server() {
     let (addr, handle) = spawn(ServeOptions::default());
     let mut c = Client::connect(addr).unwrap();

@@ -1,6 +1,6 @@
 //! Offline shim for the subset of `proptest` used by this workspace.
 //!
-//! Provides [`Strategy`] with `prop_map` / `prop_flat_map`, integer-range
+//! Provides [`Strategy`](strategy::Strategy) with `prop_map` / `prop_flat_map`, integer-range
 //! and tuple and `collection::vec` strategies, `any::<bool>()`, string
 //! strategies from pattern literals (generation only — the pattern is not
 //! interpreted), the [`proptest!`] macro, and `prop_assert*`.
@@ -82,7 +82,7 @@ pub mod test_runner {
     }
 }
 
-/// The [`Strategy`] trait and its adapters.
+/// The [`Strategy`](strategy::Strategy) trait and its adapters.
 pub mod strategy {
     use super::test_runner::TestRng;
     use std::marker::PhantomData;
@@ -283,7 +283,7 @@ pub mod collection {
     use super::test_runner::TestRng;
     use std::ops::{Range, RangeInclusive};
 
-    /// A length specification for [`vec`]: an exact size or a range.
+    /// A length specification for [`vec()`]: an exact size or a range.
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         lo: usize,

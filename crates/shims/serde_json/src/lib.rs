@@ -382,7 +382,7 @@ impl std::error::Error for Error {}
 pub fn from_str(s: &str) -> Result<Value, Error> {
     let bytes = s.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(Error::parse(pos, "trailing characters"));
@@ -405,7 +405,23 @@ fn expect(b: &[u8], pos: &mut usize, lit: &'static [u8], msg: &'static str) -> R
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, Error> {
+/// Deepest array/object nesting [`from_str`] accepts — upstream
+/// serde_json's default recursion limit. The parser recurses once per
+/// level, so without a cap a line of `[` bytes overflows the stack and
+/// aborts the process instead of returning an error.
+const MAX_DEPTH: usize = 128;
+
+/// One more nesting level below `depth`, or an error past [`MAX_DEPTH`].
+fn nest(depth: usize, pos: usize) -> Result<usize, Error> {
+    if depth >= MAX_DEPTH {
+        Err(Error::parse(pos, "nesting too deep"))
+    } else {
+        Ok(depth + 1)
+    }
+}
+
+/// Parses one value that sits inside `depth` open arrays/objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Error> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err(Error::parse(*pos, "unexpected end of input")),
@@ -414,6 +430,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, Error> {
         Some(b'f') => expect(b, pos, b"false", "expected `false`").map(|()| Value::Bool(false)),
         Some(b'"') => parse_string(b, pos).map(Value::String),
         Some(b'[') => {
+            let depth = nest(depth, *pos)?;
             *pos += 1;
             let mut items = Vec::new();
             skip_ws(b, pos);
@@ -422,7 +439,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, Error> {
                 return Ok(Value::Array(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -435,6 +452,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, Error> {
             }
         }
         Some(b'{') => {
+            let depth = nest(depth, *pos)?;
             *pos += 1;
             let mut map = Map::new();
             skip_ws(b, pos);
@@ -447,7 +465,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, Error> {
                 let key = parse_string(b, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, b":", "expected `:`")?;
-                map.insert(key, parse_value(b, pos)?);
+                map.insert(key, parse_value(b, pos, depth)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -732,5 +750,24 @@ mod tests {
         assert!(from_str("{} extra").is_err());
         assert!(from_str("nulx").is_err());
         assert!(from_str("[1,").is_err());
+    }
+
+    #[test]
+    fn nesting_bomb_is_an_error_not_a_stack_overflow() {
+        // Far under any request-line cap, and deep enough to overflow a
+        // 2 MiB thread stack if every level recursed.
+        let bomb = "[".repeat(100_000);
+        let parsed = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || from_str(&bomb).map_err(|e| e.to_string()))
+            .unwrap()
+            .join()
+            .expect("the parser must not overflow the stack");
+        assert!(parsed.unwrap_err().contains("nesting too deep"));
+        // The cap itself: 128 levels parse, 129 do not.
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(from_str(&nested(MAX_DEPTH)).is_ok());
+        assert!(from_str(&nested(MAX_DEPTH + 1)).is_err());
+        assert!(from_str(&format!("{}1{}", "{\"k\":".repeat(129), "}".repeat(129))).is_err());
     }
 }

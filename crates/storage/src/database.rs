@@ -47,7 +47,7 @@ pub(crate) fn compaction_due(live: usize, dead: usize) -> bool {
 /// Removal is **O(1)**: a tuple→slot map finds the victim and the slot
 /// is tombstoned rather than shifted out (mirroring
 /// [`DbIndex`](crate::indexed::DbIndex)); tombstones are reclaimed by
-/// the shared adaptive compaction policy ([`compaction_due`]), which
+/// the shared adaptive compaction policy (`compaction_due`), which
 /// preserves the live tuples' relative order. Enumeration goes through
 /// the live-slot view [`RelationInstance::tuples`], so every consumer
 /// (the naive engines included) sees exactly the live tuples in
