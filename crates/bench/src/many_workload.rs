@@ -261,11 +261,8 @@ impl MemoryDedup {
 /// both sides.
 pub fn measure_memory_dedup(w: &ManyWorkload) -> MemoryDedup {
     let (registry, sessions) = build_shared_sessions(w);
-    let shared_total = sessions
-        .iter()
-        .map(|s| s.resident_bytes())
-        .chain(registry.snapshot().iter().map(|c| c.resident_bytes()))
-        .sum();
+    let shared_total = sessions.iter().map(|s| s.resident_bytes()).sum::<usize>()
+        + registry.shared_resident_bytes();
     let duplicate_total = build_duplicate_sessions(w)
         .iter()
         .map(|s| s.resident_bytes())

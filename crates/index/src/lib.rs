@@ -56,6 +56,6 @@ pub use engine::{
     ExecStats, FactSource, JoinOutcome, JoinScratch, Slot,
 };
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use plan::{query_key, PlanCache, QueryKey};
+pub use plan::{query_key, PlanCache, PlanLookup, QueryKey};
 pub use store::{ColumnIndex, DedupIndex};
 pub use sym::{FrozenSymPool, Sym, SymPool};

@@ -13,7 +13,13 @@
 //! source-resolved constant symbols), and only while that source's
 //! constant-symbol resolution is stable: interning new constants is fine
 //! (existing symbols never change), rebuilding the source's pool is not.
-//! Keep one cache per source, and drop it with the source.
+//! Keep one cache per source, and drop it with the source. A clone of the
+//! source may take a clone of its cache along: the copied pool resolves
+//! every embedded symbol exactly as the original did.
+//!
+//! The cache keeps no activity counters of its own. Each
+//! [`PlanCache::get_or_compile`] reports what it did as a [`PlanLookup`],
+//! and the caller counts whatever it wants to attribute.
 
 use std::hash::{Hash, Hasher};
 
@@ -77,6 +83,22 @@ struct CachedPlan {
     last_used: u64,
 }
 
+/// What one [`PlanCache::get_or_compile`] call did to produce its plan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlanLookup {
+    /// Served the cached plan unchanged.
+    Hit,
+    /// Found the query cached but recompiled it: the plan was costed
+    /// against cardinalities that have since drifted ≥2x.
+    Replanned,
+    /// Compiled on first sight (or after an eviction). `evicted` is set
+    /// when inserting the plan pushed the least-recently-used entry out.
+    Compiled {
+        /// Whether the capacity bound evicted an entry.
+        evicted: bool,
+    },
+}
+
 /// A memo table `query structure → compiled plan` for one fact source.
 ///
 /// Lookup hashes the [`QueryKey`] and then verifies *exact* structural
@@ -92,19 +114,14 @@ struct CachedPlan {
 /// least-recently-used entry first. Eviction only ever discards memoized
 /// work — an evicted query simply recompiles on next sight — so bounded
 /// and unbounded caches return identical plans. Long-running processes
-/// (the `cqchase-service` server keeps one cache per session, forever)
+/// (the `cqchase-service` server keeps one cache per live fact set)
 /// should always bound their caches.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct PlanCache {
     plans: FxHashMap<QueryKey, Vec<CachedPlan>>,
     capacity: Option<usize>,
     tick: u64,
     len: usize,
-    hits: usize,
-    misses: usize,
-    evictions: usize,
-    replans: usize,
-    acyclic_served: usize,
 }
 
 impl PlanCache {
@@ -123,23 +140,19 @@ impl PlanCache {
         }
     }
 
-    /// The plan for `q` against `src`, compiling on first sight.
-    /// Returns `None` when the query cannot match (some constant is
-    /// absent from the source).
+    /// The plan for `q` against `src`, compiling on first sight, and
+    /// what the lookup did to get it. The plan is `None` when the query
+    /// cannot match (some constant is absent from the source).
     pub fn get_or_compile(
         &mut self,
         q: &ConjunctiveQuery,
         src: &impl FactSource,
-    ) -> Option<&CompiledQuery> {
+    ) -> (Option<&CompiledQuery>, PlanLookup) {
         if self.capacity == Some(0) {
             // Degenerate bound: no memoization at all. Compile into a
             // one-slot scratch bucket so the borrow can be returned.
-            self.misses += 1;
             self.plans.clear();
             let plan = compile(q, src);
-            if plan.as_ref().is_some_and(|p| p.acyclic.is_some()) {
-                self.acyclic_served += 1;
-            }
             let bucket = self.plans.entry(query_key(q)).or_default();
             bucket.push(CachedPlan {
                 atoms: Vec::new(),
@@ -147,53 +160,48 @@ impl PlanCache {
                 plan,
                 last_used: 0,
             });
-            return bucket.last().expect("just pushed").plan.as_ref();
+            let plan = bucket.last().expect("just pushed").plan.as_ref();
+            return (plan, PlanLookup::Compiled { evicted: false });
         }
         self.tick += 1;
         let tick = self.tick;
         let key = query_key(q);
-        let hit = {
-            let bucket = self.plans.entry(key).or_default();
-            match bucket
-                .iter()
-                .position(|c| c.atoms == q.atoms && c.head == q.head)
-            {
-                Some(i) => {
-                    bucket[i].last_used = tick;
-                    // Drift check: a plan costed against cardinalities
-                    // that have since shifted ≥2x gets recompiled rather
-                    // than served stale forever.
-                    if bucket[i]
-                        .plan
-                        .as_ref()
-                        .is_some_and(|p| p.stats_drifted(src))
-                    {
-                        bucket[i].plan = compile(q, src);
-                        self.replans += 1;
-                    }
-                    true
+        let bucket = self.plans.entry(key).or_default();
+        let lookup = match bucket
+            .iter()
+            .position(|c| c.atoms == q.atoms && c.head == q.head)
+        {
+            Some(i) => {
+                bucket[i].last_used = tick;
+                // Drift check: a plan costed against cardinalities that
+                // have since shifted ≥2x gets recompiled rather than
+                // served stale forever.
+                if bucket[i]
+                    .plan
+                    .as_ref()
+                    .is_some_and(|p| p.stats_drifted(src))
+                {
+                    bucket[i].plan = compile(q, src);
+                    PlanLookup::Replanned
+                } else {
+                    PlanLookup::Hit
                 }
-                None => false,
             }
-        };
-        if hit {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-            let plan = compile(q, src);
-            self.plans.entry(key).or_default().push(CachedPlan {
-                atoms: q.atoms.clone(),
-                head: q.head.clone(),
-                plan,
-                last_used: tick,
-            });
-            self.len += 1;
-            if let Some(cap) = self.capacity {
-                if self.len > cap {
+            None => {
+                bucket.push(CachedPlan {
+                    atoms: q.atoms.clone(),
+                    head: q.head.clone(),
+                    plan: compile(q, src),
+                    last_used: tick,
+                });
+                self.len += 1;
+                let evicted = self.capacity.is_some_and(|cap| self.len > cap);
+                if evicted {
                     self.evict_lru(key);
                 }
+                PlanLookup::Compiled { evicted }
             }
-        }
+        };
         let plan = self
             .plans
             .get(&key)
@@ -203,10 +211,7 @@ impl PlanCache {
             .expect("the just-touched entry is never the LRU victim")
             .plan
             .as_ref();
-        if plan.is_some_and(|p| p.acyclic.is_some()) {
-            self.acyclic_served += 1;
-        }
-        plan
+        (plan, lookup)
     }
 
     /// Evicts the least-recently-used plan. `keep` names the bucket of
@@ -231,34 +236,6 @@ impl PlanCache {
             self.plans.remove(&key);
         }
         self.len -= 1;
-        self.evictions += 1;
-    }
-
-    /// Number of cache hits so far.
-    pub fn hits(&self) -> usize {
-        self.hits
-    }
-
-    /// Number of compilations (cache misses) so far.
-    pub fn misses(&self) -> usize {
-        self.misses
-    }
-
-    /// Number of plans evicted by the capacity bound so far.
-    pub fn evictions(&self) -> usize {
-        self.evictions
-    }
-
-    /// Number of recompilations triggered by cardinality drift (a cached
-    /// plan's stats snapshot diverged ≥2x from the live source).
-    pub fn replans(&self) -> usize {
-        self.replans
-    }
-
-    /// Number of lookups that returned a plan carrying an acyclic
-    /// (Yannakakis) fast-path certificate.
-    pub fn acyclic_served(&self) -> usize {
-        self.acyclic_served
     }
 
     /// The capacity bound, if any.
@@ -277,22 +254,6 @@ impl PlanCache {
     /// Whether the cache holds no plans.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// A copy of this cache carrying the memoized plans but **fresh
-    /// counters** — for handing warm plans to a new owner whose source
-    /// is a clone of this cache's source (same symbol pool, so the
-    /// embedded symbols stay valid). The copy keeps `capacity` and the
-    /// LRU ticks; hits/misses/evictions/replans start at zero because
-    /// they describe the original owner's history, not the new one's.
-    pub fn clone_warm(&self) -> PlanCache {
-        PlanCache {
-            plans: self.plans.clone(),
-            capacity: self.capacity,
-            tick: self.tick,
-            len: self.len,
-            ..PlanCache::default()
-        }
     }
 
     /// Drops every cached plan (for when the source is rebuilt).
@@ -396,6 +357,13 @@ mod tests {
         assert_eq!(keys[0], query_key(&p.queries[0]));
     }
 
+    /// The lookup outcome alone, for tests that only count.
+    fn lookup(cache: &mut PlanCache, q: &cqchase_ir::ConjunctiveQuery, src: &Toy) -> PlanLookup {
+        cache.get_or_compile(q, src).1
+    }
+
+    const MISS: PlanLookup = PlanLookup::Compiled { evicted: false };
+
     #[test]
     fn second_lookup_is_a_hit() {
         let p = parse_program(
@@ -406,13 +374,15 @@ mod tests {
         .unwrap();
         let src = toy();
         let mut cache = PlanCache::new();
-        assert!(cache.get_or_compile(&p.queries[0], &src).is_some());
-        assert!(cache.get_or_compile(&p.queries[0], &src).is_some());
+        assert_eq!(cache.get_or_compile(&p.queries[0], &src).1, MISS);
+        let (plan, lookup) = cache.get_or_compile(&p.queries[0], &src);
+        assert!(plan.is_some());
+        assert_eq!(lookup, PlanLookup::Hit);
         // Unsatisfiable (constant 99 absent) is cached as None.
-        assert!(cache.get_or_compile(&p.queries[1], &src).is_none());
-        assert!(cache.get_or_compile(&p.queries[1], &src).is_none());
-        assert_eq!(cache.misses(), 2);
-        assert_eq!(cache.hits(), 2);
+        let (plan, lookup) = cache.get_or_compile(&p.queries[1], &src);
+        assert_eq!((plan.is_none(), lookup), (true, MISS));
+        let (plan, lookup) = cache.get_or_compile(&p.queries[1], &src);
+        assert_eq!((plan.is_none(), lookup), (true, PlanLookup::Hit));
         assert_eq!(cache.len(), 2);
         cache.clear();
         assert!(cache.is_empty());
@@ -422,14 +392,11 @@ mod tests {
     /// the observable behavior eviction must not change.
     fn rows_via(cache: &mut PlanCache, q: &cqchase_ir::ConjunctiveQuery, src: &Toy) -> Vec<u32> {
         let mut rows = Vec::new();
-        match cache.get_or_compile(q, src) {
-            None => {}
-            Some(plan) => {
-                crate::engine::join(src, plan, vec![None; plan.num_vars], |_, picked| {
-                    rows.extend_from_slice(picked);
-                    false
-                });
-            }
+        if let (Some(plan), _) = cache.get_or_compile(q, src) {
+            crate::engine::join(src, plan, vec![None; plan.num_vars], |_, picked| {
+                rows.extend_from_slice(picked);
+                false
+            });
         }
         rows
     }
@@ -457,17 +424,22 @@ mod tests {
         // A 2-plan cache cycling through 4 queries evicts constantly;
         // every answer must still match the unbounded cache's.
         let mut bounded = PlanCache::with_capacity(2);
+        let mut evictions = 0;
         for round in 0..3 {
             for (q, w) in p.queries.iter().zip(&want) {
+                if lookup(&mut bounded, q, &src) == (PlanLookup::Compiled { evicted: true }) {
+                    evictions += 1;
+                }
                 assert_eq!(rows_via(&mut bounded, q, &src), *w, "round {round}");
                 assert!(bounded.len() <= 2, "capacity respected");
             }
         }
-        assert!(bounded.evictions() > 0, "the bound actually evicted");
+        assert!(evictions > 0, "the bound actually evicted");
         assert_eq!(bounded.capacity(), Some(2));
         // Unsatisfiable plans (`None`) survive eviction/recompile too.
         assert!(bounded
             .get_or_compile(p.query("Qc").unwrap(), &src)
+            .0
             .is_none());
     }
 
@@ -483,17 +455,18 @@ mod tests {
         let src = toy();
         let mut cache = PlanCache::with_capacity(2);
         let (q1, q2, q3) = (&p.queries[0], &p.queries[1], &p.queries[2]);
-        cache.get_or_compile(q1, &src); // miss
-        cache.get_or_compile(q2, &src); // miss
-        cache.get_or_compile(q1, &src); // hit — q1 becomes most recent
-        cache.get_or_compile(q3, &src); // miss — evicts q2 (the LRU)
-        let hits_before = cache.hits();
-        cache.get_or_compile(q1, &src); // still cached
-        assert_eq!(cache.hits(), hits_before + 1);
-        let misses_before = cache.misses();
-        cache.get_or_compile(q2, &src); // was evicted — recompiles
-        assert_eq!(cache.misses(), misses_before + 1);
-        assert_eq!(cache.evictions(), 2);
+        let evicting = PlanLookup::Compiled { evicted: true };
+        assert_eq!(lookup(&mut cache, q1, &src), MISS);
+        assert_eq!(lookup(&mut cache, q2, &src), MISS);
+        // q1 becomes the most recent; q3 then evicts q2 (the LRU).
+        assert_eq!(lookup(&mut cache, q1, &src), PlanLookup::Hit);
+        assert_eq!(lookup(&mut cache, q3, &src), evicting);
+        assert_eq!(
+            lookup(&mut cache, q1, &src),
+            PlanLookup::Hit,
+            "still cached"
+        );
+        assert_eq!(lookup(&mut cache, q2, &src), evicting, "was evicted");
     }
 
     #[test]
@@ -506,8 +479,8 @@ mod tests {
         .unwrap();
         let mut src = toy();
         let mut cache = PlanCache::new();
-        assert!(cache.get_or_compile(&p.queries[0], &src).is_some());
-        assert!(cache.get_or_compile(&p.queries[1], &src).is_none());
+        assert!(cache.get_or_compile(&p.queries[0], &src).0.is_some());
+        assert!(cache.get_or_compile(&p.queries[1], &src).0.is_none());
         assert_eq!(cache.len(), 2);
         // The source learns constant 99 — the cached `None` must go.
         let rel = RelId(0);
@@ -520,11 +493,11 @@ mod tests {
         cache.drop_unsatisfiable();
         assert_eq!(cache.len(), 1);
         // Recompiled against the grown source: now satisfiable.
-        assert!(cache.get_or_compile(&p.queries[1], &src).is_some());
+        let (plan, lookup) = cache.get_or_compile(&p.queries[1], &src);
+        assert_eq!((plan.is_some(), lookup), (true, MISS));
         // The satisfiable plan survived as a hit.
-        let hits = cache.hits();
-        assert!(cache.get_or_compile(&p.queries[0], &src).is_some());
-        assert_eq!(cache.hits(), hits + 1);
+        let (plan, lookup) = cache.get_or_compile(&p.queries[0], &src);
+        assert_eq!((plan.is_some(), lookup), (true, PlanLookup::Hit));
     }
 
     #[test]
@@ -532,8 +505,7 @@ mod tests {
         let p = parse_program("relation R(a, b). Q(x) :- R(x, y).").unwrap();
         let mut src = toy(); // 1 row in R
         let mut cache = PlanCache::new();
-        assert!(cache.get_or_compile(&p.queries[0], &src).is_some());
-        assert_eq!(cache.replans(), 0);
+        assert_eq!(lookup(&mut cache, &p.queries[0], &src), MISS);
         // Grow R from 1 to 20 rows — well past 2x beyond the drift floor.
         for i in 0..19 {
             let syms = vec![
@@ -544,15 +516,15 @@ mod tests {
             src.cols.insert_row(RelId(0), row, &syms);
             src.rows[0].push(syms);
         }
-        let plan = cache.get_or_compile(&p.queries[0], &src).unwrap();
+        let (plan, lookup_after) = cache.get_or_compile(&p.queries[0], &src);
+        let plan = plan.unwrap();
         assert_eq!(plan.stats, vec![(RelId(0), 20)], "snapshot refreshed");
-        assert_eq!(cache.replans(), 1);
-        assert_eq!(cache.hits(), 1, "a drift replan still counts as a hit");
+        // The single-atom query is acyclic: the replanned plan keeps
+        // its fast-path certificate.
+        assert!(plan.acyclic.is_some());
+        assert_eq!(lookup_after, PlanLookup::Replanned);
         // The refreshed snapshot doesn't re-trigger.
-        assert!(cache.get_or_compile(&p.queries[0], &src).is_some());
-        assert_eq!(cache.replans(), 1);
-        // The single-atom query is acyclic: every serve was counted.
-        assert_eq!(cache.acyclic_served(), 3);
+        assert_eq!(lookup(&mut cache, &p.queries[0], &src), PlanLookup::Hit);
     }
 
     #[test]
@@ -561,11 +533,21 @@ mod tests {
         let src = toy();
         let mut cache = PlanCache::with_capacity(0);
         for _ in 0..3 {
-            assert!(cache.get_or_compile(&p.queries[0], &src).is_some());
+            let (plan, lookup) = cache.get_or_compile(&p.queries[0], &src);
+            assert_eq!((plan.is_some(), lookup), (true, MISS));
         }
-        assert_eq!(cache.hits(), 0);
-        assert_eq!(cache.misses(), 3);
         assert!(cache.is_empty());
+    }
+
+    #[test]
+    fn clone_carries_warm_plans() {
+        let p = parse_program("relation R(a, b). Q(x) :- R(x, y).").unwrap();
+        let src = toy();
+        let mut cache = PlanCache::with_capacity(4);
+        assert_eq!(lookup(&mut cache, &p.queries[0], &src), MISS);
+        let mut copy = cache.clone();
+        assert_eq!(copy.capacity(), Some(4));
+        assert_eq!(lookup(&mut copy, &p.queries[0], &src), PlanLookup::Hit);
     }
 
     #[test]
@@ -575,10 +557,10 @@ mod tests {
         let p = parse_program("relation R(a, b). Qc(x) :- R(x, 99).").unwrap();
         let src = toy();
         let mut cache = PlanCache::with_capacity(0);
-        assert!(cache.get_or_compile(&p.queries[0], &src).is_none());
+        assert!(cache.get_or_compile(&p.queries[0], &src).0.is_none());
         cache.drop_unsatisfiable();
         assert!(cache.is_empty());
         // Still usable afterwards.
-        assert!(cache.get_or_compile(&p.queries[0], &src).is_none());
+        assert!(cache.get_or_compile(&p.queries[0], &src).0.is_none());
     }
 }

@@ -3,13 +3,14 @@
 //! A thousand sessions registered over the same schema used to cost a
 //! thousand symbol pools, posting-list indexes, and plan caches. A
 //! [`FrozenCatalog`] extends the `SymPool::freeze` idea one level up:
-//! it freezes everything a registration builds that is *identical*
-//! across sessions with the same program — the parsed [`Program`], Σ's
-//! classification and fingerprint, the base facts' [`Database`] +
-//! [`DbIndex`] (built exactly once), and one shared compiled-plan
-//! cache keyed by catalog identity. Sessions registering the same
-//! catalog+Σ+facts **attach** (an `Arc` clone plus an epoch) instead
-//! of rebuilding.
+//! it freezes everything a registration builds that does not depend on
+//! the facts — the parsed [`Program`], Σ's classification and
+//! fingerprint. Everything that does depend on them lives in one
+//! [`Facts`] value: the [`Database`], its [`DbIndex`], and the
+//! [`PlanCache`] compiled against that index. The [`CatalogRegistry`]
+//! builds one `Arc<Facts>` per distinct program next to its catalog,
+//! and sessions registering the same catalog+Σ+facts **attach** (two
+//! `Arc` clones plus an epoch) instead of rebuilding.
 //!
 //! Identity is the canonical program text ([`catalog_key`]): schema
 //! rendered through the same display path durability snapshots use,
@@ -17,13 +18,14 @@
 //! restart, whose surface text differs from the original source,
 //! still lands on the same catalog.
 //!
-//! **Copy-on-write promotion:** an attached session's facts stay a
-//! shared reference until its first effective update; at that point
-//! the session promotes — clones the base database + index into
-//! private state (and starts a private plan cache, since its symbol
-//! pool may now grow past the frozen one) — and the catalog's other
-//! tenants never observe a thing. Promotion is counted per catalog
-//! ([`FrozenCatalog::promotions`]) and surfaced in `stats.catalogs`.
+//! **Copy-on-write promotion:** a session's facts are shared exactly
+//! while its `Arc<Facts>` is not unique. Its first effective update
+//! goes through `Arc::make_mut`, which clones the database, index and
+//! warm plan cache into a private value (the clone's symbol pool
+//! resolves every cached plan exactly as the base's did), and the
+//! catalog's other tenants never observe a thing. Promotion is counted
+//! per catalog ([`FrozenCatalog::promotions`]) and surfaced in
+//! `stats.catalogs`.
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -37,21 +39,55 @@ use cqchase_storage::{Database, DbIndex};
 use crate::cache::sigma_fingerprint;
 use crate::session::{class_name, Session};
 
-/// The base facts an attached session reads until it promotes: the
-/// database and its derived index, built once per distinct catalog.
+/// One set of ground facts and everything compiled against it: the
+/// database, its warm index, and the plans cached for that index.
+/// Shared behind an `Arc` by every session reading the same facts, and
+/// cloned (`Arc::make_mut`) when one of them updates.
 #[derive(Debug)]
-pub struct BaseFacts {
-    /// The registered ground facts.
+pub struct Facts {
+    /// The ground facts.
     pub db: Database,
-    /// Warm column indexes over `db`.
+    /// Warm column indexes over `db`, maintained incrementally.
     pub index: DbIndex,
+    /// Compiled plans, valid against `index` (and any clone of it).
+    pub plans: Mutex<PlanCache>,
+}
+
+impl Facts {
+    /// Builds the database, index and an empty plan cache holding at
+    /// most `plan_cache_capacity` plans for `program`'s facts.
+    pub fn build(program: &Program, plan_cache_capacity: usize) -> Result<Facts, String> {
+        let db =
+            Database::from_facts(&program.catalog, &program.facts).map_err(|e| e.to_string())?;
+        let index = DbIndex::build(&db);
+        Ok(Facts {
+            db,
+            index,
+            plans: Mutex::new(PlanCache::with_capacity(plan_cache_capacity)),
+        })
+    }
+
+    /// Approximate resident bytes of the database and index (the plan
+    /// cache is rebuildable and not counted).
+    pub fn resident_bytes(&self) -> usize {
+        self.db.approx_bytes() + self.index.approx_bytes()
+    }
+}
+
+impl Clone for Facts {
+    fn clone(&self) -> Facts {
+        Facts {
+            db: self.db.clone(),
+            index: self.index.clone(),
+            plans: Mutex::new(self.plans.lock().expect("plan cache lock").clone()),
+        }
+    }
 }
 
 /// Everything a registration builds that is identical across sessions
-/// with the same program: parsed program, classification, fingerprint,
-/// and (for registry-shared catalogs) the base facts plus one shared
-/// compiled-plan cache. Immutable after construction except for the
-/// interior-mutable plan cache and the observability counters.
+/// with the same program and independent of the facts: parsed program,
+/// classification, fingerprint. Immutable after construction except
+/// for the observability counters.
 #[derive(Debug)]
 pub struct FrozenCatalog {
     /// The parsed program: catalog, Σ, queries, registered facts.
@@ -62,102 +98,24 @@ pub struct FrozenCatalog {
     pub class_name: String,
     /// Fingerprint of Σ for semantic-cache keys.
     pub sigma_fp: u64,
-    /// The shared base facts (`None` for a private, single-session
-    /// catalog — those own their facts from birth).
-    base: Option<Arc<BaseFacts>>,
-    /// The shared compiled-plan cache attached sessions probe while
-    /// their facts are still the shared base (`None` iff `base` is).
-    plans: Option<Mutex<PlanCache>>,
     /// Sessions that ever attached to this catalog.
     pub attached: AtomicU64,
-    /// Attached sessions promoted to private facts by an update.
+    /// Sessions promoted to private facts by an update.
     pub promotions: AtomicU64,
 }
 
 impl FrozenCatalog {
-    /// Builds a **private** catalog for one session (the library /
-    /// test / bench path): no shared base, no shared plan cache — the
-    /// session owns its facts and plans, exactly the pre-sharing
-    /// behavior. Returns the catalog plus the owned database + index.
-    pub fn private(program: Program) -> Result<(Arc<FrozenCatalog>, Database, DbIndex), String> {
-        let db =
-            Database::from_facts(&program.catalog, &program.facts).map_err(|e| e.to_string())?;
-        let index = DbIndex::build(&db);
+    /// Classifies and fingerprints `program`'s Σ.
+    pub fn new(program: Program) -> FrozenCatalog {
         let class = classify(&program.deps, &program.catalog);
-        let catalog = Arc::new(FrozenCatalog {
+        FrozenCatalog {
             class_name: class_name(&class),
             sigma_fp: sigma_fingerprint(&program.deps, &program.catalog),
             class,
-            base: None,
-            plans: None,
             attached: AtomicU64::new(0),
             promotions: AtomicU64::new(0),
             program,
-        });
-        Ok((catalog, db, index))
-    }
-
-    /// Builds a **shared** catalog: base facts and index built once,
-    /// plus one plan cache every attached session probes until it
-    /// promotes.
-    pub fn shared(
-        program: Program,
-        plan_cache_capacity: usize,
-    ) -> Result<Arc<FrozenCatalog>, String> {
-        let db =
-            Database::from_facts(&program.catalog, &program.facts).map_err(|e| e.to_string())?;
-        let index = DbIndex::build(&db);
-        let class = classify(&program.deps, &program.catalog);
-        Ok(Arc::new(FrozenCatalog {
-            class_name: class_name(&class),
-            sigma_fp: sigma_fingerprint(&program.deps, &program.catalog),
-            class,
-            base: Some(Arc::new(BaseFacts { db, index })),
-            plans: Some(Mutex::new(PlanCache::with_capacity(plan_cache_capacity))),
-            attached: AtomicU64::new(0),
-            promotions: AtomicU64::new(0),
-            program,
-        }))
-    }
-
-    /// The shared base facts (`None` for a private catalog).
-    pub fn base(&self) -> Option<&Arc<BaseFacts>> {
-        self.base.as_ref()
-    }
-
-    /// The shared plan cache (`None` for a private catalog).
-    pub fn shared_plans(&self) -> Option<&Mutex<PlanCache>> {
-        self.plans.as_ref()
-    }
-
-    /// `(hits, misses, evictions, replans, acyclic_served)` of the
-    /// shared plan cache (zeros for a private catalog) — one stats
-    /// read under one lock acquisition.
-    pub fn shared_plan_counters(&self) -> (u64, u64, u64, u64, u64) {
-        match &self.plans {
-            None => (0, 0, 0, 0, 0),
-            Some(m) => {
-                let p = m.lock().expect("shared plan cache lock");
-                (
-                    p.hits() as u64,
-                    p.misses() as u64,
-                    p.evictions() as u64,
-                    p.replans() as u64,
-                    p.acyclic_served() as u64,
-                )
-            }
         }
-    }
-
-    /// Approximate resident bytes of the shared base (database +
-    /// index), counted once per distinct catalog regardless of how
-    /// many sessions attach. Zero for a private catalog (the session
-    /// itself owns and reports those bytes).
-    pub fn resident_bytes(&self) -> usize {
-        self.base
-            .as_ref()
-            .map(|b| b.db.approx_bytes() + b.index.approx_bytes())
-            .unwrap_or(0)
     }
 }
 
@@ -205,14 +163,17 @@ pub fn catalog_key(program: &Program) -> String {
     key
 }
 
-/// The server's catalog table: one [`FrozenCatalog`] per distinct
-/// [`catalog_key`], refcounted by the `Arc`s handed to attached
-/// sessions. Registrations racing to build the same new catalog both
-/// build, one wins the insert, and the loser attaches to the winner —
-/// never two live copies of one catalog.
+/// A resident catalog and the base facts its sessions attach to.
+pub type Attachment = (Arc<FrozenCatalog>, Arc<Facts>);
+
+/// The server's catalog table: one [`FrozenCatalog`] and one shared
+/// base [`Facts`] per distinct [`catalog_key`], refcounted by the `Arc`s
+/// handed to attached sessions. Registrations racing to build the same
+/// new catalog both build, one wins the insert, and the loser attaches
+/// to the winner — never two live copies of one catalog.
 #[derive(Debug)]
 pub struct CatalogRegistry {
-    catalogs: RwLock<FxHashMap<String, Arc<FrozenCatalog>>>,
+    catalogs: RwLock<FxHashMap<String, Attachment>>,
     plan_cache_capacity: usize,
     /// Catalogs built from scratch (registry misses).
     pub builds: AtomicU64,
@@ -232,40 +193,46 @@ impl CatalogRegistry {
         }
     }
 
-    /// The catalog for `program`: an existing one when the identity key
-    /// matches (counted as an attach), freshly built otherwise. The
-    /// expensive build runs outside the registry lock; a racing builder
-    /// of the same key attaches to whoever inserted first.
-    pub fn get_or_build(&self, program: Program) -> Result<Arc<FrozenCatalog>, String> {
+    /// The catalog and base facts for `program`: existing ones when the
+    /// identity key matches (counted as an attach), freshly built
+    /// otherwise. The expensive build runs outside the registry lock; a
+    /// racing builder of the same key attaches to whoever inserted first.
+    pub fn get_or_build(&self, program: Program) -> Result<Attachment, String> {
         let key = catalog_key(&program);
-        if let Some(c) = self
+        if let Some((c, f)) = self
             .catalogs
             .read()
             .expect("catalog registry lock")
             .get(&key)
         {
             self.attaches.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(c));
+            return Ok((Arc::clone(c), Arc::clone(f)));
         }
-        let built = FrozenCatalog::shared(program, self.plan_cache_capacity)?;
+        let facts = Arc::new(Facts::build(&program, self.plan_cache_capacity)?);
+        let catalog = Arc::new(FrozenCatalog::new(program));
         let mut map = self.catalogs.write().expect("catalog registry lock");
         use std::collections::hash_map::Entry;
         match map.entry(key) {
             Entry::Occupied(e) => {
                 // Lost the build race: attach to the winner, drop ours.
                 self.attaches.fetch_add(1, Ordering::Relaxed);
-                Ok(Arc::clone(e.get()))
+                let (c, f) = e.get();
+                Ok((Arc::clone(c), Arc::clone(f)))
             }
             Entry::Vacant(e) => {
                 self.builds.fetch_add(1, Ordering::Relaxed);
-                e.insert(Arc::clone(&built));
-                Ok(built)
+                e.insert((Arc::clone(&catalog), Arc::clone(&facts)));
+                Ok((catalog, facts))
             }
         }
     }
 
     /// Builds a session attached to the (shared, possibly pre-existing)
     /// catalog for `program_src` — the server's register path.
+    ///
+    /// `plan_cache_capacity` is unused: an attached session reads the
+    /// base's plan cache, sized by [`CatalogRegistry::new`], and keeps a
+    /// copy of it when an update promotes the session.
     pub fn session_from_source(
         &self,
         name: &str,
@@ -279,21 +246,16 @@ impl CatalogRegistry {
 
     /// [`CatalogRegistry::session_from_source`] for an already-parsed
     /// program (the durability recovery path, whose facts arrive in
-    /// binary).
+    /// binary). `plan_cache_capacity` is unused, as there.
     pub fn session_from_program(
         &self,
         name: &str,
         program: Program,
         sem_cache_capacity: usize,
-        plan_cache_capacity: usize,
+        _plan_cache_capacity: usize,
     ) -> Result<Session, String> {
-        let catalog = self.get_or_build(program)?;
-        Ok(Session::attach(
-            name,
-            catalog,
-            sem_cache_capacity,
-            plan_cache_capacity,
-        ))
+        let (catalog, facts) = self.get_or_build(program)?;
+        Ok(Session::attach(name, catalog, facts, sem_cache_capacity))
     }
 
     /// Number of distinct catalogs resident.
@@ -312,8 +274,19 @@ impl CatalogRegistry {
             .read()
             .expect("catalog registry lock")
             .values()
-            .cloned()
+            .map(|(c, _)| Arc::clone(c))
             .collect()
+    }
+
+    /// Approximate resident bytes of the shared base facts, counted
+    /// once per distinct catalog however many sessions attach.
+    pub fn shared_resident_bytes(&self) -> usize {
+        self.catalogs
+            .read()
+            .expect("catalog registry lock")
+            .values()
+            .map(|(_, f)| f.resident_bytes())
+            .sum()
     }
 }
 
@@ -431,8 +404,8 @@ mod tests {
         let private: Vec<Session> = (0..8)
             .map(|i| Session::new(&format!("p{i}"), &src, 8, 8).unwrap())
             .collect();
-        let shared_bytes: usize = shared.iter().map(Session::resident_bytes).sum::<usize>()
-            + shared[0].catalog.resident_bytes();
+        let shared_bytes: usize =
+            shared.iter().map(Session::resident_bytes).sum::<usize>() + reg.shared_resident_bytes();
         let private_bytes: usize = private.iter().map(Session::resident_bytes).sum();
         assert!(
             shared_bytes * 2 < private_bytes,

@@ -122,75 +122,38 @@ impl Client {
     }
 
     /// Applies fact deltas to a registered session (deletes run before
-    /// inserts; both are idempotent).
+    /// inserts; both are idempotent). To attach a deadline, send
+    /// [`Request::Update`] with `deadline_ms` through [`Client::request`].
     pub fn update(
         &mut self,
         session: &str,
         insert: &[FactSpec],
         delete: &[FactSpec],
     ) -> Result<Value, ClientError> {
-        self.update_deadline(session, insert, delete, None)
-    }
-
-    /// [`Client::update`] with an optional per-request deadline. The
-    /// deadline is measured from admission on the server (queue wait
-    /// counts); a deadline can only refuse the update before its commit
-    /// point — an `ok:true` answer means it was fully applied, a
-    /// deadline error means it was not applied at all.
-    pub fn update_deadline(
-        &mut self,
-        session: &str,
-        insert: &[FactSpec],
-        delete: &[FactSpec],
-        deadline_ms: Option<u64>,
-    ) -> Result<Value, ClientError> {
         self.checked(&Request::Update {
             session: session.into(),
             insert: insert.to_vec(),
             delete: delete.to_vec(),
-            deadline_ms,
+            deadline_ms: None,
         })
     }
 
     /// Tests `Σ ⊨ q ⊆∞ q_prime` between two registered queries.
     pub fn check(&mut self, session: &str, q: &str, q_prime: &str) -> Result<Value, ClientError> {
-        self.check_deadline(session, q, q_prime, None)
-    }
-
-    /// [`Client::check`] with an optional per-request deadline in
-    /// milliseconds (server-side, measured from admission).
-    pub fn check_deadline(
-        &mut self,
-        session: &str,
-        q: &str,
-        q_prime: &str,
-        deadline_ms: Option<u64>,
-    ) -> Result<Value, ClientError> {
         self.checked(&Request::Check {
             session: session.into(),
             q: q.into(),
             q_prime: q_prime.into(),
-            deadline_ms,
+            deadline_ms: None,
         })
     }
 
     /// Evaluates a registered query over the session's facts.
     pub fn eval(&mut self, session: &str, query: &str) -> Result<Value, ClientError> {
-        self.eval_deadline(session, query, None)
-    }
-
-    /// [`Client::eval`] with an optional per-request deadline in
-    /// milliseconds (server-side, measured from admission).
-    pub fn eval_deadline(
-        &mut self,
-        session: &str,
-        query: &str,
-        deadline_ms: Option<u64>,
-    ) -> Result<Value, ClientError> {
         self.checked(&Request::Eval {
             session: session.into(),
             query: query.into(),
-            deadline_ms,
+            deadline_ms: None,
         })
     }
 

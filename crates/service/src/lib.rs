@@ -19,9 +19,10 @@
 //!   survive);
 //! * [`catalog`] — the shared immutable catalog layer: sessions
 //!   registering the same program attach to one refcounted
-//!   `FrozenCatalog` (parsed program, Σ class, base facts + index, one
-//!   shared plan cache) and promote to private facts copy-on-write at
-//!   their first effective update;
+//!   `FrozenCatalog` (parsed program, Σ class) and one `Arc<Facts>`
+//!   (database, index, and the plan cache compiled against it), and
+//!   promote to private facts copy-on-write (`Arc::make_mut`) at their
+//!   first effective update;
 //! * [`batch`] — the admission/batching queue: concurrent requests
 //!   coalesce into `cqchase-par` batch runs (chase sharing, identical
 //!   in-flight requests answered once); updates are epoch barriers that
@@ -71,11 +72,11 @@ pub mod session;
 
 pub use batch::{BarrierMode, Batcher, Job, Outcome, TraceAnnotations, Work};
 pub use cache::{CacheStats, SemanticCache};
-pub use catalog::{BaseFacts, CatalogRegistry, FrozenCatalog};
+pub use catalog::{CatalogRegistry, Facts, FrozenCatalog};
 pub use client::{Client, ClientError, RetryPolicy};
 pub use durable::{Durability, RecoveryReport};
 pub use lanes::{lane_of, LaneSet};
 pub use metrics::Metrics;
 pub use proto::{CheckSummary, FactSpec, Op, Request};
 pub use server::{default_lanes, ServeOptions, Server};
-pub use session::{Session, SessionRegistry, UpdateSummary};
+pub use session::{PlannerCounters, Session, SessionRegistry, UpdateSummary};

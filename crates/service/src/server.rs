@@ -32,7 +32,7 @@ use crate::durable::{Durability, RecoveryReport, StdIo};
 use crate::lanes::{lane_of, LaneSet};
 use crate::metrics::Metrics;
 use crate::proto::{error_response, ok_response, Op, Request};
-use crate::session::{Session, SessionRegistry};
+use crate::session::{PlannerCounters, Session, SessionRegistry};
 
 /// Span-recorder ring capacity: spans from the last ~hundreds of traced
 /// requests stay readable for the slow-query logger before being
@@ -211,7 +211,8 @@ pub struct ServeOptions {
     pub conn_workers: usize,
     /// Semantic-cache capacity per session (0 disables caching).
     pub sem_cache_capacity: usize,
-    /// Evaluation plan-cache capacity per session.
+    /// Evaluation plan-cache capacity per fact set: each catalog's
+    /// shared base, and each promoted session's private copy.
     pub plan_cache_capacity: usize,
     /// Data directory for crash-safe session persistence. When set,
     /// registrations and updates are write-ahead logged (fsync before
@@ -980,12 +981,7 @@ fn resident_bytes_throttled(shared: &Shared) -> u64 {
         .iter()
         .map(|s| s.resident_bytes())
         .sum();
-    let catalogs: usize = shared
-        .catalogs
-        .snapshot()
-        .iter()
-        .map(|c| c.resident_bytes())
-        .sum();
+    let catalogs = shared.catalogs.shared_resident_bytes();
     p.resident_bytes = (sessions + catalogs) as u64;
     p.checked_at = Some(Instant::now());
     p.resident_bytes
@@ -1350,17 +1346,10 @@ fn stats_value(shared: &Shared) -> Map<String, Value> {
     m.insert("server".into(), Value::Object(server));
     // Aggregate cache counters across sessions, and collect per-session
     // gauges (rendered as `{session="…"}`-labelled Prometheus series).
-    //
-    // Plan-cache activity aggregates from each session's mirror
-    // counters (`EvalState::plan_hits` etc.), which attribute work done
-    // against a *shared* catalog plan cache to the session that ran it;
-    // summing the private `PlanCache` counters instead would miss every
-    // shared-cache run. Evictions have no mirror, so they sum from the
-    // private caches plus each distinct shared catalog counted once
-    // below.
+    // Plan-cache and planner counters live only in the sessions, which
+    // count every lookup they make — against shared or private facts.
     let (mut hits, mut misses, mut evictions, mut entries) = (0u64, 0u64, 0u64, 0usize);
-    let (mut plan_hits, mut plan_misses, mut plan_evictions) = (0u64, 0u64, 0u64);
-    let (mut plan_replans, mut plan_acyclic) = (0u64, 0u64);
+    let mut planner_total = PlannerCounters::default();
     let mut eval_row_hits = 0u64;
     let (mut compactions, mut slots_reclaimed, mut bytes_reclaimed) = (0u64, 0u64, 0u64);
     let all = shared.sessions.snapshot();
@@ -1383,7 +1372,7 @@ fn stats_value(shared: &Shared) -> Map<String, Value> {
         misses += c.misses;
         evictions += c.evictions;
         entries += c.entries;
-        let (session_result_hits, session_plan_hits, session_plan_misses) = {
+        let (session_result_hits, session_planner) = {
             // Scoped: the eval_state guard must be released
             // before touching the facts lock — lock order is
             // `facts` before `eval_state` everywhere else
@@ -1392,19 +1381,15 @@ fn stats_value(shared: &Shared) -> Map<String, Value> {
             // facts.read() would be an ABBA deadlock against a
             // concurrent update.
             let e = s.eval_state.lock().expect("eval state lock");
-            plan_hits += e.plan_hits;
-            plan_misses += e.plan_misses;
-            plan_evictions += e.plans.evictions() as u64;
-            plan_replans += e.plan_replans;
-            plan_acyclic += e.plan_acyclic_served;
+            planner_total += e.planner;
             eval_row_hits += e.result_hits;
-            (e.result_hits, e.plan_hits, e.plan_misses)
+            (e.result_hits, e.planner)
         };
         let (session_facts, session_epoch) = s.facts_snapshot();
         let facts = s.facts.read().expect("facts lock");
         let shared_facts = facts.is_shared();
         if !shared_facts {
-            // A shared base index never mutates (updates promote to a
+            // Shared facts never mutate (updates promote to a
             // private copy first), so only owned indexes carry
             // compaction work — and counting a base once per attached
             // session would overstate it anyway.
@@ -1419,8 +1404,8 @@ fn stats_value(shared: &Shared) -> Map<String, Value> {
             facts: session_facts,
             epoch: session_epoch,
             result_hits: session_result_hits,
-            plan_hits: session_plan_hits,
-            plan_misses: session_plan_misses,
+            plan_hits: session_planner.hits,
+            plan_misses: session_planner.misses,
             sem_hits: c.hits,
             sem_misses: c.misses,
             shared_facts,
@@ -1465,19 +1450,12 @@ fn stats_value(shared: &Shared) -> Map<String, Value> {
     m.insert("sessions_detail_omitted".into(), Value::from(omitted));
     // The shared-catalog pool: distinct frozen catalogs, how many
     // registrations built vs attached, copy-on-write promotions, and
-    // the resident bytes deduplicated across attached sessions. Shared
-    // plan-cache evictions fold into the plan_cache block here, counted
-    // once per catalog (hits/misses/replans are already attributed to
-    // sessions via the mirrors above).
+    // the resident bytes deduplicated across attached sessions.
     let mut catalog_promotions = 0u64;
     let mut catalog_attached = 0u64;
-    let mut shared_resident_bytes = 0usize;
     for c in shared.catalogs.snapshot() {
-        let (_, _, ev, _, _) = c.shared_plan_counters();
-        plan_evictions += ev;
         catalog_promotions += c.promotions.load(Ordering::Relaxed);
         catalog_attached += c.attached.load(Ordering::Relaxed);
-        shared_resident_bytes += c.resident_bytes();
     }
     let mut catalogs = Map::new();
     catalogs.insert("distinct".into(), Value::from(shared.catalogs.len()));
@@ -1493,7 +1471,7 @@ fn stats_value(shared: &Shared) -> Map<String, Value> {
     catalogs.insert("promotions".into(), Value::from(catalog_promotions));
     catalogs.insert(
         "shared_resident_bytes".into(),
-        Value::from(shared_resident_bytes),
+        Value::from(shared.catalogs.shared_resident_bytes()),
     );
     m.insert("catalogs".into(), Value::Object(catalogs));
     let mut sem = Map::new();
@@ -1507,18 +1485,21 @@ fn stats_value(shared: &Shared) -> Map<String, Value> {
     );
     m.insert("semantic_cache".into(), Value::Object(sem));
     let mut plans = Map::new();
-    plans.insert("hits".into(), Value::from(plan_hits));
-    plans.insert("misses".into(), Value::from(plan_misses));
-    plans.insert("evictions".into(), Value::from(plan_evictions));
+    plans.insert("hits".into(), Value::from(planner_total.hits));
+    plans.insert("misses".into(), Value::from(planner_total.misses));
+    plans.insert("evictions".into(), Value::from(planner_total.evictions));
     m.insert("plan_cache".into(), Value::Object(plans));
     // The cost-based planner's counters: how many plans were
     // compiled, how many times a served plan carried the
     // Yannakakis acyclic fast path, and how many recompiles were
     // forced by cardinality drift in the planner statistics.
     let mut planner = Map::new();
-    planner.insert("compiled".into(), Value::from(plan_misses));
-    planner.insert("acyclic_hits".into(), Value::from(plan_acyclic));
-    planner.insert("replans".into(), Value::from(plan_replans));
+    planner.insert("compiled".into(), Value::from(planner_total.misses));
+    planner.insert(
+        "acyclic_hits".into(),
+        Value::from(planner_total.acyclic_served),
+    );
+    planner.insert("replans".into(), Value::from(planner_total.replans));
     m.insert("planner".into(), Value::Object(planner));
     m.insert("eval_row_hits".into(), Value::from(eval_row_hits));
     // The mutation fast path's counters: index compaction work

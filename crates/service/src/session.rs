@@ -4,14 +4,17 @@
 //! This is the whole point of running a server instead of linking the
 //! library: the catalog, Σ, its classification and fingerprint, the
 //! ground facts' [`DbIndex`] (interned symbols + column posting lists),
-//! a bounded [`PlanCache`] of compiled evaluation plans, and the
-//! semantic containment cache are all built once at registration and
-//! then served hot. The immutable part — program, Σ, classification,
-//! fingerprint — lives in a refcounted [`FrozenCatalog`]; sessions
-//! registering the same program **attach** to one shared catalog
-//! (shared base facts, shared plan cache) instead of rebuilding, and a
-//! library/test session gets a private catalog of its own. The
-//! **facts** are live — [`Session::apply_update`] applies insert/delete
+//! a bounded [`PlanCache`](cqchase_index::PlanCache) of compiled
+//! evaluation plans, and the semantic containment cache are all built
+//! once at registration and then served hot. The facts-independent part — program, Σ,
+//! classification, fingerprint — lives in a refcounted
+//! [`FrozenCatalog`]. The facts-dependent part — database, index, and
+//! the plan cache compiled against that index — is one [`Facts`] value
+//! behind an `Arc`. Sessions registering the same program **attach** to
+//! one catalog and one base `Facts` instead of rebuilding; a
+//! library/test session builds both for itself.
+//!
+//! The facts are live: [`Session::apply_update`] applies insert/delete
 //! deltas through the incremental index maintenance of [`DbIndex`]
 //! under a facts [`RwLock`], bumping a *facts epoch* that invalidates
 //! exactly the eval-dependent state:
@@ -23,45 +26,86 @@
 //! * containment answers (the semantic cache) and compiled plans are
 //!   facts-independent and survive untouched.
 //!
-//! A session attached to a shared catalog starts with
-//! `FactsRep::Shared` facts — a pointer into the catalog's base, zero
-//! marginal bytes — and **promotes copy-on-write** on its first
-//! *effective* update: the base database + index are cloned into
-//! `FactsRep::Owned` private state and mutated there, invisibly to
-//! the catalog's other tenants. No-op updates (deltas the base already
-//! satisfies) report zero-effect summaries without promoting.
+//! A session's facts are **shared** exactly while its `Arc<Facts>` is
+//! not unique. The first *effective* update promotes copy-on-write
+//! through `Arc::make_mut`: the database, index and warm plans are
+//! cloned into a private value and mutated there, invisibly to the
+//! other holders. No-op updates (deltas the shared facts already
+//! satisfy) report zero-effect summaries without promoting.
 //!
 //! Any number of connection threads share a session (`Arc<Session>`);
 //! readers take the facts lock shared, updates take it exclusively —
 //! and a run of adjacent updates drained from the admission queue
 //! applies through one [`Session::apply_updates`] call: one write-lock
 //! acquisition, one epoch bump, per-delta summaries. Lock order is
-//! `facts` before `eval_state` before the shared plan cache, everywhere.
+//! `facts` before `eval_state` before the facts' plan cache, everywhere.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 use cqchase_core::{ContainmentOptions, SigmaClass};
-use cqchase_index::{CancelToken, ExecStats, FxHashMap, JoinScratch, PlanCache};
-use cqchase_ir::{parse_program, ConjunctiveQuery, Program};
+use cqchase_index::{CancelToken, CompiledQuery, ExecStats, FxHashMap, JoinScratch, PlanLookup};
+use cqchase_ir::{parse_program, ConjunctiveQuery, Program, RelId};
 use cqchase_obs::{SpanKind, Tracer};
-use cqchase_storage::{evaluate_indexed_with, Database, DbIndex, Tuple, Value};
+use cqchase_storage::{evaluate_plan, Database, DbIndex, Tuple, Value};
 use serde_json::{Map as JsonMap, Value as Json};
 
 use crate::cache::SemanticCache;
-use crate::catalog::{BaseFacts, FrozenCatalog};
+use crate::catalog::{Facts, FrozenCatalog};
 use crate::proto::FactSpec;
 
-/// Warm per-session evaluation state: compiled plans, join scratch, and
-/// epoch-tagged result rows, all dedicated to the session's index.
+/// One session's plan-cache activity, counted from what each lookup
+/// reported — the only home of these counters. Summed across sessions
+/// they are the server's `plan_cache` and `planner` stats, whichever
+/// (shared or private) cache served each lookup.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PlannerCounters {
+    /// Lookups served from the cache (drift replans included).
+    pub hits: u64,
+    /// Plans compiled on a cache miss.
+    pub misses: u64,
+    /// Cached plans recompiled because their cardinalities drifted.
+    pub replans: u64,
+    /// Plans the capacity bound evicted to make room.
+    pub evictions: u64,
+    /// Lookups that returned a plan with the acyclic fast path.
+    pub acyclic_served: u64,
+}
+
+impl PlannerCounters {
+    fn count(&mut self, lookup: PlanLookup, plan: Option<&CompiledQuery>) {
+        match lookup {
+            PlanLookup::Hit => self.hits += 1,
+            PlanLookup::Replanned => {
+                self.hits += 1;
+                self.replans += 1;
+            }
+            PlanLookup::Compiled { evicted } => {
+                self.misses += 1;
+                self.evictions += u64::from(evicted);
+            }
+        }
+        if plan.is_some_and(|p| p.acyclic.is_some()) {
+            self.acyclic_served += 1;
+        }
+    }
+}
+
+impl std::ops::AddAssign for PlannerCounters {
+    fn add_assign(&mut self, other: PlannerCounters) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.replans += other.replans;
+        self.evictions += other.evictions;
+        self.acyclic_served += other.acyclic_served;
+    }
+}
+
+/// Warm per-session evaluation state: join scratch, epoch-tagged result
+/// rows, and the session's counters.
 #[derive(Debug)]
 pub struct EvalState {
-    /// Bounded **private** plan cache. Used from the moment the
-    /// session's facts are owned; while the facts are still the shared
-    /// catalog base, evals run against the catalog's shared cache
-    /// instead and this one stays empty.
-    pub plans: PlanCache,
     /// Reusable join working memory.
     pub scratch: JoinScratch,
     /// Cached result rows per query index, tagged with the facts epoch
@@ -72,80 +116,35 @@ pub struct EvalState {
     results: FxHashMap<usize, (u64, Vec<Tuple>)>,
     /// Eval answers served from `results` (observability).
     pub result_hits: u64,
-    /// This session's plan-cache hits, counted across whichever cache
-    /// (shared or private) served them — the shared cache's own
-    /// counters aggregate all tenants, these mirrors attribute the
-    /// session's slice.
-    pub plan_hits: u64,
-    /// Session-attributed plan compiles (cache misses).
-    pub plan_misses: u64,
-    /// Session-attributed replans.
-    pub plan_replans: u64,
-    /// Session-attributed acyclic fast-path servings.
-    pub plan_acyclic_served: u64,
+    /// This session's plan-cache lookups.
+    pub planner: PlannerCounters,
 }
 
-/// Where a session's facts physically live.
-///
-/// Exactly one per session, behind the facts RwLock — never stored in
-/// bulk, so the Shared/Owned size spread costs nothing and boxing the
-/// owned half would only tax every post-promotion access.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-enum FactsRep {
-    /// The catalog's shared base — read-only, zero marginal bytes.
-    Shared(Arc<BaseFacts>),
-    /// Private copy, mutated in place by updates.
-    Owned {
-        /// The ground facts as a database.
-        db: Database,
-        /// Warm column indexes over `db`, maintained incrementally.
-        index: DbIndex,
-    },
-}
-
-/// The session's live facts: database + index (shared or owned) and
-/// the epoch counter that brands eval-dependent caches.
+/// The session's live facts and the epoch counter that brands
+/// eval-dependent caches.
 #[derive(Debug)]
 pub struct FactsState {
-    rep: FactsRep,
+    live: Arc<Facts>,
     /// Bumped by every effective update; epoch-tagged caches compare
     /// against it before serving.
     pub epoch: u64,
 }
 
 impl FactsState {
-    /// The facts as a database (shared base or private copy).
+    /// The facts as a database.
     pub fn db(&self) -> &Database {
-        match &self.rep {
-            FactsRep::Shared(base) => &base.db,
-            FactsRep::Owned { db, .. } => db,
-        }
+        &self.live.db
     }
 
     /// The warm index over [`FactsState::db`].
     pub fn index(&self) -> &DbIndex {
-        match &self.rep {
-            FactsRep::Shared(base) => &base.index,
-            FactsRep::Owned { index, .. } => index,
-        }
+        &self.live.index
     }
 
-    /// Whether the facts are still the catalog's shared base.
+    /// Whether another holder (an attached session or the catalog
+    /// registry) shares these facts, so an update must copy them first.
     pub fn is_shared(&self) -> bool {
-        matches!(self.rep, FactsRep::Shared(_))
-    }
-
-    /// Copy-on-write promotion: clones the shared base into private
-    /// state (counted on the catalog). No-op when already owned.
-    fn promote(&mut self, catalog: &FrozenCatalog) {
-        if let FactsRep::Shared(base) = &self.rep {
-            catalog.promotions.fetch_add(1, Ordering::Relaxed);
-            self.rep = FactsRep::Owned {
-                db: base.db.clone(),
-                index: base.index.clone(),
-            };
-        }
+        Arc::strong_count(&self.live) > 1
     }
 }
 
@@ -170,12 +169,12 @@ pub struct Session {
     /// The immutable catalog this session runs over — possibly shared
     /// with other sessions registered from the same program.
     pub catalog: Arc<FrozenCatalog>,
-    /// The live facts (database + index + epoch).
+    /// The live facts (database + index + plans, and the epoch).
     pub facts: RwLock<FactsState>,
     /// Containment options every check in this session runs under
     /// (fixed at registration, so cached answers are deterministic).
     pub opts: ContainmentOptions,
-    /// Warm evaluation state (plan cache + scratch + result rows).
+    /// Warm evaluation state (scratch + result rows + counters).
     pub eval_state: Mutex<EvalState>,
     /// The semantic containment cache.
     pub sem_cache: Mutex<SemanticCache>,
@@ -197,9 +196,20 @@ pub fn class_name(class: &SigmaClass) -> String {
     }
 }
 
+/// Records `[start, now]` as a `kind` span on every waiting request's
+/// trace id, when traced.
+fn record_span(obs: Option<(&Tracer, &[u64])>, kind: SpanKind, start: u64) {
+    if let Some((tracer, ids)) = obs {
+        let end = tracer.now_us();
+        for &id in ids {
+            tracer.record(id, kind, start, end);
+        }
+    }
+}
+
 impl Session {
-    /// Builds a session from program text (the standalone path: a
-    /// private catalog, owned facts).
+    /// Builds a session from program text (the standalone path: its
+    /// own catalog and facts).
     pub fn new(
         name: &str,
         program_src: &str,
@@ -218,61 +228,38 @@ impl Session {
         sem_cache_capacity: usize,
         plan_cache_capacity: usize,
     ) -> Result<Session, String> {
-        let (catalog, db, index) = FrozenCatalog::private(program)?;
-        Ok(Session::assemble(
+        let facts = Facts::build(&program, plan_cache_capacity)?;
+        Ok(Session::attach(
             name,
-            catalog,
-            FactsRep::Owned { db, index },
+            Arc::new(FrozenCatalog::new(program)),
+            Arc::new(facts),
             sem_cache_capacity,
-            plan_cache_capacity,
         ))
     }
 
-    /// Attaches a session to a **shared** catalog: the facts point at
-    /// the catalog's base (zero marginal bytes) until the session's
-    /// first effective update promotes them copy-on-write.
+    /// Builds a session over `catalog` reading `facts`. Facts shared
+    /// with another holder stay shared (zero marginal bytes) until the
+    /// session's first effective update promotes them copy-on-write.
     pub fn attach(
         name: &str,
         catalog: Arc<FrozenCatalog>,
+        facts: Arc<Facts>,
         sem_cache_capacity: usize,
-        plan_cache_capacity: usize,
-    ) -> Session {
-        let base = Arc::clone(
-            catalog
-                .base()
-                .expect("attach requires a shared catalog with base facts"),
-        );
-        Session::assemble(
-            name,
-            catalog,
-            FactsRep::Shared(base),
-            sem_cache_capacity,
-            plan_cache_capacity,
-        )
-    }
-
-    fn assemble(
-        name: &str,
-        catalog: Arc<FrozenCatalog>,
-        rep: FactsRep,
-        sem_cache_capacity: usize,
-        plan_cache_capacity: usize,
     ) -> Session {
         catalog.attached.fetch_add(1, Ordering::Relaxed);
         Session {
             name: name.to_owned(),
             catalog,
-            facts: RwLock::new(FactsState { rep, epoch: 0 }),
+            facts: RwLock::new(FactsState {
+                live: facts,
+                epoch: 0,
+            }),
             opts: ContainmentOptions::default(),
             eval_state: Mutex::new(EvalState {
-                plans: PlanCache::with_capacity(plan_cache_capacity),
                 scratch: JoinScratch::new(),
                 results: FxHashMap::default(),
                 result_hits: 0,
-                plan_hits: 0,
-                plan_misses: 0,
-                plan_replans: 0,
-                plan_acyclic_served: 0,
+                planner: PlannerCounters::default(),
             }),
             sem_cache: Mutex::new(SemanticCache::new(sem_cache_capacity)),
             traffic: AtomicU64::new(0),
@@ -299,21 +286,21 @@ impl Session {
         self.catalog.sigma_fp
     }
 
-    /// Whether the facts are still the catalog's shared base (no
-    /// effective update yet).
+    /// Whether the facts are still shared (no effective update yet).
     pub fn facts_shared(&self) -> bool {
         self.facts.read().expect("facts lock").is_shared()
     }
 
     /// Approximate resident bytes of this session's **private** facts:
-    /// zero while attached to the shared base, database + index bytes
-    /// once promoted. The shared base itself is reported once per
-    /// catalog by [`FrozenCatalog::resident_bytes`].
+    /// zero while shared, database + index bytes once promoted. Shared
+    /// bases are reported once per catalog by
+    /// [`CatalogRegistry::shared_resident_bytes`](crate::CatalogRegistry::shared_resident_bytes).
     pub fn resident_bytes(&self) -> usize {
         let facts = self.facts.read().expect("facts lock");
-        match &facts.rep {
-            FactsRep::Shared(_) => 0,
-            FactsRep::Owned { db, index } => db.approx_bytes() + index.approx_bytes(),
+        if facts.is_shared() {
+            0
+        } else {
+            facts.live.resident_bytes()
         }
     }
 
@@ -381,17 +368,13 @@ impl Session {
     /// discarded, **not** inserted into the result cache, so session
     /// state is indistinguishable from the eval never having run).
     ///
-    /// When traced, the result-cache probe, plan compile (or cache
-    /// hit), and join execution are recorded as timed spans, and a join
-    /// annotation — plan provenance, join order, per-atom estimated vs
-    /// actual candidate rows, engine counters — is returned for the
-    /// slow-query log.
-    ///
-    /// While the facts are the shared catalog base, the plan runs
-    /// against the catalog's shared plan cache (one compile serves
-    /// every attached tenant); once promoted, against the private one.
-    /// Either way the per-session mirror counters attribute this call's
-    /// plan-cache activity to this session.
+    /// One plan lookup per uncached eval, in the facts' plan cache
+    /// (shared with every session reading the same facts), counted in
+    /// this session's [`PlannerCounters`]. When traced, the result-cache
+    /// probe, the plan lookup (compile or cache hit), and the join are
+    /// recorded as timed spans, and a join annotation — plan
+    /// provenance, join order, per-atom estimated vs actual candidate
+    /// rows, engine counters — is returned for the slow-query log.
     pub fn eval_request(
         &self,
         idx: usize,
@@ -402,32 +385,17 @@ impl Session {
             return None;
         }
         let q = &self.catalog.program.queries[idx];
-        // Lock order: facts before eval_state (before the shared plan
-        // cache). Holding the facts lock shared for the whole call pins
-        // the epoch the rows belong to.
+        let now = || obs.map_or(0, |(t, _)| t.now_us());
+        // Lock order: facts, eval_state, plans. Holding the facts lock
+        // shared for the whole call pins the epoch the rows belong to.
         let facts = self.facts.read().expect("facts lock");
         let mut state = self.eval_state.lock().expect("eval state lock");
-        let probe_start = obs.map(|(t, _)| t.now_us());
+        let probe_start = now();
         let cache_hit =
             matches!(state.results.get(&idx), Some((epoch, _)) if *epoch == facts.epoch);
-        if let Some((tracer, ids)) = obs {
-            let end = tracer.now_us();
-            for &id in ids {
-                tracer.record(
-                    id,
-                    SpanKind::EvalCacheLookup,
-                    probe_start.unwrap_or(end),
-                    end,
-                );
-            }
-        }
+        record_span(obs, SpanKind::EvalCacheLookup, probe_start);
         if cache_hit {
-            let rows = state
-                .results
-                .get(&idx)
-                .expect("hit checked above")
-                .1
-                .clone();
+            let rows = state.results[&idx].1.clone();
             state.result_hits += 1;
             let annotation = obs.map(|_| {
                 let mut m = JsonMap::new();
@@ -437,88 +405,30 @@ impl Session {
             });
             return Some((rows, true, annotation));
         }
-        let index = facts.index();
-        let shared_plans = if facts.is_shared() {
-            self.catalog.shared_plans()
-        } else {
-            None
-        };
-        state.scratch.set_cancel(cancel.clone());
         let EvalState {
-            plans,
             scratch,
-            plan_hits,
-            plan_misses,
-            plan_replans,
-            plan_acyclic_served,
+            results,
+            planner,
             ..
         } = &mut *state;
-        let mut run = |plans: &mut PlanCache| -> (Vec<Tuple>, Option<Json>) {
-            let (h0, m0, r0, a0) = (
-                plans.hits(),
-                plans.misses(),
-                plans.replans(),
-                plans.acyclic_served(),
-            );
-            let mut annotation = None;
-            let rows = match obs {
-                None => evaluate_indexed_with(q, index, plans, scratch),
-                Some((tracer, ids)) => {
-                    // Warm the plan first so compile time is its own span;
-                    // the engine call below re-looks it up as a cheap cache
-                    // hit (capacity-0 caches recompile, still correct).
-                    let (misses0, replans0) = (plans.misses(), plans.replans());
-                    let compile_start = tracer.now_us();
-                    let shape = plans
-                        .get_or_compile(q, index)
-                        .map(|p| (p.order.clone(), p.atom_est.clone(), p.acyclic.is_some()));
-                    let compile_end = tracer.now_us();
-                    let compiled = plans.misses() > misses0;
-                    let replanned = plans.replans() > replans0;
-                    let kind = if compiled || replanned {
-                        SpanKind::PlanCompile
-                    } else {
-                        SpanKind::PlanCacheHit
-                    };
-                    for &id in ids {
-                        tracer.record(id, kind, compile_start, compile_end);
-                    }
-                    let exec_before = scratch.exec().clone();
-                    let join_start = tracer.now_us();
-                    let rows = evaluate_indexed_with(q, index, plans, scratch);
-                    let join_end = tracer.now_us();
-                    for &id in ids {
-                        tracer.record(id, SpanKind::JoinExec, join_start, join_end);
-                    }
-                    let plan_desc = if replanned {
-                        "replan"
-                    } else if compiled {
-                        "compiled"
-                    } else {
-                        "cache_hit"
-                    };
-                    annotation = Some(Session::join_annotation(
-                        &q.name,
-                        plan_desc,
-                        shape,
-                        &exec_before,
-                        scratch.exec(),
-                    ));
-                    rows
-                }
-            };
-            *plan_hits += (plans.hits() - h0) as u64;
-            *plan_misses += (plans.misses() - m0) as u64;
-            *plan_replans += (plans.replans() - r0) as u64;
-            *plan_acyclic_served += (plans.acyclic_served() - a0) as u64;
-            (rows, annotation)
+        scratch.set_cancel(cancel.clone());
+        let mut plans = facts.live.plans.lock().expect("plan cache lock");
+        let lookup_start = now();
+        let (plan, lookup) = plans.get_or_compile(q, facts.index());
+        let kind = if lookup == PlanLookup::Hit {
+            SpanKind::PlanCacheHit
+        } else {
+            SpanKind::PlanCompile
         };
-        let (rows, annotation) = match shared_plans {
-            // The shared cache's mutex is held for exactly this run, so
-            // the counter deltas measured inside are this call's alone.
-            Some(m) => run(&mut m.lock().expect("shared plan cache lock")),
-            None => run(plans),
-        };
+        record_span(obs, kind, lookup_start);
+        planner.count(lookup, plan);
+        let exec_before = obs.map(|_| scratch.exec().clone());
+        let join_start = now();
+        let rows = evaluate_plan(q, facts.index(), plan, scratch);
+        record_span(obs, SpanKind::JoinExec, join_start);
+        let annotation = exec_before
+            .map(|before| Session::join_annotation(&q.name, lookup, plan, &before, scratch.exec()));
+        drop(plans);
         let cancelled = scratch.cancelled();
         scratch.clear_cancel();
         if cancelled {
@@ -526,7 +436,7 @@ impl Session {
             // looks exactly as if this eval was never submitted.
             return None;
         }
-        state.results.insert(idx, (facts.epoch, rows.clone()));
+        results.insert(idx, (facts.epoch, rows.clone()));
         Some((rows, false, annotation))
     }
 
@@ -535,26 +445,32 @@ impl Session {
     /// `after − before` delta — exactly what this execution did.
     fn join_annotation(
         query: &str,
-        plan: &str,
-        shape: Option<(Vec<u32>, Vec<f64>, bool)>,
+        lookup: PlanLookup,
+        plan: Option<&CompiledQuery>,
         before: &ExecStats,
         after: &ExecStats,
     ) -> Json {
         let mut m = JsonMap::new();
         m.insert("query".into(), Json::from(query));
         m.insert("result_cache_hit".into(), Json::from(false));
-        match shape {
+        match plan {
             None => {
                 m.insert("plan".into(), Json::from("unsatisfiable"));
             }
-            Some((order, est, acyclic)) => {
-                m.insert("plan".into(), Json::from(plan));
-                m.insert("acyclic".into(), Json::from(acyclic));
+            Some(p) => {
+                let provenance = match lookup {
+                    PlanLookup::Hit => "cache_hit",
+                    PlanLookup::Replanned => "replan",
+                    PlanLookup::Compiled { .. } => "compiled",
+                };
+                m.insert("plan".into(), Json::from(provenance));
+                m.insert("acyclic".into(), Json::from(p.acyclic.is_some()));
                 m.insert(
                     "join_order".into(),
-                    Json::Array(order.iter().map(|&a| Json::from(a as u64)).collect()),
+                    Json::Array(p.order.iter().map(|&a| Json::from(a as u64)).collect()),
                 );
-                let atoms: Vec<Json> = est
+                let atoms: Vec<Json> = p
+                    .atom_est
                     .iter()
                     .enumerate()
                     .map(|(i, &e)| {
@@ -592,23 +508,38 @@ impl Session {
 
     /// Drops the session's rebuildable caches under memory pressure:
     /// semantic containment answers, epoch-tagged eval rows, and the
-    /// private plan cache. Correctness state — facts, index, epoch —
-    /// is untouched; everything dropped is recomputed on demand.
-    /// Returns the number of cache entries dropped. Lock order is
-    /// `eval_state` then `sem_cache` (neither is ever held while
-    /// taking the other elsewhere, so the order only needs to be
-    /// consistent here).
+    /// plans cached for its facts (shared facts share that cache, so
+    /// its other readers recompile too). Correctness state — facts,
+    /// index, epoch — is untouched; everything dropped is recomputed on
+    /// demand. Returns the number of cache entries dropped.
     pub fn shed_caches(&self) -> usize {
-        let mut dropped = 0usize;
-        {
+        let rebuildable = {
+            let facts = self.facts.read().expect("facts lock");
             let mut state = self.eval_state.lock().expect("eval state lock");
-            dropped += state.results.len();
+            let mut plans = facts.live.plans.lock().expect("plan cache lock");
+            let n = state.results.len() + plans.len();
             state.results.clear();
-            dropped += state.plans.len();
-            state.plans.clear();
+            plans.clear();
+            n
+        };
+        rebuildable + self.sem_cache.lock().expect("semantic cache lock").clear()
+    }
+
+    /// Resolves one fact's relation and checks its arity: the one
+    /// validation rule every update path applies.
+    fn resolve_fact(&self, (rel, tuple): &FactSpec) -> Result<RelId, String> {
+        let catalog = &self.catalog.program.catalog;
+        let id = catalog
+            .resolve(rel)
+            .ok_or_else(|| format!("unknown relation `{rel}` in session `{}`", self.name))?;
+        let arity = catalog.arity(id);
+        if tuple.len() != arity {
+            return Err(format!(
+                "relation `{rel}` has arity {arity}, fact carries {} values",
+                tuple.len()
+            ));
         }
-        dropped += self.sem_cache.lock().expect("semantic cache lock").clear();
-        dropped
+        Ok(id)
     }
 
     /// Checks one delta exactly as [`Session::apply_updates`] will —
@@ -620,20 +551,10 @@ impl Session {
     /// valid subset, so replay never re-litigates validation and the
     /// log stays in deterministic agreement with the in-memory state.
     pub fn validate_update(&self, insert: &[FactSpec], delete: &[FactSpec]) -> Result<(), String> {
-        let catalog = &self.catalog.program.catalog;
-        for (rel, tuple) in delete.iter().chain(insert) {
-            let id = catalog
-                .resolve(rel)
-                .ok_or_else(|| format!("unknown relation `{rel}` in session `{}`", self.name))?;
-            let arity = catalog.arity(id);
-            if tuple.len() != arity {
-                return Err(format!(
-                    "relation `{rel}` has arity {arity}, fact carries {} values",
-                    tuple.len()
-                ));
-            }
-        }
-        Ok(())
+        delete
+            .iter()
+            .chain(insert)
+            .try_for_each(|f| self.resolve_fact(f).map(drop))
     }
 
     /// Applies fact deltas to the live facts: deletes first, then
@@ -671,40 +592,35 @@ impl Session {
     /// shows the merge: every effective delta of the run lands in the
     /// same (single) new epoch instead of minting one each.
     ///
-    /// On a session whose facts are still the shared catalog base, the
-    /// run first probes whether any delta is effective (a present
-    /// delete or an absent insert). All no-ops: zero-effect summaries,
-    /// no promotion, the base is untouched. Otherwise the session
-    /// promotes copy-on-write and the run applies to the private copy.
+    /// On a session whose facts are shared, the run first probes
+    /// whether any delta is effective (a present delete or an absent
+    /// insert). All no-ops: zero-effect summaries, no promotion, the
+    /// shared facts are untouched. Otherwise the session promotes
+    /// copy-on-write (`Arc::make_mut`, counted on the catalog when it
+    /// actually copies) and the run applies to the private copy.
     pub fn apply_updates(
         &self,
         deltas: &[(Vec<FactSpec>, Vec<FactSpec>)],
     ) -> Vec<Result<UpdateSummary, String>> {
-        let catalog = &self.catalog.program.catalog;
-        let resolve = |(rel, tuple): &FactSpec| -> Result<(cqchase_ir::RelId, Tuple), String> {
-            let id = catalog
-                .resolve(rel)
-                .ok_or_else(|| format!("unknown relation `{rel}` in session `{}`", self.name))?;
-            let arity = catalog.arity(id);
-            if tuple.len() != arity {
-                return Err(format!(
-                    "relation `{rel}` has arity {arity}, fact carries {} values",
-                    tuple.len()
-                ));
-            }
-            Ok((id, tuple.iter().cloned().map(Value::Const).collect()))
+        let resolve = |facts: &[FactSpec]| -> Result<Vec<(RelId, Tuple)>, String> {
+            facts
+                .iter()
+                .map(|f| {
+                    Ok((
+                        self.resolve_fact(f)?,
+                        f.1.iter().cloned().map(Value::Const).collect(),
+                    ))
+                })
+                .collect()
         };
         // Validate every delta before taking the write lock; each delta
         // is all-or-nothing on its own, independent of its neighbors.
-        type Resolved = (
-            Vec<(cqchase_ir::RelId, Tuple)>,
-            Vec<(cqchase_ir::RelId, Tuple)>,
-        );
+        type Resolved = (Vec<(RelId, Tuple)>, Vec<(RelId, Tuple)>);
         let resolved: Vec<Result<Resolved, String>> = deltas
             .iter()
             .map(|(insert, delete)| {
-                let deletes = delete.iter().map(resolve).collect::<Result<_, _>>()?;
-                let inserts = insert.iter().map(resolve).collect::<Result<_, _>>()?;
+                let deletes = resolve(delete)?;
+                let inserts = resolve(insert)?;
                 Ok((inserts, deletes))
             })
             .collect();
@@ -718,26 +634,24 @@ impl Session {
                 .collect();
         }
 
-        let mut facts = self.facts.write().expect("facts lock");
-        if facts.is_shared() {
+        let mut guard = self.facts.write().expect("facts lock");
+        if guard.is_shared() {
+            let db = guard.db();
             let would_change =
                 resolved
                     .iter()
                     .filter_map(|r| r.as_ref().ok())
                     .any(|(inserts, deletes)| {
-                        deletes
-                            .iter()
-                            .any(|(rel, t)| facts.db().relation(*rel).contains(t))
+                        deletes.iter().any(|(rel, t)| db.relation(*rel).contains(t))
                             || inserts
                                 .iter()
-                                .any(|(rel, t)| !facts.db().relation(*rel).contains(t))
+                                .any(|(rel, t)| !db.relation(*rel).contains(t))
                     });
             if !would_change {
-                // Every valid delta is a no-op against the shared base:
-                // report zero-effect summaries without promoting (and
-                // without any `&mut` path that would force a copy).
-                let total = facts.db().total_tuples();
-                let epoch = facts.epoch;
+                // Every valid delta is a no-op against the shared facts:
+                // report zero-effect summaries without copying them.
+                let total = db.total_tuples();
+                let epoch = guard.epoch;
                 return resolved
                     .into_iter()
                     .map(|r| {
@@ -750,24 +664,14 @@ impl Session {
                     })
                     .collect();
             }
-            facts.promote(&self.catalog);
-            // Carry the shared cache's warm plans into the private one:
-            // the promoted copy clones the base's symbol pool, so the
-            // compiled plans (and their drift snapshots) stay valid —
-            // without this, the session's first post-promotion eval
-            // would recompile from scratch instead of serving the plan
-            // it had been using all along. Counters start fresh; the
-            // per-session mirrors already carry the history. Lock order
-            // holds: facts (held) → eval_state → shared plan cache.
-            if let Some(shared) = self.catalog.shared_plans() {
-                let mut state = self.eval_state.lock().expect("eval state lock");
-                state.plans = shared.lock().expect("shared plan cache lock").clone_warm();
-            }
         }
-        let FactsState { rep, epoch } = &mut *facts;
-        let FactsRep::Owned { db, index } = rep else {
-            unreachable!("promoted above")
-        };
+        let FactsState { live, epoch } = &mut *guard;
+        let shared_base = Arc::as_ptr(live);
+        let facts = Arc::make_mut(live);
+        if !std::ptr::eq(shared_base, &*facts) {
+            self.catalog.promotions.fetch_add(1, Ordering::Relaxed);
+        }
+        let Facts { db, index, plans } = facts;
         let syms_before = index.num_syms();
         let mut effective = 0usize;
         let mut out = Vec::with_capacity(deltas.len());
@@ -803,18 +707,22 @@ impl Session {
         }
         if effective > 0 {
             *epoch += 1;
-            // Lock order facts → eval_state, same as eval.
-            let mut state = self.eval_state.lock().expect("eval state lock");
-            // The epoch tags already make stale rows unservable; free
-            // them eagerly too — a resident session must not pin dead
-            // result sets until their query happens to be re-asked.
-            state.results.clear();
             if index.num_syms() > syms_before {
-                // A brand-new constant falsifies cached `None` plans
-                // (in the private cache — the session left the shared
-                // one behind when it promoted).
-                state.plans.drop_unsatisfiable();
+                // A brand-new constant falsifies cached `None` plans.
+                plans
+                    .get_mut()
+                    .expect("plan cache lock")
+                    .drop_unsatisfiable();
             }
+            // Lock order facts → eval_state, same as eval. The epoch
+            // tags already make stale rows unservable; free them
+            // eagerly too — a resident session must not pin dead
+            // result sets until their query happens to be re-asked.
+            self.eval_state
+                .lock()
+                .expect("eval state lock")
+                .results
+                .clear();
         }
         let epoch = *epoch;
         for i in summaries {
@@ -965,8 +873,7 @@ mod tests {
         assert_eq!(s.eval_cached(1), (direct.clone(), false));
         assert_eq!(s.eval_cached(1), (direct, true));
         let st = s.eval_state.lock().unwrap();
-        assert_eq!(st.plans.misses(), 1);
-        assert_eq!(st.plan_misses, 1, "mirror counters track the private cache");
+        assert_eq!(st.planner.misses, 1, "one compile, then the row cache");
         assert_eq!(st.result_hits, 1);
     }
 
@@ -1023,6 +930,11 @@ mod tests {
                 facts: 2,
                 epoch: 1
             }
+        );
+        assert_eq!(
+            s.catalog.promotions.load(Ordering::Relaxed),
+            0,
+            "unshared facts update in place"
         );
         // The eval-row cache was epoch-invalidated: fresh rows.
         let (rows, cached) = s.eval_cached(0);

@@ -367,3 +367,63 @@ fn overload_refusals_are_counted_once_globally() {
     held.shutdown().unwrap();
     handle.join().unwrap().unwrap();
 }
+
+/// Replays one register → eval → update → eval script and returns the
+/// `plan_cache` and `planner` stats blocks plus the per-session plan
+/// counters.
+fn planner_counters_after_script(opts: ServeOptions) -> Vec<Value> {
+    let (addr, handle) = Server::spawn(ServeOptions {
+        addr: "127.0.0.1:0".into(),
+        batch_threads: 2,
+        conn_workers: 4,
+        // Smaller than the three queries, so lookups also evict.
+        plan_cache_capacity: 2,
+        ..opts
+    })
+    .unwrap();
+    let mut c = Client::connect(addr).unwrap();
+    // Two tenants on one catalog: evals first run against the shared
+    // facts' plan cache, then (after t1's update promotes it) against
+    // a private copy.
+    c.register("t1", PROGRAM).unwrap();
+    c.register("t2", PROGRAM).unwrap();
+    for q in ["A", "B", "C", "B"] {
+        c.eval("t1", q).unwrap();
+        c.eval("t2", q).unwrap();
+    }
+    c.update("t1", &[fact(3, 4), fact(9, 9)], &[fact(0, 1)])
+        .unwrap();
+    for q in ["A", "B", "C"] {
+        c.eval("t1", q).unwrap();
+    }
+    let stats = c.stats().unwrap();
+    c.shutdown().unwrap();
+    handle.join().unwrap().unwrap();
+    let detail = &stats["sessions_detail"];
+    vec![
+        stats["plan_cache"].clone(),
+        stats["planner"].clone(),
+        detail["t1"]["plan_cache_hits"].clone(),
+        detail["t1"]["plan_cache_misses"].clone(),
+        detail["t2"]["plan_cache_hits"].clone(),
+        detail["t2"]["plan_cache_misses"].clone(),
+    ]
+}
+
+#[test]
+fn tracing_does_not_change_planner_counters() {
+    let untraced = planner_counters_after_script(ServeOptions::default());
+    let traced = planner_counters_after_script(ServeOptions {
+        trace: true,
+        ..Default::default()
+    });
+    assert_eq!(untraced, traced, "tracing must observe, not count");
+    // One plan lookup per result-cache miss: 6 before the update (the
+    // repeated B is a row-cache hit), 3 after it cleared t1's rows.
+    // Before the update t2 hits what t1 compiled, and C evicts A from
+    // the shared two-plan cache; t1's promoted copy holds {B, C}, so
+    // A, B, C each miss and evict the least recently used plan.
+    let plan_cache = &untraced[0];
+    let counts = ["hits", "misses", "evictions"].map(|k| plan_cache[k].as_u64().unwrap());
+    assert_eq!(counts, [3, 6, 4], "{untraced:?}");
+}

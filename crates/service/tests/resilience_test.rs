@@ -25,6 +25,22 @@ fn dense_program(n: i64) -> String {
     src
 }
 
+/// Sends `req` and turns an `ok:false` reply into an error — the
+/// typed helpers' behavior for requests they cannot express, such as
+/// ones carrying a deadline.
+fn send(c: &mut Client, req: Request) -> Result<serde_json::Value, ClientError> {
+    Client::expect_ok(c.request(&req)?)
+}
+
+/// An eval request with an optional deadline.
+fn eval_req(session: &str, query: &str, deadline_ms: Option<u64>) -> Request {
+    Request::Eval {
+        session: session.into(),
+        query: query.into(),
+        deadline_ms,
+    }
+}
+
 fn spawn(
     opts: ServeOptions,
 ) -> (
@@ -59,7 +75,7 @@ fn deadline_returns_structured_error_in_bounded_time() {
     });
 
     let started = Instant::now();
-    let err = c.eval_deadline("big", "Q", Some(50));
+    let err = send(&mut c, eval_req("big", "Q", Some(50)));
     let elapsed = started.elapsed();
     // Bounded: deadline plus queue wait plus the coalesced check
     // interval's reaction lag, with a generous debug-build margin —
@@ -89,7 +105,7 @@ fn deadline_returns_structured_error_in_bounded_time() {
     other.join().unwrap();
 
     // A deadline the work fits in still succeeds.
-    let v = c.eval_deadline("big", "Small", Some(60_000)).unwrap();
+    let v = send(&mut c, eval_req("big", "Small", Some(60_000))).unwrap();
     assert_eq!(v["count"], 30);
 
     let stats = c.stats().unwrap();
@@ -120,7 +136,13 @@ fn expired_deadline_refuses_updates_all_or_nothing() {
     };
     // deadline_ms:0 is expired on arrival: the update must be refused
     // before its commit point — never half-applied, never logged.
-    match c.update_deadline("s", &[fact(3, 4)], &[fact(1, 2)], Some(0)) {
+    let expired = Request::Update {
+        session: "s".into(),
+        insert: vec![fact(3, 4)],
+        delete: vec![fact(1, 2)],
+        deadline_ms: Some(0),
+    };
+    match send(&mut c, expired) {
         Err(ClientError::Server(msg)) => assert_eq!(msg, "deadline exceeded"),
         other => panic!("expired update must be refused, got {other:?}"),
     }
@@ -158,7 +180,7 @@ fn server_default_deadline_applies_to_hintless_requests() {
     assert_eq!(raw["error"], "deadline exceeded");
     assert_eq!(raw["deadline_ms"], 40u64);
     // An explicit generous deadline overrides the default.
-    let v = c.eval_deadline("big", "Small", Some(120_000)).unwrap();
+    let v = send(&mut c, eval_req("big", "Small", Some(120_000))).unwrap();
     assert_eq!(v["count"], 30);
     c.shutdown().unwrap();
     handle.join().unwrap().unwrap();
@@ -268,6 +290,81 @@ fn shedding_refuses_with_retry_hint_and_ping_stays_inline() {
     assert!(stats["resilience"]["shed"].as_u64().unwrap() >= 4);
     assert_eq!(stats["server"]["shedding"], true);
     assert_eq!(stats["server"]["shed_queue_depth"], 0u64);
+    c.shutdown().unwrap();
+    handle.join().unwrap().unwrap();
+}
+
+#[test]
+fn memory_watermark_sheds_and_evicts_rebuildable_caches_once_per_window() {
+    // A 1-byte watermark: any resident fact sheds. The session starts
+    // with no facts (zero resident bytes), so its caches can warm
+    // before the update that pushes residency past the mark.
+    let (addr, handle) = spawn(ServeOptions {
+        shed_resident_bytes: Some(1),
+        ..Default::default()
+    });
+    let mut c = Client::connect(addr).unwrap();
+    c.register("m", "relation R(a, b). Q(x) :- R(x, y). P(x) :- R(x, x).")
+        .unwrap();
+    c.check("m", "P", "Q").unwrap();
+    c.eval("m", "Q").unwrap();
+    let fact: cqchase_service::FactSpec = (
+        "R".into(),
+        vec![cqchase_ir::Constant::Int(1), cqchase_ir::Constant::Int(2)],
+    );
+    let u = c.update("m", std::slice::from_ref(&fact), &[]).unwrap();
+    assert_eq!(u["epoch"], 1u64);
+    // Outlast the throttled residency figure so the next check sees
+    // the promoted facts.
+    std::thread::sleep(Duration::from_millis(400));
+
+    let evictions = |c: &mut Client| {
+        c.stats().unwrap()["resilience"]["pressure_evictions"]
+            .as_u64()
+            .unwrap()
+    };
+    let refused = [
+        Request::Check {
+            session: "m".into(),
+            q: "P".into(),
+            q_prime: "Q".into(),
+            deadline_ms: None,
+        },
+        eval_req("m", "Q", None),
+        Request::Update {
+            session: "m".into(),
+            insert: vec![],
+            delete: vec![fact],
+            deadline_ms: None,
+        },
+    ];
+    let mut after_first = None;
+    for req in &refused {
+        let raw = c.request(req).unwrap();
+        assert_eq!(raw["ok"], false, "{raw:?}");
+        assert_eq!(raw["shed"], true, "{raw:?}");
+        assert!(raw["retry_after_ms"].as_u64().unwrap() > 0, "{raw:?}");
+        // The first refusal's pass dropped the warm semantic answer and
+        // plan; later refusals find nothing left to drop.
+        let now = evictions(&mut c);
+        assert!(now > 0, "the eviction pass dropped the warm caches");
+        assert_eq!(*after_first.get_or_insert(now), now, "one pass per window");
+    }
+    // A later window runs another pass, over caches refusals never
+    // re-warmed.
+    std::thread::sleep(Duration::from_millis(1100));
+    assert_eq!(c.request(&refused[1]).unwrap()["shed"], true);
+    assert_eq!(Some(evictions(&mut c)), after_first);
+
+    // Facts and epoch are untouched; ping and stats still answer.
+    let stats = c.stats().unwrap();
+    assert_eq!(stats["sessions_detail"]["m"]["facts"], 1);
+    assert_eq!(stats["sessions_detail"]["m"]["epoch"], 1u64);
+    assert_eq!(stats["server"]["shedding"], true);
+    assert!(stats["resilience"]["shed"].as_u64().unwrap() >= 4);
+    let p = c.ping().unwrap();
+    assert_eq!(p["ok"], true);
+    assert_eq!(p["shedding"], true);
     c.shutdown().unwrap();
     handle.join().unwrap().unwrap();
 }

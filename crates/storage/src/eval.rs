@@ -14,7 +14,9 @@
 
 use std::collections::BTreeSet;
 
-use cqchase_index::{compile, join, join_unbound_distinct, JoinScratch, PlanCache, Sym};
+use cqchase_index::{
+    compile, join, join_unbound_distinct, CompiledQuery, JoinScratch, PlanCache, Sym,
+};
 use cqchase_ir::{ConjunctiveQuery, Term};
 
 use crate::database::{Database, Tuple};
@@ -39,18 +41,7 @@ fn summary_image(q: &ConjunctiveQuery, idx: &DbIndex, bind: &[Option<Sym>]) -> T
 pub fn evaluate_indexed(q: &ConjunctiveQuery, idx: &DbIndex) -> Vec<Tuple> {
     // One-shot path: compile directly — a throwaway plan cache would
     // only add key hashing and structure clones.
-    let Some(cq) = compile(q, idx) else {
-        return Vec::new();
-    };
-    let mut out: BTreeSet<Tuple> = BTreeSet::new();
-    // Distinct-witness mode: only the head image matters here, so
-    // acyclic plans may collapse head-irrelevant subtrees instead of
-    // enumerating their cross product.
-    join_unbound_distinct(idx, &cq, &mut JoinScratch::new(), |bind, _| {
-        out.insert(summary_image(q, idx, bind));
-        false
-    });
-    out.into_iter().collect()
+    evaluate_plan(q, idx, compile(q, idx).as_ref(), &mut JoinScratch::new())
 }
 
 /// Evaluates `Q(B)`: the set of distinct summary-row images, sorted for
@@ -91,10 +82,26 @@ pub fn evaluate_indexed_with(
     cache: &mut PlanCache,
     scratch: &mut JoinScratch,
 ) -> Vec<Tuple> {
-    let Some(cq) = cache.get_or_compile(q, idx) else {
+    evaluate_plan(q, idx, cache.get_or_compile(q, idx).0, scratch)
+}
+
+/// Runs an already looked-up plan for `q` over `idx`: the join half of
+/// [`evaluate_indexed_with`], for callers that look plans up themselves
+/// and want to see what the lookup did. `None` is the unsatisfiable
+/// plan (some body constant is absent from `idx`) and yields no rows.
+pub fn evaluate_plan(
+    q: &ConjunctiveQuery,
+    idx: &DbIndex,
+    plan: Option<&CompiledQuery>,
+    scratch: &mut JoinScratch,
+) -> Vec<Tuple> {
+    let Some(cq) = plan else {
         return Vec::new();
     };
     let mut out: BTreeSet<Tuple> = BTreeSet::new();
+    // Distinct-witness mode: only the head image matters here, so
+    // acyclic plans may collapse head-irrelevant subtrees instead of
+    // enumerating their cross product.
     join_unbound_distinct(idx, cq, scratch, |bind, _| {
         out.insert(summary_image(q, idx, bind));
         false

@@ -33,6 +33,7 @@ pub use datachase::{chase_instance, DataChaseBudget, DataChaseOutcome};
 pub use eval::{
     contains_tuple, contains_tuple_indexed, evaluate, evaluate_batch, evaluate_batch_indexed,
     evaluate_boolean, evaluate_boolean_indexed, evaluate_indexed, evaluate_indexed_with,
+    evaluate_plan,
 };
 pub use indexed::DbIndex;
 pub use value::{NullId, Value};
