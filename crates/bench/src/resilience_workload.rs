@@ -14,8 +14,8 @@
 //! asserted identical between the two runs.
 //!
 //! **Deadline promptness** runs a deliberately expensive evaluation
-//! (3-hop chain over a complete digraph — Θ(n⁴) candidate rows of
-//! uniform cost) under short deadlines and measures how far past each
+//! (3-hop chain over a complete digraph, projected onto both endpoints
+//! — Θ(n⁴) emissions of uniform cost) under short deadlines and measures how far past each
 //! deadline the engine runs before unwinding (`CancelToken::overrun_us`
 //! at return). The reference scale is the *check interval measured in
 //! time*: the same join is run with an unlimited token that is fired
@@ -33,15 +33,15 @@ use std::time::Instant;
 
 use cqchase_core::{check_batch, BatchPair, ContainmentOptions, ContainmentPair};
 use cqchase_index::{CancelToken, JoinScratch, PlanCache};
+use cqchase_ir::QueryBuilder;
 use cqchase_storage::{evaluate_indexed_with, Database, DbIndex};
-use cqchase_workload::chain_query;
 use cqchase_workload::families::successor_cycle;
 
 use crate::service_workload::ServiceWorkload;
 
 /// Side of the complete digraph behind the deadline workload: the 3-hop
-/// chain enumerates ~`n⁴` candidate rows, far more work than any
-/// deadline we arm, so the join never completes on its own.
+/// chain enumerates ~`n⁴` solutions, far more work than any deadline we
+/// arm, so the join never completes on its own.
 pub const DENSE_N: i64 = 48;
 
 /// Deadline armed per overrun sample, in milliseconds: long enough that
@@ -181,7 +181,10 @@ pub fn measure_cancel_overhead_median(w: &ServiceWorkload, runs: usize) -> Overh
 }
 
 /// The deadline workload: a 3-hop chain query over the complete digraph
-/// on [`DENSE_N`] vertices, prebuilt index included.
+/// on [`DENSE_N`] vertices, prebuilt index included. The head holds both
+/// endpoints, so no subtree of the join tree is free of unbound head
+/// variables and distinct-mode evaluation cannot collapse any of it:
+/// every one of the `n⁴` solutions is enumerated.
 pub struct DeadlineWorkload {
     query: cqchase_ir::ConjunctiveQuery,
     idx: DbIndex,
@@ -191,7 +194,13 @@ pub struct DeadlineWorkload {
 /// read-only, across all samples).
 pub fn deadline_workload() -> DeadlineWorkload {
     let program = successor_cycle();
-    let query = chain_query("QDense3", &program.catalog, "R", 3).expect("chain query");
+    let query = QueryBuilder::new("QDense3", &program.catalog)
+        .head_vars(["x0", "x3"])
+        .atom("R", ["x0", "x1"])
+        .and_then(|b| b.atom("R", ["x1", "x2"]))
+        .and_then(|b| b.atom("R", ["x2", "x3"]))
+        .and_then(|b| b.build())
+        .expect("chain query");
     let mut db = Database::new(&program.catalog);
     for i in 0..DENSE_N {
         for j in 0..DENSE_N {

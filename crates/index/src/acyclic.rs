@@ -3,14 +3,24 @@
 //! At compile time a GYO ear reduction tests the query body's hypergraph
 //! (vertices = variables, hyperedges = atom variable sets) for
 //! α-acyclicity. When the reduction succeeds, the witness edges form a
-//! join forest with the running-intersection property, recorded as an
-//! [`AcyclicPlan`].
+//! join forest with the running-intersection property. Each edge's key
+//! is `vars(a) ∩ vars(b)` whichever way it points, so the forest can be
+//! rooted anywhere: each component is rooted at its first atom in the
+//! compiler's unbound cost order (the cheapest atom to start from), and
+//! the result is recorded as an [`AcyclicPlan`].
 //!
 //! Execution is then provably linear in input + output instead of
 //! backtracking:
 //!
-//! 1. **Candidates** — per atom, the rows matching its constant slots and
-//!    intra-atom repeated variables, straight off the posting lists.
+//! 1. **Top-down candidates** — in pre-order (parents first), each
+//!    atom's rows matching its constant slots and intra-atom repeated
+//!    variables. A root scans its posting lists. A child whose parent's
+//!    candidate list is shorter than its own scan instead probes the
+//!    posting lists once per distinct parent key (the variables shared
+//!    with the parent), which yields exactly `child ⋉ parent` already in
+//!    key order; otherwise it scans like a root. Distinct keys select
+//!    disjoint child rows, so a probe pass never produces more rows than
+//!    the scan it replaces.
 //! 2. **Bottom-up semijoin reduction** — leaves first, each atom's
 //!    candidate list is sorted by its projection onto the variables
 //!    shared with its parent, and parent rows with no matching child row
@@ -46,12 +56,12 @@ use crate::sym::Sym;
 pub const NO_PARENT: u32 = u32::MAX;
 
 /// A join forest over the atoms of an acyclic query, produced by GYO ear
-/// reduction at compile time. All vectors are indexed by the *original*
-/// atom index.
+/// reduction at compile time and rooted at the cheapest atom of each
+/// component. All vectors are indexed by the *original* atom index.
 #[derive(Debug, Clone)]
 pub struct AcyclicPlan {
     /// Pre-order walk of the forest (every parent precedes its subtree;
-    /// roots and siblings in ascending atom order).
+    /// roots in cost order, siblings in ascending atom order).
     pub order: Vec<u32>,
     /// Parent atom per atom, [`NO_PARENT`] for roots.
     pub parent: Vec<u32>,
@@ -76,12 +86,19 @@ pub struct AcyclicPlan {
 
 /// Runs the GYO ear reduction over `atoms`. Returns the join-forest plan
 /// when the body is α-acyclic, `None` when it is cyclic (the caller then
-/// keeps the backtracking engine).
-pub(crate) fn build(atoms: &[CompiledAtom], head_vars: &[u32]) -> Option<AcyclicPlan> {
+/// keeps the backtracking engine). `root_order` is a permutation of the
+/// atom indices; each component of the forest is rooted at its first
+/// atom in it.
+pub(crate) fn build(
+    atoms: &[CompiledAtom],
+    head_vars: &[u32],
+    root_order: &[u32],
+) -> Option<AcyclicPlan> {
     let n = atoms.len();
     if n == 0 {
         return None;
     }
+    debug_assert_eq!(root_order.len(), n, "root_order is a permutation");
     // Variable sets per atom, sorted + deduplicated.
     let vars: Vec<Vec<u32>> = atoms
         .iter()
@@ -100,9 +117,10 @@ pub(crate) fn build(atoms: &[CompiledAtom], head_vars: &[u32]) -> Option<Acyclic
         })
         .collect();
 
+    // Ear reduction; each removed ear records an undirected tree edge to
+    // the witness that covered it.
     let mut active = vec![true; n];
-    let mut parent = vec![NO_PARENT; n];
-    let mut shared: Vec<Vec<u32>> = vec![Vec::new(); n];
+    let mut adjacent: Vec<Vec<u32>> = vec![Vec::new(); n];
     let mut remaining = n;
     while remaining > 1 {
         let mut removed = false;
@@ -118,20 +136,20 @@ pub(crate) fn build(atoms: &[CompiledAtom], head_vars: &[u32]) -> Option<Acyclic
                 .filter(|v| (0..n).any(|f| f != e && active[f] && vars[f].binary_search(v).is_ok()))
                 .collect();
             if nonexcl.is_empty() {
-                // Isolated edge: root of its own component.
+                // Isolated edge: a component of its own.
                 active[e] = false;
                 remaining -= 1;
                 removed = true;
                 continue;
             }
             // `e` is an ear if one other active edge covers all its
-            // non-exclusive variables; that edge becomes its parent.
+            // non-exclusive variables; the two are joined by a tree edge.
             let witness = (0..n).find(|&f| {
                 f != e && active[f] && nonexcl.iter().all(|v| vars[f].binary_search(v).is_ok())
             });
             if let Some(f) = witness {
-                parent[e] = f as u32;
-                shared[e] = nonexcl;
+                adjacent[e].push(f as u32);
+                adjacent[f].push(e as u32);
                 active[e] = false;
                 remaining -= 1;
                 removed = true;
@@ -142,35 +160,42 @@ pub(crate) fn build(atoms: &[CompiledAtom], head_vars: &[u32]) -> Option<Acyclic
         }
     }
 
-    // Forest structure: children lists and a deterministic pre-order.
-    let mut children: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for e in 0..n {
-        if parent[e] != NO_PARENT {
-            children[parent[e] as usize].push(e as u32);
-        }
+    // Orient the forest and walk it in pre-order: each component hangs
+    // from its first atom in `root_order`, siblings in ascending order.
+    for adj in &mut adjacent {
+        adj.sort_unstable();
     }
-    for c in &mut children {
-        c.sort_unstable();
-    }
+    let mut parent = vec![NO_PARENT; n];
+    let mut seen = vec![false; n];
     let mut order = Vec::with_capacity(n);
-    let mut stack: Vec<u32> = (0..n as u32)
-        .rev()
-        .filter(|&e| parent[e as usize] == NO_PARENT)
-        .collect();
-    while let Some(a) = stack.pop() {
-        order.push(a);
-        stack.extend(children[a as usize].iter().rev());
+    for &r in root_order {
+        if seen[r as usize] {
+            continue;
+        }
+        seen[r as usize] = true;
+        let mut stack = vec![r];
+        while let Some(a) = stack.pop() {
+            order.push(a);
+            for &b in adjacent[a as usize].iter().rev() {
+                if !seen[b as usize] {
+                    seen[b as usize] = true;
+                    parent[b as usize] = a;
+                    stack.push(b);
+                }
+            }
+        }
     }
     debug_assert_eq!(order.len(), n, "the forest spans every atom");
 
-    // Key columns: for each non-root, where the shared variables sit in
-    // the atom itself and in its parent (first occurrence each).
+    // Keys: for each non-root, the variables it shares with its parent
+    // and where they sit in both atoms (first occurrence each).
     let col_of = |atom: &CompiledAtom, v: u32| -> u32 {
         atom.slots
             .iter()
             .position(|s| *s == Slot::Var(v))
             .expect("a shared variable occurs in both atoms") as u32
     };
+    let mut key_vars = vec![Vec::new(); n];
     let mut key_cols = vec![Vec::new(); n];
     let mut parent_cols = vec![Vec::new(); n];
     for e in 0..n {
@@ -178,8 +203,14 @@ pub(crate) fn build(atoms: &[CompiledAtom], head_vars: &[u32]) -> Option<Acyclic
             continue;
         }
         let f = parent[e] as usize;
-        key_cols[e] = shared[e].iter().map(|&v| col_of(&atoms[e], v)).collect();
-        parent_cols[e] = shared[e].iter().map(|&v| col_of(&atoms[f], v)).collect();
+        let shared: Vec<u32> = vars[e]
+            .iter()
+            .copied()
+            .filter(|v| vars[f].binary_search(v).is_ok())
+            .collect();
+        key_cols[e] = shared.iter().map(|&v| col_of(&atoms[e], v)).collect();
+        parent_cols[e] = shared.iter().map(|&v| col_of(&atoms[f], v)).collect();
+        key_vars[e] = shared;
     }
 
     // Head variables per subtree: accumulate children into parents by
@@ -224,7 +255,7 @@ pub(crate) fn build(atoms: &[CompiledAtom], head_vars: &[u32]) -> Option<Acyclic
     Some(AcyclicPlan {
         order,
         parent,
-        key_vars: shared,
+        key_vars,
         key_cols,
         parent_cols,
         subtree_heads,
@@ -263,10 +294,56 @@ fn cmp_child_parent<S: FactSource>(
     Ordering::Equal
 }
 
-/// Executes an acyclic plan: candidate generation, bottom-up semijoin
-/// reduction, backtrack-free pre-order enumeration. Entered only with an
-/// all-unbound binding table (pre-bound searches keep the backtracking
-/// engine, whose cost-based order exploits the bindings directly).
+/// Whether two rows of `rel` agree on their projection onto `cols`.
+fn same_proj<S: FactSource>(src: &S, rel: RelId, cols: &[u32], r1: u32, r2: u32) -> bool {
+    let (s1, s2) = (src.row_syms(rel, r1), src.row_syms(rel, r2));
+    cols.iter().all(|&c| s1[c as usize] == s2[c as usize])
+}
+
+/// Probes the candidates of child atom `a` off its parent's candidate
+/// list `parent_rows`: once per distinct parent key, with the key
+/// columns bound on top of the constant bindings already in
+/// `scratch.bound`.
+///
+/// Probing keys in ascending order leaves `out` sorted the way the
+/// bottom-up pass sorts it (key projection, then row id), and distinct
+/// keys select disjoint rows, so `out` is exactly `child ⋉ parent`
+/// without duplicates.
+fn probe_child<S: FactSource>(
+    src: &S,
+    cq: &CompiledQuery,
+    plan: &AcyclicPlan,
+    a: usize,
+    parent_rows: &[u32],
+    scratch: &mut JoinScratch,
+    out: &mut Vec<u32>,
+) {
+    let JoinScratch { bound, keys, .. } = scratch;
+    let f = plan.parent[a] as usize;
+    let (kc, pc) = (&plan.key_cols[a], &plan.parent_cols[a]);
+    let (rel_c, rel_p) = (cq.atoms[a].rel, cq.atoms[f].rel);
+    keys.clear();
+    keys.extend_from_slice(parent_rows);
+    keys.sort_unstable_by(|&r1, &r2| cmp_proj(src, rel_p, pc, r1, r2));
+    keys.dedup_by(|r1, r2| same_proj(src, rel_p, pc, *r1, *r2));
+    let consts = bound.len();
+    for &pr in keys.iter() {
+        bound.truncate(consts);
+        let syms = src.row_syms(rel_p, pr);
+        bound.extend(
+            kc.iter()
+                .zip(pc)
+                .map(|(&k, &p)| (k as usize, syms[p as usize])),
+        );
+        src.candidates(rel_c, bound, out);
+    }
+}
+
+/// Executes an acyclic plan: top-down candidate generation, bottom-up
+/// semijoin reduction, backtrack-free pre-order enumeration. Entered
+/// only with an all-unbound binding table (pre-bound searches keep the
+/// backtracking engine, whose cost-based order exploits the bindings
+/// directly).
 pub(crate) fn run<S: FactSource>(
     src: &S,
     cq: &CompiledQuery,
@@ -277,32 +354,54 @@ pub(crate) fn run<S: FactSource>(
 ) -> JoinOutcome {
     let mut bufs = std::mem::take(&mut scratch.bufs);
 
-    // 1. Per-atom candidates: constant slots + repeated-variable filter.
-    for (i, a) in cq.atoms.iter().enumerate() {
+    // 1. Per-atom candidates, parents first: constant slots, then either
+    // a scan or (when the parent's list is the shorter side) probes
+    // keyed by the parent's rows, then the repeated-variable filter.
+    for &a in &plan.order {
+        let a = a as usize;
+        let atom = &cq.atoms[a];
         scratch.bound.clear();
-        for (col, slot) in a.slots.iter().enumerate() {
+        for (col, slot) in atom.slots.iter().enumerate() {
             if let Slot::Const(s) = slot {
                 scratch.bound.push((col, *s));
             }
         }
-        let buf = &mut bufs[i];
+        let mut buf = std::mem::take(&mut bufs[a]);
         buf.clear();
-        src.candidates(a.rel, &scratch.bound, buf);
-        let eqp = &plan.eq_pairs[i];
+        let f = plan.parent[a];
+        let probe = f != NO_PARENT && {
+            // A scan reads the shortest constant posting list, or the
+            // whole relation when no slot is constant.
+            let scan_len = scratch
+                .bound
+                .iter()
+                .map(|&(col, sym)| src.posting_len(atom.rel, col, sym))
+                .min()
+                .unwrap_or_else(|| src.rel_size(atom.rel));
+            bufs[f as usize].len() < scan_len
+        };
+        if probe {
+            probe_child(src, cq, plan, a, &bufs[f as usize], scratch, &mut buf);
+        } else {
+            src.candidates(atom.rel, &scratch.bound, &mut buf);
+        }
+        let eqp = &plan.eq_pairs[a];
         if !eqp.is_empty() {
             buf.retain(|&r| {
-                let syms = src.row_syms(a.rel, r);
+                let syms = src.row_syms(atom.rel, r);
                 eqp.iter()
                     .all(|&(x, y)| syms[x as usize] == syms[y as usize])
             });
         }
         scratch.exec.candidates_scanned += buf.len() as u64;
-        scratch.exec.atom_actual[i] += buf.len() as u64;
-        if buf.is_empty() {
+        scratch.exec.atom_actual[a] += buf.len() as u64;
+        let (empty, charge) = (buf.is_empty(), buf.len() as u64);
+        bufs[a] = buf;
+        if empty {
             scratch.bufs = bufs;
             return JoinOutcome::Exhausted;
         }
-        if scratch.cancel.charge(buf.len() as u64) {
+        if scratch.cancel.charge(charge) {
             scratch.bufs = bufs;
             return JoinOutcome::Stopped;
         }
@@ -478,6 +577,15 @@ mod tests {
     use cqchase_ir::{parse_program, ConjunctiveQuery};
 
     fn plan_of(text: &str) -> (ConjunctiveQuery, Option<AcyclicPlan>) {
+        plan_rooted(text, None)
+    }
+
+    /// Builds the plan of `text`'s first query, rooted by `root_order`
+    /// (identity when `None`).
+    fn plan_rooted(
+        text: &str,
+        root_order: Option<&[u32]>,
+    ) -> (ConjunctiveQuery, Option<AcyclicPlan>) {
         let p = parse_program(text).unwrap();
         let q = p.queries[0].clone();
         let atoms: Vec<CompiledAtom> = q
@@ -503,7 +611,8 @@ mod tests {
                 _ => None,
             })
             .collect();
-        let plan = build(&atoms, &head);
+        let identity: Vec<u32> = (0..atoms.len() as u32).collect();
+        let plan = build(&atoms, &head, root_order.unwrap_or(&identity));
         (q, plan)
     }
 
@@ -569,6 +678,41 @@ mod tests {
         } else {
             assert_eq!((kc, pc), (0, 1));
         }
+    }
+
+    #[test]
+    fn components_are_rooted_at_their_first_pick() {
+        let text = "relation R(a, b). Q(w) :- R(x, y), R(y, z), R(z, w).";
+        let (_, plan) = plan_of(text);
+        assert_eq!(
+            plan.unwrap().parent[0],
+            NO_PARENT,
+            "identity order roots atom 0"
+        );
+        // Atom 2 picked first: the chain hangs from it, and every key is
+        // still the variable its edge shares.
+        let (_, plan) = plan_rooted(text, Some(&[2, 0, 1]));
+        let plan = plan.unwrap();
+        assert_eq!(plan.parent, vec![1, 2, NO_PARENT]);
+        assert_eq!(plan.order, vec![2, 1, 0]);
+        // R(x, y) under R(y, z): y sits at column 1 of the child and
+        // column 0 of the parent.
+        assert_eq!(
+            (&plan.key_cols[0], &plan.parent_cols[0]),
+            (&vec![1], &vec![0])
+        );
+        assert_eq!(
+            (&plan.key_cols[1], &plan.parent_cols[1]),
+            (&vec![1], &vec![0])
+        );
+        // Disconnected bodies: each component gets its own first pick.
+        let (_, plan) = plan_rooted(
+            "relation R(a, b). relation S(c, d). Q(x, u) :- R(x, y), S(u, v), R(y, z).",
+            Some(&[2, 1, 0]),
+        );
+        let plan = plan.unwrap();
+        assert_eq!(plan.parent, vec![2, NO_PARENT, NO_PARENT]);
+        assert_eq!(plan.order, vec![2, 0, 1]);
     }
 
     #[test]

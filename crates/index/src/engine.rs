@@ -10,9 +10,13 @@
 //!   with the lowest estimated candidate count given the variables the
 //!   already-ordered atoms bind;
 //! * an **acyclicity certificate**: a GYO ear reduction over the body's
-//!   hypergraph. Acyclic bodies get an [`AcyclicPlan`] executed as
-//!   Yannakakis semijoin reduction + backtrack-free enumeration (see
-//!   [`crate::acyclic`]); cyclic bodies keep the backtracking search;
+//!   hypergraph. Acyclic bodies get an [`AcyclicPlan`], a join forest
+//!   rooted at each component's first atom in the unbound cost order,
+//!   executed as top-down candidate generation (children probe the
+//!   posting lists with their parent's keys when the parent's list is
+//!   the shorter side), bottom-up semijoin reduction and backtrack-free
+//!   enumeration (see [`crate::acyclic`]); cyclic bodies keep the
+//!   backtracking search;
 //! * a **statistics snapshot** of the relation sizes the orders were
 //!   derived from, so plan owners can detect cardinality drift
 //!   ([`CompiledQuery::stats_drifted`]) and recompile.
@@ -269,7 +273,7 @@ pub fn compile(q: &ConjunctiveQuery, src: &impl FactSource) -> Option<CompiledQu
         .into_iter()
         .map(|(a, _)| a)
         .collect();
-    let acyclic = acyclic::build(&atoms, &head_vars);
+    let acyclic = acyclic::build(&atoms, &head_vars, &order);
     let mut stats: Vec<(RelId, usize)> = Vec::new();
     for a in &atoms {
         if !stats.iter().any(|&(r, _)| r == a.rel) {
@@ -369,6 +373,8 @@ pub struct JoinScratch {
     pub(crate) newly: Vec<Vec<u32>>,
     /// Bound-constraint buffer.
     pub(crate) bound: Vec<(usize, Sym)>,
+    /// Parent rows with distinct keys (the acyclic executor's probes).
+    pub(crate) keys: Vec<u32>,
     /// Execution counters (see [`ExecStats`] for reset semantics).
     pub(crate) exec: ExecStats,
     /// Cooperative cancellation state (token + coalescing counter).
@@ -840,6 +846,49 @@ mod tests {
         assert_eq!(exec.rows_emitted, 3, "three 2-step paths");
         assert_eq!(exec.semijoin_retain_passes, 1, "one non-root atom");
         assert_eq!(exec.atom_actual, vec![4, 4], "full scans pre-reduction");
+    }
+
+    #[test]
+    fn acyclic_path_starts_at_the_cheapest_atom() {
+        // `Sel`-shaped: a 4-row filter over a 10k-row chain. Rooted at W,
+        // each R atom's candidates come from probes keyed by its parent,
+        // so no atom scans more rows than W holds.
+        let p =
+            parse_program("relation W(a). relation R(a, b). Sel(x, z) :- W(x), R(x, y), R(y, z).")
+                .unwrap();
+        let mut facts: Vec<(&str, Vec<i64>)> = (0..10_000).map(|i| ("R", vec![i, i + 1])).collect();
+        let watch = [3, 500, 9_998, 9_999];
+        facts.extend(watch.iter().map(|&w| ("W", vec![w])));
+        let borrowed: Vec<(&str, &[i64])> = facts.iter().map(|(n, v)| (*n, v.as_slice())).collect();
+        let src = Toy::new(&p.catalog, &borrowed);
+        let cq = compile(&p.queries[0], &src).unwrap();
+        assert!(cq.acyclic.is_some());
+        let answers = |cq: &CompiledQuery, scratch: &mut JoinScratch| {
+            let mut rows: Vec<Vec<Option<Sym>>> = Vec::new();
+            join_unbound(&src, cq, scratch, |bind, _| {
+                rows.push(bind.to_vec());
+                false
+            });
+            rows.sort();
+            rows
+        };
+        let mut scratch = JoinScratch::new();
+        let fast = answers(&cq, &mut scratch);
+        assert!(
+            scratch
+                .exec()
+                .atom_actual
+                .iter()
+                .all(|&n| n <= watch.len() as u64),
+            "per-atom rows {:?} exceed |W| = {}",
+            scratch.exec().atom_actual,
+            watch.len()
+        );
+        let mut forced = cq.clone();
+        forced.acyclic = None;
+        let slow = answers(&forced, &mut JoinScratch::new());
+        assert_eq!(fast, slow);
+        assert_eq!(fast.len(), 3, "9_999 has a successor but no second step");
     }
 
     #[test]

@@ -60,13 +60,18 @@ impl ColumnIndex {
         }
     }
 
-    /// Drops every posting list of `rel` (the owner is renumbering its
-    /// rows wholesale — amortized compaction after deletions — and will
-    /// re-register the survivors with [`ColumnIndex::insert_row`]).
-    /// Column maps are retained empty, so arities stay stable.
-    pub fn clear_rel(&mut self, rel: RelId) {
+    /// Renumbers every row id of `rel` through `map` (`map[old] = new`)
+    /// in place — the owner is compacting its rows after deletions. The
+    /// map must be monotone over the ids still indexed, which keeps every
+    /// posting list sorted without a re-sort.
+    pub fn renumber_rel(&mut self, rel: RelId, map: &[u32]) {
         for m in &mut self.rels[rel.index()] {
-            m.clear();
+            for list in m.values_mut() {
+                for row in list.iter_mut() {
+                    *row = map[*row as usize];
+                }
+                debug_assert!(list.windows(2).all(|w| w[0] < w[1]), "monotone map");
+            }
         }
     }
 
@@ -224,7 +229,7 @@ impl ColumnIndex {
 /// Hash-based whole-row duplicate detection: `(relation, symbols) → row`.
 ///
 /// Sharded per relation (like [`ColumnIndex`]) so that per-relation
-/// wholesale operations — [`DedupIndex::clear_rel`], the amortized
+/// wholesale operations — [`DedupIndex::renumber_rel`], the amortized
 /// compaction primitive — cost O(that relation's keys), not O(every
 /// key in the database). Shards grow on demand, so no arity/relation
 /// count is needed at construction.
@@ -279,13 +284,14 @@ impl DedupIndex {
         }
     }
 
-    /// Drops every key of `rel` (the compaction counterpart of
-    /// [`ColumnIndex::clear_rel`]; survivors are re-registered under
-    /// their new row ids). Costs only the cleared relation's keys.
-    pub fn clear_rel(&mut self, rel: RelId) {
+    /// Renumbers the rows of `rel`'s keys through `map` (`map[old] =
+    /// new`) in place — the compaction counterpart of
+    /// [`ColumnIndex::renumber_rel`]. Costs only that relation's keys.
+    pub fn renumber_rel(&mut self, rel: RelId, map: &[u32]) {
         if let Some(shard) = self.rels.get_mut(rel.index()) {
-            self.len -= shard.len();
-            shard.clear();
+            for row in shard.values_mut() {
+                *row = map[*row as usize];
+            }
         }
     }
 
@@ -308,15 +314,12 @@ impl DedupIndex {
 
     /// Removes the entry for `(rel, syms)` when it points at `row`.
     pub fn remove(&mut self, rel: RelId, syms: &[Sym], row: u32) {
-        use std::collections::hash_map::Entry;
         let Some(shard) = self.rels.get_mut(rel.index()) else {
             return;
         };
-        if let Entry::Occupied(e) = shard.entry(syms.to_vec()) {
-            if *e.get() == row {
-                e.remove();
-                self.len -= 1;
-            }
+        if shard.get(syms) == Some(&row) {
+            shard.remove(syms);
+            self.len -= 1;
         }
     }
 
@@ -369,18 +372,21 @@ mod tests {
     }
 
     #[test]
-    fn clear_rel_drops_only_that_relation() {
+    fn renumber_rel_touches_only_that_relation() {
         let mut idx = ColumnIndex::new([2usize, 1]);
         let (a, b) = (Sym(0), Sym(1));
-        idx.insert_row(rel(0), 0, &[a, b]);
-        idx.insert_row(rel(1), 0, &[a]);
-        idx.clear_rel(rel(0));
-        assert!(idx.posting(rel(0), 0, a).is_empty());
-        assert!(idx.posting(rel(0), 1, b).is_empty());
-        assert_eq!(idx.posting(rel(1), 0, a), &[0]);
-        // Arities survive: re-registering rows works.
-        idx.insert_row(rel(0), 7, &[b, a]);
-        assert_eq!(idx.posting(rel(0), 0, b), &[7]);
+        idx.insert_row(rel(0), 1, &[a, b]);
+        idx.insert_row(rel(0), 3, &[a, a]);
+        idx.insert_row(rel(1), 3, &[a]);
+        // Slots 0 and 2 were tombstoned: 1 → 0, 3 → 1.
+        idx.renumber_rel(rel(0), &[u32::MAX, 0, u32::MAX, 1]);
+        assert_eq!(idx.posting(rel(0), 0, a), &[0, 1]);
+        assert_eq!(idx.posting(rel(0), 1, b), &[0]);
+        assert_eq!(idx.posting(rel(0), 1, a), &[1]);
+        assert_eq!(idx.posting(rel(1), 0, a), &[3]);
+        // Renumbered lists keep accepting rows in order.
+        idx.insert_row(rel(0), 2, &[b, a]);
+        assert_eq!(idx.posting(rel(0), 1, a), &[1, 2]);
     }
 
     #[test]
@@ -413,14 +419,20 @@ mod tests {
     }
 
     #[test]
-    fn dedup_clear_rel_drops_only_that_relation() {
+    fn dedup_renumber_rel_touches_only_that_relation() {
         let mut d = DedupIndex::new();
         let syms = [Sym(0), Sym(1)];
-        d.insert(rel(0), &syms, 0);
-        d.insert(rel(1), &syms, 4);
-        d.clear_rel(rel(0));
-        assert_eq!(d.get(rel(0), &syms), None);
-        assert_eq!(d.get(rel(1), &syms), Some(4));
-        assert_eq!(d.len(), 1);
+        d.insert(rel(0), &syms, 2);
+        d.insert(rel(1), &syms, 2);
+        d.renumber_rel(rel(0), &[u32::MAX, u32::MAX, 0]);
+        d.renumber_rel(rel(7), &[]);
+        assert_eq!(d.get(rel(0), &syms), Some(0));
+        assert_eq!(d.get(rel(1), &syms), Some(2));
+        assert_eq!(d.len(), 2);
+        // Removal only drops the entry holding the named row.
+        d.remove(rel(0), &syms, 2);
+        assert_eq!(d.len(), 2);
+        d.remove(rel(0), &syms, 0);
+        assert_eq!((d.get(rel(0), &syms), d.len()), (None, 1));
     }
 }

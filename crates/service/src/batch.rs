@@ -923,6 +923,7 @@ pub fn rows_to_value(rows: &[Tuple]) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::tests::facts_db;
 
     fn test_session() -> Arc<Session> {
         Arc::new(
@@ -1035,10 +1036,7 @@ mod tests {
             panic!("expected eval outcome");
         };
         assert!(!coalesced);
-        let direct = {
-            let facts = s.facts.read().unwrap();
-            cqchase_storage::evaluate(s.query(0), facts.db())
-        };
+        let direct = cqchase_storage::evaluate(s.query(0), &facts_db(&s));
         assert_eq!(rows, direct);
         let rendered = rows_to_value(&rows);
         assert_eq!(rendered[0][0], "1");
@@ -1084,10 +1082,7 @@ mod tests {
             Outcome::Eval { rows, .. } => rows,
             other => panic!("unexpected outcome {other:?}"),
         };
-        let direct = {
-            let facts = s.facts.read().unwrap();
-            cqchase_storage::evaluate(s.query(0), facts.db())
-        };
+        let direct = cqchase_storage::evaluate(s.query(0), &facts_db(&s));
         assert_eq!(rows, direct);
         // A bad update reports its error without wedging the queue.
         let out = batcher

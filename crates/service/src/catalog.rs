@@ -6,11 +6,11 @@
 //! it freezes everything a registration builds that does not depend on
 //! the facts — the parsed [`Program`], Σ's classification and
 //! fingerprint. Everything that does depend on them lives in one
-//! [`Facts`] value: the [`Database`], its [`DbIndex`], and the
-//! [`PlanCache`] compiled against that index. The [`CatalogRegistry`]
-//! builds one `Arc<Facts>` per distinct program next to its catalog,
-//! and sessions registering the same catalog+Σ+facts **attach** (two
-//! `Arc` clones plus an epoch) instead of rebuilding.
+//! [`Facts`] value: the [`DbIndex`] holding them and the [`PlanCache`]
+//! compiled against it. The [`CatalogRegistry`] builds one
+//! `Arc<Facts>` per distinct program next to its catalog, and sessions
+//! registering the same catalog+Σ+facts **attach** (two `Arc` clones
+//! plus an epoch) instead of rebuilding.
 //!
 //! Identity is the canonical program text ([`catalog_key`]): schema
 //! rendered through the same display path durability snapshots use,
@@ -20,10 +20,10 @@
 //!
 //! **Copy-on-write promotion:** a session's facts are shared exactly
 //! while its `Arc<Facts>` is not unique. Its first effective update
-//! goes through `Arc::make_mut`, which clones the database, index and
-//! warm plan cache into a private value (the clone's symbol pool
-//! resolves every cached plan exactly as the base's did), and the
-//! catalog's other tenants never observe a thing. Promotion is counted
+//! goes through `Arc::make_mut`, which clones the index and warm plan
+//! cache into a private value (the clone's symbol pool resolves every
+//! cached plan exactly as the base's did), and the catalog's other
+//! tenants never observe a thing. Promotion is counted
 //! per catalog ([`FrozenCatalog::promotions`]) and surfaced in
 //! `stats.catalogs`.
 
@@ -33,51 +33,59 @@ use std::sync::{Arc, Mutex, RwLock};
 
 use cqchase_core::{classify, SigmaClass};
 use cqchase_index::{FxHashMap, PlanCache};
-use cqchase_ir::{display, parse_program, Program};
-use cqchase_storage::{Database, DbIndex};
+use cqchase_ir::{display, parse_program, IrError, Program};
+use cqchase_storage::{DbIndex, Value};
 
 use crate::cache::sigma_fingerprint;
 use crate::session::{class_name, Session};
 
 /// One set of ground facts and everything compiled against it: the
-/// database, its warm index, and the plans cached for that index.
+/// index that stores them (the only copy — it answers membership and
+/// enumerates in insertion order) and the plans cached for that index.
 /// Shared behind an `Arc` by every session reading the same facts, and
 /// cloned (`Arc::make_mut`) when one of them updates.
 #[derive(Debug)]
 pub struct Facts {
-    /// The ground facts.
-    pub db: Database,
-    /// Warm column indexes over `db`, maintained incrementally.
+    /// The ground facts, interned and indexed, maintained incrementally.
     pub index: DbIndex,
     /// Compiled plans, valid against `index` (and any clone of it).
     pub plans: Mutex<PlanCache>,
 }
 
 impl Facts {
-    /// Builds the database, index and an empty plan cache holding at
-    /// most `plan_cache_capacity` plans for `program`'s facts.
+    /// Indexes `program`'s facts and starts an empty plan cache holding
+    /// at most `plan_cache_capacity` plans.
     pub fn build(program: &Program, plan_cache_capacity: usize) -> Result<Facts, String> {
-        let db =
-            Database::from_facts(&program.catalog, &program.facts).map_err(|e| e.to_string())?;
-        let index = DbIndex::build(&db);
+        let catalog = &program.catalog;
+        let mut index = DbIndex::new(catalog);
+        for (rel, consts) in &program.facts {
+            let arity = catalog.arity(*rel);
+            if consts.len() != arity {
+                return Err(IrError::ArityMismatch {
+                    relation: catalog.name(*rel).to_owned(),
+                    expected: arity,
+                    found: consts.len(),
+                }
+                .to_string());
+            }
+            index.insert(*rel, &consts.iter().cloned().map(Value::Const).collect());
+        }
         Ok(Facts {
-            db,
             index,
             plans: Mutex::new(PlanCache::with_capacity(plan_cache_capacity)),
         })
     }
 
-    /// Approximate resident bytes of the database and index (the plan
-    /// cache is rebuildable and not counted).
+    /// Approximate resident bytes of the index (the plan cache is
+    /// rebuildable and not counted).
     pub fn resident_bytes(&self) -> usize {
-        self.db.approx_bytes() + self.index.approx_bytes()
+        self.index.approx_bytes()
     }
 }
 
 impl Clone for Facts {
     fn clone(&self) -> Facts {
         Facts {
-            db: self.db.clone(),
             index: self.index.clone(),
             plans: Mutex::new(self.plans.lock().expect("plan cache lock").clone()),
         }

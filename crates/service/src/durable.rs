@@ -130,12 +130,18 @@ fn render_session(session: &Session) -> SessionRecord {
     let cat = &session.program().catalog;
     let facts = session.facts.read().expect("facts lock");
     let mut relations = Vec::new();
-    for (rel, inst) in facts.db().iter() {
-        let rows: Vec<Vec<cqchase_ir::Constant>> = inst
-            .tuples()
+    for rel in cat.rel_ids() {
+        let rows: Vec<Vec<cqchase_ir::Constant>> = facts
+            .index()
+            .tuples(rel)
             .map(|t| {
-                t.iter()
-                    .map(|v| v.as_const().expect("session facts are ground").clone())
+                t.into_iter()
+                    .map(|v| match v {
+                        cqchase_storage::Value::Const(c) => c,
+                        cqchase_storage::Value::Null(_) => {
+                            unreachable!("session facts are ground")
+                        }
+                    })
                     .collect()
             })
             .collect();

@@ -8,11 +8,11 @@
 //! evaluation plans, and the semantic containment cache are all built
 //! once at registration and then served hot. The facts-independent part — program, Σ,
 //! classification, fingerprint — lives in a refcounted
-//! [`FrozenCatalog`]. The facts-dependent part — database, index, and
-//! the plan cache compiled against that index — is one [`Facts`] value
-//! behind an `Arc`. Sessions registering the same program **attach** to
-//! one catalog and one base `Facts` instead of rebuilding; a
-//! library/test session builds both for itself.
+//! [`FrozenCatalog`]. The facts-dependent part — the index holding the
+//! facts and the plan cache compiled against it — is one [`Facts`]
+//! value behind an `Arc`. Sessions registering the same program
+//! **attach** to one catalog and one base `Facts` instead of
+//! rebuilding; a library/test session builds both for itself.
 //!
 //! The facts are live: [`Session::apply_update`] applies insert/delete
 //! deltas through the incremental index maintenance of [`DbIndex`]
@@ -28,9 +28,8 @@
 //!
 //! A session's facts are **shared** exactly while its `Arc<Facts>` is
 //! not unique. The first *effective* update promotes copy-on-write
-//! through `Arc::make_mut`: the database, index and warm plans are
-//! cloned into a private value and mutated there, invisibly to the
-//! other holders. No-op updates (deltas the shared facts already
+//! through `Arc::make_mut`: the index and warm plans are cloned into a
+//! private value and mutated there, invisibly to the other holders. No-op updates (deltas the shared facts already
 //! satisfy) report zero-effect summaries without promoting.
 //!
 //! Any number of connection threads share a session (`Arc<Session>`);
@@ -48,7 +47,7 @@ use cqchase_core::{ContainmentOptions, SigmaClass};
 use cqchase_index::{CancelToken, CompiledQuery, ExecStats, FxHashMap, JoinScratch, PlanLookup};
 use cqchase_ir::{parse_program, ConjunctiveQuery, Program, RelId};
 use cqchase_obs::{SpanKind, Tracer};
-use cqchase_storage::{evaluate_plan, Database, DbIndex, Tuple, Value};
+use cqchase_storage::{evaluate_plan, DbIndex, Tuple, Value};
 use serde_json::{Map as JsonMap, Value as Json};
 
 use crate::cache::SemanticCache;
@@ -131,12 +130,7 @@ pub struct FactsState {
 }
 
 impl FactsState {
-    /// The facts as a database.
-    pub fn db(&self) -> &Database {
-        &self.live.db
-    }
-
-    /// The warm index over [`FactsState::db`].
+    /// The warm index holding the facts.
     pub fn index(&self) -> &DbIndex {
         &self.live.index
     }
@@ -332,7 +326,11 @@ impl Session {
 
     /// Total live facts.
     pub fn facts_len(&self) -> usize {
-        self.facts.read().expect("facts lock").db().total_tuples()
+        self.facts
+            .read()
+            .expect("facts lock")
+            .index()
+            .total_tuples()
     }
 
     /// `(live facts, facts epoch)` read under one lock acquisition —
@@ -340,7 +338,7 @@ impl Session {
     /// a concurrent update, pairing a count with the wrong epoch).
     pub fn facts_snapshot(&self) -> (usize, u64) {
         let facts = self.facts.read().expect("facts lock");
-        (facts.db().total_tuples(), facts.epoch)
+        (facts.index().total_tuples(), facts.epoch)
     }
 
     /// Evaluates the query at `idx` over the session's live facts with
@@ -636,21 +634,19 @@ impl Session {
 
         let mut guard = self.facts.write().expect("facts lock");
         if guard.is_shared() {
-            let db = guard.db();
+            let index = guard.index();
             let would_change =
                 resolved
                     .iter()
                     .filter_map(|r| r.as_ref().ok())
                     .any(|(inserts, deletes)| {
-                        deletes.iter().any(|(rel, t)| db.relation(*rel).contains(t))
-                            || inserts
-                                .iter()
-                                .any(|(rel, t)| !db.relation(*rel).contains(t))
+                        deletes.iter().any(|(rel, t)| index.contains(*rel, t))
+                            || inserts.iter().any(|(rel, t)| !index.contains(*rel, t))
                     });
             if !would_change {
                 // Every valid delta is a no-op against the shared facts:
                 // report zero-effect summaries without copying them.
-                let total = db.total_tuples();
+                let total = index.total_tuples();
                 let epoch = guard.epoch;
                 return resolved
                     .into_iter()
@@ -671,7 +667,7 @@ impl Session {
         if !std::ptr::eq(shared_base, &*facts) {
             self.catalog.promotions.fetch_add(1, Ordering::Relaxed);
         }
-        let Facts { db, index, plans } = facts;
+        let Facts { index, plans } = facts;
         let syms_before = index.num_syms();
         let mut effective = 0usize;
         let mut out = Vec::with_capacity(deltas.len());
@@ -682,24 +678,17 @@ impl Session {
                 Ok((inserts, deletes)) => {
                     let (mut deleted, mut inserted) = (0usize, 0usize);
                     for (rel, tuple) in &deletes {
-                        if db.remove(*rel, tuple).expect("arity validated") {
-                            let removed = index.note_remove(*rel, tuple);
-                            debug_assert!(removed, "index and database agree on membership");
-                            deleted += 1;
-                        }
+                        deleted += usize::from(index.note_remove(*rel, tuple));
                     }
                     for (rel, tuple) in &inserts {
-                        if db.insert(*rel, tuple.clone()).expect("arity validated") {
-                            index.note_insert(*rel, tuple);
-                            inserted += 1;
-                        }
+                        inserted += usize::from(index.insert(*rel, tuple));
                     }
                     effective += deleted + inserted;
                     summaries.push(out.len());
                     out.push(Ok(UpdateSummary {
                         inserted,
                         deleted,
-                        facts: db.total_tuples(),
+                        facts: index.total_tuples(),
                         epoch: 0, // patched below, once the run's epoch is known
                     }));
                 }
@@ -844,9 +833,24 @@ impl SessionRegistry {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use cqchase_ir::Constant;
+    use cqchase_storage::Database;
+
+    /// The session's facts rebuilt as a [`Database`], so the oracle
+    /// evaluates them through an index built from scratch.
+    pub(crate) fn facts_db(s: &Session) -> Database {
+        let facts = s.facts.read().unwrap();
+        let catalog = &s.program().catalog;
+        let mut db = Database::new(catalog);
+        for rel in catalog.rel_ids() {
+            for t in facts.index().tuples(rel) {
+                db.insert(rel, t).unwrap();
+            }
+        }
+        db
+    }
 
     #[test]
     fn register_builds_warm_state() {
@@ -866,10 +870,7 @@ mod tests {
         assert!(s.query_index("Nope").is_err());
         // Evaluation answers match the one-shot evaluator and both the
         // plan cache and the result cache warm across calls.
-        let direct = {
-            let facts = s.facts.read().unwrap();
-            cqchase_storage::evaluate(s.query(1), facts.db())
-        };
+        let direct = cqchase_storage::evaluate(s.query(1), &facts_db(&s));
         assert_eq!(s.eval_cached(1), (direct.clone(), false));
         assert_eq!(s.eval_cached(1), (direct, true));
         let st = s.eval_state.lock().unwrap();

@@ -18,7 +18,7 @@ use cqchase_ir::Constant;
 use cqchase_service::{
     lane_of, Batcher, CatalogRegistry, LaneSet, Metrics, Outcome, Session, Work,
 };
-use cqchase_storage::evaluate;
+use cqchase_storage::{evaluate, Database};
 use proptest::prelude::*;
 
 const BASE: &str = "relation R(a, b).
@@ -134,6 +134,20 @@ fn run_script(script: &[Step], count: usize) -> LaneRun {
     }
 }
 
+/// The session's facts rebuilt as a [`Database`], so the oracle
+/// evaluates them through an index built from scratch.
+fn facts_db(s: &Session) -> Database {
+    let facts = s.facts.read().unwrap();
+    let catalog = &s.program().catalog;
+    let mut db = Database::new(catalog);
+    for rel in catalog.rel_ids() {
+        for t in facts.index().tuples(rel) {
+            db.insert(rel, t).unwrap();
+        }
+    }
+    db
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -200,10 +214,7 @@ proptest! {
             for (s, mirror) in mirrors.iter().enumerate() {
                 let fresh = Session::new("fresh", &program_with_facts(mirror), 64, 64).unwrap();
                 for q in 0..NUM_QUERIES {
-                    let fresh_rows = {
-                        let facts = fresh.facts.read().unwrap();
-                        evaluate(fresh.query(q), facts.db())
-                    };
+                    let fresh_rows = evaluate(fresh.query(q), &facts_db(&fresh));
                     prop_assert_eq!(
                         run.sessions[s].eval(q), fresh_rows,
                         "final {} Q{}", NAMES[s], q

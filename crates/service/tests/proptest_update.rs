@@ -16,7 +16,7 @@ use std::sync::Arc;
 use cqchase_core::{contained, ContainmentOptions};
 use cqchase_ir::Constant;
 use cqchase_service::{BarrierMode, Batcher, Metrics, Outcome, Session, Work};
-use cqchase_storage::evaluate;
+use cqchase_storage::{evaluate, Database};
 use proptest::prelude::*;
 
 /// The session's fixed schema, Σ, and query pool. Q0 ⊆ Q1 under the
@@ -70,6 +70,20 @@ fn program_with_facts(facts: &std::collections::BTreeSet<(i64, i64)>) -> String 
         src.push_str(&format!("\nR({a}, {b})."));
     }
     src
+}
+
+/// The session's facts rebuilt as a [`Database`], so the oracle
+/// evaluates them through an index built from scratch.
+fn facts_db(s: &Session) -> Database {
+    let facts = s.facts.read().unwrap();
+    let catalog = &s.program().catalog;
+    let mut db = Database::new(catalog);
+    for rel in catalog.rel_ids() {
+        for t in facts.index().tuples(rel) {
+            db.insert(rel, t).unwrap();
+        }
+    }
+    db
 }
 
 proptest! {
@@ -129,10 +143,7 @@ proptest! {
                     // from the rendered program on the mirror facts.
                     let fresh =
                         Session::new("fresh", &program_with_facts(&mirror), 64, 64).unwrap();
-                    let fresh_rows = {
-                        let facts = fresh.facts.read().unwrap();
-                        evaluate(fresh.query(*q), facts.db())
-                    };
+                    let fresh_rows = evaluate(fresh.query(*q), &facts_db(&fresh));
                     prop_assert_eq!(&rows, &fresh_rows, "step {}: eval Q{}", i, q);
                 }
                 Step::Check(q, qp) => {
@@ -178,10 +189,7 @@ proptest! {
         // Final sweep: every query's rows match a fresh session's.
         let fresh = Session::new("fresh", &program_with_facts(&mirror), 64, 64).unwrap();
         for q in 0..NUM_QUERIES {
-            let fresh_rows = {
-                let facts = fresh.facts.read().unwrap();
-                evaluate(fresh.query(q), facts.db())
-            };
+            let fresh_rows = evaluate(fresh.query(q), &facts_db(&fresh));
             prop_assert_eq!(live.eval(q), fresh_rows, "final eval Q{}", q);
         }
     }
@@ -320,10 +328,7 @@ proptest! {
         ] {
             let fresh = Session::new("fresh", &program_with_facts(mirror), 64, 64).unwrap();
             for q in 0..NUM_QUERIES {
-                let fresh_rows = {
-                    let facts = fresh.facts.read().unwrap();
-                    evaluate(fresh.query(q), facts.db())
-                };
+                let fresh_rows = evaluate(fresh.query(q), &facts_db(&fresh));
                 prop_assert_eq!(
                     live_pair.0.eval(q), fresh_rows.clone(),
                     "final relaxed {} Q{}", name, q

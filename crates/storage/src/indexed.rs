@@ -1,36 +1,39 @@
-//! Column indexes over a [`Database`], shared by query evaluation and
-//! the instance-level chase.
+//! Interned, indexed fact storage, shared by query evaluation, the
+//! instance-level chase and the service's live sessions.
 //!
-//! A [`DbIndex`] interns every [`Value`] of the instance into the
+//! A [`DbIndex`] interns every [`Value`] of an instance into the
 //! [`Sym`] space of [`cqchase_index`] and maintains per-relation,
 //! per-column posting lists. It implements [`FactSource`], so the shared
-//! backtracking-join engine evaluates conjunctive queries over it with
-//! the same most-constrained-first ordering and index-intersection
-//! candidate generation as homomorphism search in `cqchase-core` — one
-//! engine, three consumers.
+//! join engine evaluates conjunctive queries over it with the same
+//! cost-based ordering and index-intersection candidate generation as
+//! homomorphism search in `cqchase-core` — one engine, three consumers.
 //!
-//! The index is derived data: build it from a database, and keep it in
-//! sync tuple by tuple — [`DbIndex::note_insert`] after appending (the
-//! data chase and the service's live-update path do) and
-//! [`DbIndex::note_remove`] after deleting. Deletion **tombstones** the
-//! row: its slot keeps its symbols but drops out of every posting list,
-//! the dedup map, and live-row enumeration, so in-flight plans never see
-//! it. Tombstones are reclaimed by amortized per-relation compaction
-//! (the size-tiered adaptive trigger shared with
+//! The index is a store in its own right: it keeps every row's symbols
+//! in insertion order and a whole-row dedup map, so [`DbIndex::insert`]
+//! (duplicate-checked), [`DbIndex::note_remove`], [`DbIndex::contains`]
+//! and [`DbIndex::tuples`] answer set semantics without a [`Database`]
+//! beside it (the service's sessions keep no other copy of their facts).
+//! It can also mirror a database: [`DbIndex::build`] indexes one, and
+//! [`DbIndex::note_insert`] registers a tuple the database just accepted
+//! (the data chase does). Deletion **tombstones** the row: its slot
+//! keeps its symbols but drops out of every posting list, the dedup map,
+//! and live-row enumeration, so in-flight plans never see it. Tombstones
+//! are reclaimed by amortized per-relation compaction (the size-tiered
+//! adaptive trigger shared with
 //! [`RelationInstance`](crate::database::RelationInstance): the dead
-//! fraction required decays as the relation grows), which renumbers rows
-//! and rebuilds that relation's postings — but **never** the symbol
-//! pool: interned symbols are stable for the index's whole lifetime, so
-//! compiled plans (which embed resolved constant symbols) survive every
-//! mutation. The one plan invalidation mutation can cause is an insert
-//! interning a *new* constant, which falsifies cached "unsatisfiable"
-//! plans — watch [`DbIndex::num_syms`] and call
+//! fraction required decays as the relation grows), which renumbers the
+//! live rows in place, order preserved — but **never** touches the
+//! symbol pool: interned symbols are stable for the index's whole
+//! lifetime, so compiled plans (which embed resolved constant symbols)
+//! survive every mutation. The one plan invalidation mutation can cause
+//! is an insert interning a *new* constant, which falsifies cached
+//! "unsatisfiable" plans — watch [`DbIndex::num_syms`] and call
 //! [`PlanCache::drop_unsatisfiable`](cqchase_index::PlanCache::drop_unsatisfiable)
 //! when it grows. Wholesale value rewrites ([`Database::map_values`])
 //! still invalidate everything; rebuild afterwards.
 
 use cqchase_index::{ColumnIndex, DedupIndex, FactSource, Sym, SymPool};
-use cqchase_ir::{Constant, RelId};
+use cqchase_ir::{Catalog, Constant, RelId};
 
 use crate::database::{compaction_due, Database, Tuple};
 use crate::value::Value;
@@ -38,17 +41,18 @@ use crate::value::Value;
 #[cfg(test)]
 use crate::database::COMPACT_MIN_DEAD;
 
-/// Posting lists, dedup map, and interned rows for one [`Database`],
+/// Interned rows, posting lists and a dedup map for one instance,
 /// maintained incrementally under insertion and deletion.
 #[derive(Debug, Clone)]
 pub struct DbIndex {
     pool: SymPool<Value>,
     cols: ColumnIndex,
     /// Whole-row lookup `(rel, syms) → live slot` (the deletion path's
-    /// row finder; doubles as a duplicate probe).
+    /// row finder; doubles as the duplicate probe).
     dedup: DedupIndex,
-    /// Interned tuples, flattened per relation (arity-strided). Slots
-    /// of removed rows keep their symbols until compaction.
+    /// Interned tuples, flattened per relation (arity-strided), in
+    /// insertion order. Slots of removed rows keep their symbols until
+    /// compaction.
     sym_rows: Vec<Vec<Sym>>,
     /// Liveness per slot (`false` = tombstone). The slot count itself
     /// (`live[rel].len()`) is not derivable from `sym_rows` for
@@ -59,6 +63,8 @@ pub struct DbIndex {
     /// Tombstoned slots per relation (compaction trigger).
     dead: Vec<usize>,
     arities: Vec<usize>,
+    /// Reusable symbol buffer for the deletion path's dedup probe.
+    probe: Vec<Sym>,
     compactions: u64,
     /// Tombstoned slots reclaimed by compaction so far.
     slots_reclaimed: u64,
@@ -68,11 +74,10 @@ pub struct DbIndex {
 }
 
 impl DbIndex {
-    /// Builds the index for the current contents of `db`.
-    pub fn build(db: &Database) -> DbIndex {
-        let catalog = db.catalog();
+    /// An empty index over `catalog`'s relations.
+    pub fn new(catalog: &Catalog) -> DbIndex {
         let arities: Vec<usize> = catalog.rel_ids().map(|r| catalog.arity(r)).collect();
-        let mut idx = DbIndex {
+        DbIndex {
             pool: SymPool::new(),
             cols: ColumnIndex::new(arities.iter().copied()),
             dedup: DedupIndex::new(),
@@ -81,10 +86,16 @@ impl DbIndex {
             live_counts: vec![0; catalog.len()],
             dead: vec![0; catalog.len()],
             arities,
+            probe: Vec::new(),
             compactions: 0,
             slots_reclaimed: 0,
             bytes_reclaimed: 0,
-        };
+        }
+    }
+
+    /// Builds the index for the current contents of `db`.
+    pub fn build(db: &Database) -> DbIndex {
+        let mut idx = DbIndex::new(db.catalog());
         for (rel, inst) in db.iter() {
             for t in inst.tuples() {
                 idx.note_insert(rel, t);
@@ -93,36 +104,45 @@ impl DbIndex {
         idx
     }
 
-    /// Registers a tuple just appended to `rel` (must be called once per
-    /// *new* tuple — the owner's [`Database`] deduplicates).
-    pub fn note_insert(&mut self, rel: RelId, tuple: &Tuple) {
+    /// Inserts `tuple` into `rel` unless it is already live there;
+    /// returns whether it was new. The tuple must have `rel`'s arity.
+    pub fn insert(&mut self, rel: RelId, tuple: &Tuple) -> bool {
+        debug_assert_eq!(tuple.len(), self.arities[rel.index()], "arity");
         let slot = self.live[rel.index()].len() as u32;
+        let rows = &mut self.sym_rows[rel.index()];
+        let start = rows.len();
+        rows.extend(tuple.iter().map(|v| self.pool.intern(v)));
+        if self.dedup.try_insert(rel, &rows[start..], slot).is_some() {
+            rows.truncate(start);
+            return false;
+        }
+        self.cols.insert_row(rel, slot, &rows[start..]);
         self.live[rel.index()].push(true);
         self.live_counts[rel.index()] += 1;
-        let start = self.sym_rows[rel.index()].len();
-        for v in tuple {
-            let sym = self.pool.intern(v);
-            self.sym_rows[rel.index()].push(sym);
-        }
-        let syms = &self.sym_rows[rel.index()][start..];
-        self.cols.insert_row(rel, slot, syms);
-        self.dedup.insert(rel, syms, slot);
+        true
     }
 
-    /// Unregisters a tuple just removed from `rel`: tombstones its slot,
-    /// drops it from every posting list and the dedup map, and compacts
-    /// the relation when tombstones outnumber live rows. Returns whether
-    /// the tuple was indexed (mirrors [`Database::remove`]'s answer).
+    /// Registers a tuple just appended to `rel` by an owning
+    /// [`Database`], which already rejected duplicates.
+    pub fn note_insert(&mut self, rel: RelId, tuple: &Tuple) {
+        let fresh = self.insert(rel, tuple);
+        debug_assert!(fresh, "the owner's database deduplicates");
+    }
+
+    /// Removes `tuple` from `rel`: tombstones its slot, drops it from
+    /// every posting list and the dedup map, and compacts the relation
+    /// when tombstones are due for reclamation. Returns whether the
+    /// tuple was live (mirrors [`Database::remove`]'s answer).
     pub fn note_remove(&mut self, rel: RelId, tuple: &Tuple) -> bool {
-        let mut syms = Vec::with_capacity(tuple.len());
+        self.probe.clear();
         for v in tuple {
             // A value the pool never saw cannot be in any row.
             let Some(sym) = self.pool.get(v) else {
                 return false;
             };
-            syms.push(sym);
+            self.probe.push(sym);
         }
-        let Some(slot) = self.dedup.get(rel, &syms) else {
+        let Some(slot) = self.dedup.get(rel, &self.probe) else {
             return false;
         };
         debug_assert!(
@@ -132,46 +152,53 @@ impl DbIndex {
         self.live[rel.index()][slot as usize] = false;
         self.live_counts[rel.index()] -= 1;
         self.dead[rel.index()] += 1;
-        self.cols.remove_row(rel, slot, &syms);
-        self.dedup.remove(rel, &syms, slot);
+        self.cols.remove_row(rel, slot, &self.probe);
+        self.dedup.remove(rel, &self.probe, slot);
         if compaction_due(self.live_counts[rel.index()], self.dead[rel.index()]) {
             self.compact(rel);
         }
         true
     }
 
-    /// Reclaims `rel`'s tombstones: renumbers the live rows densely,
-    /// rebuilds that relation's postings and dedup entries, and shrinks
-    /// posting-list and dedup-shard capacity when occupancy fell below
-    /// a quarter (very wide relations must not pin peak-size
-    /// allocations for a long-lived session). The symbol pool is
-    /// untouched (symbols are stable for the index's lifetime).
+    /// Whether `tuple` is live in `rel`.
+    pub fn contains(&self, rel: RelId, tuple: &Tuple) -> bool {
+        let syms: Option<Vec<Sym>> = tuple.iter().map(|v| self.pool.get(v)).collect();
+        syms.is_some_and(|syms| self.dedup.get(rel, &syms).is_some())
+    }
+
+    /// Reclaims `rel`'s tombstones in place: live rows move down to
+    /// dense slots (order preserved), and posting lists and dedup
+    /// entries are renumbered through the monotone old→new slot map,
+    /// which keeps every list sorted. Then shrinks posting-list and
+    /// dedup-shard capacity when occupancy fell below a quarter (very
+    /// wide relations must not pin peak-size allocations for a
+    /// long-lived session). The symbol pool is untouched (symbols are
+    /// stable for the index's lifetime).
     fn compact(&mut self, rel: RelId) {
-        let a = self.arities[rel.index()];
-        let old_rows = std::mem::take(&mut self.sym_rows[rel.index()]);
-        let old_live = std::mem::take(&mut self.live[rel.index()]);
-        self.cols.clear_rel(rel);
-        self.dedup.clear_rel(rel);
-        let keep = self.live_counts[rel.index()];
-        let mut rows = Vec::with_capacity(keep * a);
-        for (slot, alive) in old_live.iter().enumerate() {
-            if !alive {
-                continue;
+        let r = rel.index();
+        let a = self.arities[r];
+        let rows = &mut self.sym_rows[r];
+        let mut map = vec![u32::MAX; self.live[r].len()];
+        let mut keep = 0usize;
+        for (slot, &alive) in self.live[r].iter().enumerate() {
+            if alive {
+                map[slot] = keep as u32;
+                rows.copy_within(slot * a..slot * a + a, keep * a);
+                keep += 1;
             }
-            // Zero-arity relations hold at most one (empty) row, whose
-            // new slot is 0 — which `rows.len() / 1` also yields.
-            let new_slot = (rows.len() / a.max(1)) as u32;
-            let start = rows.len();
-            rows.extend_from_slice(&old_rows[slot * a..slot * a + a]);
-            let syms = &rows[start..];
-            self.cols.insert_row(rel, new_slot, syms);
-            self.dedup.insert(rel, syms, new_slot);
         }
-        self.sym_rows[rel.index()] = rows;
-        self.live[rel.index()] = vec![true; keep];
-        let reclaimed = std::mem::take(&mut self.dead[rel.index()]);
+        rows.truncate(keep * a);
+        self.cols.renumber_rel(rel, &map);
+        self.dedup.renumber_rel(rel, &map);
+        self.live[r].clear();
+        self.live[r].resize(keep, true);
+        let reclaimed = std::mem::take(&mut self.dead[r]);
         self.compactions += 1;
         self.slots_reclaimed += reclaimed as u64;
+        if rows.len() < rows.capacity() / 4 {
+            rows.shrink_to_fit();
+            self.live[r].shrink_to_fit();
+        }
         let shrunk = self.cols.shrink_rel(rel) + self.dedup.shrink_rel(rel);
         self.bytes_reclaimed += ((reclaimed * a + shrunk) * std::mem::size_of::<Sym>()) as u64;
     }
@@ -179,6 +206,23 @@ impl DbIndex {
     /// Number of live (indexed, not tombstoned) rows of `rel`.
     pub fn num_rows(&self, rel: RelId) -> usize {
         self.live_counts[rel.index()]
+    }
+
+    /// Number of live rows across all relations.
+    pub fn total_tuples(&self) -> usize {
+        self.live_counts.iter().sum()
+    }
+
+    /// The live tuples of `rel`, in insertion order (a re-inserted tuple
+    /// counts from its latest insertion) — the order a [`Database`]
+    /// receiving the same inserts and removals enumerates.
+    pub fn tuples(&self, rel: RelId) -> impl Iterator<Item = Tuple> + '_ {
+        self.live_rows(rel).map(move |row| {
+            self.row(rel, row)
+                .iter()
+                .map(|&s| self.pool.resolve(s).clone())
+                .collect()
+        })
     }
 
     /// The live row ids of `rel`, ascending (slot ids; tombstones are
@@ -474,6 +518,67 @@ mod tests {
         // The live view and a fresh rebuild agree.
         let fresh = DbIndex::build(&db);
         assert_eq!(idx.live_rows(r).count(), fresh.live_rows(r).count(),);
+    }
+
+    #[test]
+    fn churn_agrees_with_database_across_compactions() {
+        let mut c = Catalog::new();
+        c.declare("R", ["a", "b"]).unwrap();
+        c.declare("S", ["x"]).unwrap();
+        let rels = [c.resolve("R").unwrap(), c.resolve("S").unwrap()];
+        let mut db = Database::new(&c);
+        let mut idx = DbIndex::new(&c);
+        // A small domain forces duplicate inserts, misses on delete and
+        // re-insertions of deleted tuples; deletes outweigh inserts in
+        // the middle phase so both relations compact repeatedly.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |m: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % m
+        };
+        for step in 0..30_000u64 {
+            let rel = rels[next(2) as usize];
+            let t: Tuple = (0..c.arity(rel))
+                .map(|_| Value::int(next(60) as i64))
+                .collect();
+            let delete_odds = if (10_000..20_000).contains(&step) {
+                3
+            } else {
+                1
+            };
+            if next(4) < delete_odds {
+                assert_eq!(idx.note_remove(rel, &t), db.remove(rel, &t).unwrap());
+            } else {
+                assert_eq!(idx.insert(rel, &t), db.insert(rel, t.clone()).unwrap());
+            }
+            let probe: Tuple = (0..c.arity(rel))
+                .map(|_| Value::int(next(60) as i64))
+                .collect();
+            assert_eq!(idx.contains(rel, &probe), db.relation(rel).contains(&probe));
+            if step % 997 == 0 {
+                for rel in rels {
+                    let ours: Vec<Tuple> = idx.tuples(rel).collect();
+                    let theirs: Vec<Tuple> = db.relation(rel).tuples().cloned().collect();
+                    assert_eq!(ours, theirs, "step {step}: contents or order differ");
+                }
+                assert_eq!(idx.total_tuples(), db.total_tuples());
+            }
+        }
+        assert!(idx.compactions() > 2, "churn must compact");
+        for rel in rels {
+            let ours: Vec<Tuple> = idx.tuples(rel).collect();
+            let theirs: Vec<Tuple> = db.relation(rel).tuples().cloned().collect();
+            assert_eq!(ours, theirs);
+        }
+        // The compacted index answers joins like a fresh build.
+        let fresh = DbIndex::build(&db);
+        for rel in rels {
+            for col in 0..c.arity(rel) {
+                assert_eq!(idx.distinct_count(rel, col), fresh.distinct_count(rel, col));
+            }
+        }
     }
 
     #[test]
