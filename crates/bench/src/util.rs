@@ -21,7 +21,7 @@ pub fn query_from_conjuncts(state: &ChaseState, ids: &[ConjId], name: &str) -> C
             CTerm::Const(c) => Term::Const(c.clone()),
             CTerm::Var(v) => {
                 let id = *map.entry(v.0).or_insert_with(|| {
-                    vars.push(state.var_info(*v).name.clone(), VarKind::Distinguished)
+                    vars.push(state.var_name(*v).into_owned(), VarKind::Distinguished)
                 });
                 Term::Var(id)
             }
@@ -37,7 +37,7 @@ pub fn query_from_conjuncts(state: &ChaseState, ids: &[ConjId], name: &str) -> C
                 CTerm::Const(k) => Term::Const(k.clone()),
                 CTerm::Var(v) => {
                     let id = *map.entry(v.0).or_insert_with(|| {
-                        vars.push(state.var_info(*v).name.clone(), VarKind::Existential)
+                        vars.push(state.var_name(*v).into_owned(), VarKind::Existential)
                     });
                     Term::Var(id)
                 }

@@ -20,7 +20,7 @@
 
 use std::collections::BTreeSet;
 
-use cqchase_index::{CancelToken, FxHashMap, FxHashSet};
+use cqchase_index::CancelToken;
 use cqchase_ir::{Catalog, ConjunctiveQuery, DependencySet, Fd, Ind};
 
 use super::fd::fd_phase;
@@ -64,10 +64,16 @@ pub const DEFAULT_MAX_STEPS: usize = 1_000_000;
 /// Default cap on conjuncts ever created
 /// ([`ChaseBudget::max_conjuncts`]).
 ///
-/// Conjuncts dominate chase memory (terms plus posting/dedup/occurrence
-/// index entries — roughly a few hundred bytes each), so a quarter
-/// million caps a single chase at tens of megabytes. Override per call
-/// site, or from the experiments CLI via `--max-conjuncts`.
+/// Conjuncts dominate chase memory: terms, interned rows, posting
+/// entries, symbol provenance and scheduler state. Measured with a
+/// counting allocator (requested bytes, x86-64) over the 216 chases of
+/// the perfbench `check_deep` pool (INDs only) at level 56, a conjunct
+/// holds 395 B; it held 567 B while every created symbol stored a
+/// formatted name and every chase kept the FD rule's dedup and
+/// occurrence indexes. So a quarter million caps a single chase at
+/// about 100 MB (a chase whose Σ has FDs keeps those indexes and costs
+/// more). Override per call site, or from the experiments CLI via
+/// `--max-conjuncts`.
 pub const DEFAULT_MAX_CONJUNCTS: usize = 250_000;
 
 impl Default for ChaseBudget {
@@ -108,19 +114,28 @@ pub struct Chase {
     mode: ChaseMode,
     fds: Vec<Fd>,
     inds: Vec<Ind>,
+    /// Indices of the INDs whose left-hand side is each relation
+    /// (`RelId`-indexed), in Σ order.
+    inds_by_rel: Vec<Vec<usize>>,
     /// Conjuncts that still have unprocessed applicable INDs, keyed by
-    /// (level, id) so the scheduler's min is the paper's choice.
+    /// (level, id) so the scheduler's min is the paper's choice. A set,
+    /// not a per-level queue, because FD merges can lower a level.
     pending: BTreeSet<(u32, ConjId)>,
-    /// Side map: pending key currently stored for each conjunct (levels
-    /// can shrink on FD merges).
-    pending_key: FxHashMap<ConjId, u32>,
-    /// `(conjunct, ind index)` pairs already handled.
-    processed: FxHashSet<(ConjId, usize)>,
+    /// The level each conjunct is stored under in `pending`
+    /// (`ConjId`-indexed; [`NOT_PENDING`] when absent).
+    pending_key: Vec<u32>,
+    /// Bitset of the INDs already handled for each conjunct: `stride`
+    /// words per `ConjId`, bit `i` for the IND at Σ index `i`.
+    applied: Vec<u64>,
+    stride: usize,
     steps: usize,
     fd_steps: usize,
     /// Cooperative stop signal, consulted once per scheduling step.
     cancel: Option<CancelToken>,
 }
+
+/// [`Chase::pending_key`] entry of a conjunct not in the pending set.
+const NOT_PENDING: u32 = u32::MAX;
 
 impl Chase {
     /// Initializes the chase: level-0 conjuncts from `q`, then the
@@ -131,9 +146,14 @@ impl Chase {
         catalog: &Catalog,
         mode: ChaseMode,
     ) -> Chase {
-        let mut state = ChaseState::from_query(q, catalog);
         let fds: Vec<Fd> = deps.fds().cloned().collect();
         let inds: Vec<Ind> = deps.inds().cloned().collect();
+        let mut state = ChaseState::from_query(q, catalog, !fds.is_empty());
+        let mut inds_by_rel = vec![Vec::new(); catalog.len()];
+        for (i, ind) in inds.iter().enumerate() {
+            inds_by_rel[ind.lhs_rel.index()].push(i);
+        }
+        let stride = inds.len().div_ceil(64);
         let mut fd_steps = 0;
         if let Ok((n, _)) = fd_phase(&mut state, &fds, None) {
             fd_steps = n;
@@ -143,9 +163,11 @@ impl Chase {
             mode,
             fds,
             inds,
+            inds_by_rel,
             pending: BTreeSet::new(),
-            pending_key: FxHashMap::default(),
-            processed: FxHashSet::default(),
+            pending_key: Vec::new(),
+            applied: Vec::new(),
+            stride,
             steps: 0,
             fd_steps,
             cancel: None,
@@ -205,39 +227,54 @@ impl Chase {
         self.pending.iter().next().map(|&(l, _)| l)
     }
 
-    /// Whether the IND at `ind_idx` applies to conjunct `id` and has not
-    /// been handled yet.
+    /// The words of `id`'s applied-IND bitset (empty if none is set yet).
+    fn applied_words(&self, id: ConjId) -> &[u64] {
+        let start = id.index() * self.stride;
+        self.applied.get(start..start + self.stride).unwrap_or(&[])
+    }
+
+    /// Mutable words of `id`'s applied-IND bitset, growing the table.
+    fn applied_words_mut(&mut self, id: ConjId) -> &mut [u64] {
+        let start = id.index() * self.stride;
+        if self.applied.len() < start + self.stride {
+            self.applied.resize(start + self.stride, 0);
+        }
+        &mut self.applied[start..start + self.stride]
+    }
+
+    /// The INDs that apply to conjunct `id` and have not been handled
+    /// yet, in Σ order.
     fn unprocessed_inds(&self, id: ConjId) -> impl Iterator<Item = usize> + '_ {
-        let rel = self.state.conjunct(id).rel;
-        self.inds
+        let words = self.applied_words(id);
+        self.inds_by_rel[self.state.conjunct(id).rel.index()]
             .iter()
-            .enumerate()
-            .filter(move |(_, ind)| ind.lhs_rel == rel)
-            .map(|(i, _)| i)
-            .filter(move |i| !self.processed.contains(&(id, *i)))
+            .copied()
+            .filter(move |&i| words.get(i / 64).is_none_or(|w| w >> (i % 64) & 1 == 0))
     }
 
     fn refresh_pending(&mut self, id: ConjId) {
         let alive = self.state.conjunct(id).alive;
         let has_work = alive && self.unprocessed_inds(id).next().is_some();
         let level = self.state.conjunct(id).level;
-        match (self.pending_key.get(&id).copied(), has_work) {
-            (Some(old), true) if old == level => {}
-            (Some(old), true) => {
-                self.pending.remove(&(old, id));
-                self.pending.insert((level, id));
-                self.pending_key.insert(id, level);
-            }
-            (Some(old), false) => {
-                self.pending.remove(&(old, id));
-                self.pending_key.remove(&id);
-            }
-            (None, true) => {
-                self.pending.insert((level, id));
-                self.pending_key.insert(id, level);
-            }
-            (None, false) => {}
+        let old = self
+            .pending_key
+            .get(id.index())
+            .copied()
+            .unwrap_or(NOT_PENDING);
+        let new = if has_work { level } else { NOT_PENDING };
+        if old == new {
+            return;
         }
+        if old != NOT_PENDING {
+            self.pending.remove(&(old, id));
+        }
+        if new != NOT_PENDING {
+            self.pending.insert((new, id));
+        }
+        if self.pending_key.len() <= id.index() {
+            self.pending_key.resize(id.index() + 1, NOT_PENDING);
+        }
+        self.pending_key[id.index()] = new;
     }
 
     fn absorb_merges(&mut self, merges: &[Merge]) {
@@ -246,17 +283,18 @@ impl Chase {
             // the dead conjunct is witnessed for the survivor; in O-mode,
             // the merged conjunct *is* one conjunct, so "applied once"
             // transfers too.
-            for i in 0..self.inds.len() {
-                if self.processed.contains(&(m.dead, i)) {
-                    self.processed.insert((m.survivor, i));
-                }
+            // Grow the table to cover both rows, then OR dead into survivor.
+            self.applied_words_mut(m.dead.max(m.survivor));
+            let (dead, survivor) = (m.dead.index(), m.survivor.index());
+            for k in 0..self.stride {
+                self.applied[survivor * self.stride + k] |= self.applied[dead * self.stride + k];
             }
             self.refresh_pending(m.dead);
             self.refresh_pending(m.survivor);
         }
         if !merges.is_empty() {
             // Levels may have shrunk anywhere; refresh every pending key.
-            let ids: Vec<ConjId> = self.pending_key.keys().copied().collect();
+            let ids: Vec<ConjId> = self.pending.iter().map(|&(_, id)| id).collect();
             for id in ids {
                 self.refresh_pending(id);
             }
@@ -266,7 +304,7 @@ impl Chase {
     /// Performs one scheduling step: instruction (2) once, followed by
     /// instruction (1) to quiescence. Returns `false` when the chase is
     /// complete or failed.
-    fn step_once(&mut self) -> bool {
+    pub(super) fn step_once(&mut self) -> bool {
         if self.state.failed {
             return false;
         }
@@ -278,7 +316,7 @@ impl Chase {
             return !self.pending.is_empty();
         };
         self.steps += 1;
-        self.processed.insert((id, ind_idx));
+        self.applied_words_mut(id)[ind_idx / 64] |= 1 << (ind_idx % 64);
         let witness = match self.mode {
             ChaseMode::Oblivious => {
                 // The O-chase applies regardless; the only exception is an
@@ -299,8 +337,7 @@ impl Chase {
                 record_cross(&mut self.state, id, w, ind_idx);
             }
             None => {
-                let ind = self.inds[ind_idx].clone();
-                let child = apply_ind(&mut self.state, id, &ind, ind_idx);
+                let child = apply_ind(&mut self.state, id, &self.inds[ind_idx], ind_idx);
                 // Instruction (1): exhaust FDs, which only the new
                 // conjunct can have triggered.
                 if !self.fds.is_empty() {

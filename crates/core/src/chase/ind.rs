@@ -25,18 +25,14 @@ pub(crate) fn apply_ind(
     ind: &Ind,
     ind_idx: usize,
 ) -> ConjId {
-    let parent_terms = state.conjunct(parent).terms.clone();
     let level = state.conjunct(parent).level + 1;
     let arity = state.catalog().arity(ind.rhs_rel);
     let mut terms = Vec::with_capacity(arity);
     for col in 0..arity {
-        match ind.rhs_cols.iter().position(|&y| y == col) {
-            Some(k) => terms.push(parent_terms[ind.lhs_cols[k]].clone()),
-            None => {
-                let v = state.fresh_var(col, parent, ind_idx, level);
-                terms.push(CTerm::Var(v));
-            }
-        }
+        terms.push(match ind.rhs_cols.iter().position(|&y| y == col) {
+            Some(k) => state.conjunct(parent).terms[ind.lhs_cols[k]].clone(),
+            None => CTerm::Var(state.fresh_var(col, parent, ind_idx, level)),
+        });
     }
     let child = state.push_conjunct(ind.rhs_rel, terms, level);
     state.arcs.push(ChaseArc {
@@ -77,7 +73,7 @@ mod tests {
              Q(z) :- R(u, v, z).",
         )
         .unwrap();
-        let mut st = ChaseState::from_query(&p.queries[0], &p.catalog);
+        let mut st = ChaseState::from_query(&p.queries[0], &p.catalog, false);
         let ind = p.deps.inds().next().unwrap().clone();
         let child = apply_ind(&mut st, ConjId(0), &ind, 0);
         let c = st.conjunct(child);
@@ -99,7 +95,7 @@ mod tests {
              Q(u) :- R(u).",
         )
         .unwrap();
-        let mut st = ChaseState::from_query(&p.queries[0], &p.catalog);
+        let mut st = ChaseState::from_query(&p.queries[0], &p.catalog, false);
         let ind = p.deps.inds().next().unwrap().clone();
         let before_vars = st.num_vars();
         let child = apply_ind(&mut st, ConjId(0), &ind, 0);
@@ -122,7 +118,7 @@ mod tests {
              Q(x) :- R(x, y), R(y, z).",
         )
         .unwrap();
-        let mut st = ChaseState::from_query(&p.queries[0], &p.catalog);
+        let mut st = ChaseState::from_query(&p.queries[0], &p.catalog, false);
         let inds: Vec<Ind> = p.deps.inds().cloned().collect();
         // Conjunct 0 is R(x, y); its projection on [b] is (y), and R(y, z)
         // has (y) in column a — so the application is NOT required.

@@ -9,9 +9,16 @@
 //! [`ChaseState::substitute`] so the two views never diverge. This is
 //! what lets the FD rule, the R-chase's witness checks, and
 //! [`find_chase_hom`](crate::hom::find_chase_hom) run without rescanning
-//! the conjunct vector.
+//! the conjunct vector. Whole-row dedup and occurrence lists serve only
+//! the FD rule, so they are kept only when Σ has FDs.
+//!
+//! Symbols store their provenance, not their names: an IND step creates
+//! a symbol with one append, and [`ChaseState::var_name`] renders the
+//! paper's encoded name when something is printed.
 
-use cqchase_index::{ColumnIndex, DedupIndex, FactSource, FxHashMap, Sym, SymPool};
+use std::borrow::Cow;
+
+use cqchase_index::{ColumnIndex, DedupIndex, FactSource, FxHashMap, FxHashSet, Sym, SymPool};
 use cqchase_ir::{Catalog, ConjunctiveQuery, Constant, Ind, RelId, Term, VarId, VarKind};
 
 use crate::hom::TSym;
@@ -82,16 +89,6 @@ pub enum CVarOrigin {
         /// Level of the *created* conjunct.
         level: u32,
     },
-}
-
-/// Metadata for one chase symbol.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CVarInfo {
-    /// Provenance.
-    pub origin: CVarOrigin,
-    /// Display name (query variables keep their names; created NDVs get
-    /// encoded names).
-    pub name: String,
 }
 
 /// Identifier of a conjunct within the chase, assigned in creation order.
@@ -173,6 +170,9 @@ struct ChaseIndex {
     rel_rows: Vec<Vec<u32>>,
     /// Live conjunct ids containing each chase variable, ascending.
     var_occ: Vec<Vec<u32>>,
+    /// Whether `dedup` and `var_occ` are maintained. Only the FD rule
+    /// reads them, so a chase whose Σ has no FDs skips them.
+    fd_indexes: bool,
 }
 
 impl ChaseIndex {
@@ -222,7 +222,10 @@ impl ChaseIndex {
 #[derive(Debug, Clone)]
 pub struct ChaseState {
     pub(crate) catalog: Catalog,
-    pub(crate) vars: Vec<CVarInfo>,
+    /// Provenance per symbol ordinal.
+    pub(crate) vars: Vec<CVarOrigin>,
+    /// Names of the query's variables, by ordinal (they come first).
+    query_names: Vec<String>,
     pub(crate) conjuncts: Vec<Conjunct>,
     pub(crate) summary: Vec<CTerm>,
     pub(crate) arcs: Vec<ChaseArc>,
@@ -236,25 +239,25 @@ pub struct ChaseState {
 impl ChaseState {
     /// Initializes the state from a query: its conjuncts at level 0, its
     /// variables with DVs preceding NDVs in the symbol order. Syntactic
-    /// duplicates collapse through the dedup index (the paper's `C_Q` is
-    /// a *set* of conjuncts).
-    pub(crate) fn from_query(q: &ConjunctiveQuery, catalog: &Catalog) -> ChaseState {
+    /// duplicates collapse (the paper's `C_Q` is a *set* of conjuncts).
+    /// `has_fds` says whether Σ has FDs, i.e. whether the FD rule's
+    /// indexes (whole-row dedup, occurrence lists) must be maintained.
+    pub(crate) fn from_query(q: &ConjunctiveQuery, catalog: &Catalog, has_fds: bool) -> ChaseState {
         // Map query VarIds to chase ordinals: DVs first (in VarId order),
         // then NDVs (in VarId order).
         let mut order: Vec<VarId> = q.vars.iter().map(|(v, _)| v).collect();
         order.sort_by_key(|&v| (q.vars.kind(v) != VarKind::Distinguished, v));
         let mut to_cvar: FxHashMap<VarId, CVar> = FxHashMap::default();
         let mut vars = Vec::with_capacity(order.len());
+        let mut query_names = Vec::with_capacity(order.len());
         for v in order {
             let cv = CVar(vars.len() as u32);
             to_cvar.insert(v, cv);
-            vars.push(CVarInfo {
-                origin: CVarOrigin::Query {
-                    var: v,
-                    kind: q.vars.kind(v),
-                },
-                name: q.vars.name(v).to_owned(),
+            vars.push(CVarOrigin::Query {
+                var: v,
+                kind: q.vars.kind(v),
             });
+            query_names.push(q.vars.name(v).to_owned());
         }
         let conv = |t: &Term| match t {
             Term::Const(c) => CTerm::Const(c.clone()),
@@ -263,6 +266,7 @@ impl ChaseState {
         let mut state = ChaseState {
             catalog: catalog.clone(),
             vars,
+            query_names,
             conjuncts: Vec::new(),
             summary: q.head.iter().map(conv).collect(),
             arcs: Vec::new(),
@@ -270,12 +274,16 @@ impl ChaseState {
             index: ChaseIndex {
                 cols: ColumnIndex::new(catalog.rel_ids().map(|r| catalog.arity(r))),
                 rel_rows: vec![Vec::new(); catalog.len()],
+                fd_indexes: has_fds,
                 ..ChaseIndex::default()
             },
         };
+        let mut seen = FxHashSet::default();
         for a in &q.atoms {
-            let terms: Vec<CTerm> = a.terms.iter().map(conv).collect();
-            state.push_conjunct_dedup(a.relation, terms, 0);
+            if seen.insert(a) {
+                let terms: Vec<CTerm> = a.terms.iter().map(conv).collect();
+                state.push_conjunct(a.relation, terms, 0);
+            }
         }
         // Intern summary constants (head constants need not occur in any
         // conjunct, but homomorphism pre-binding must resolve them).
@@ -331,9 +339,28 @@ impl ChaseState {
         &self.arcs
     }
 
-    /// Symbol metadata by ordinal.
-    pub fn var_info(&self, v: CVar) -> &CVarInfo {
+    /// Provenance of the symbol with ordinal `v`.
+    pub fn var_origin(&self, v: CVar) -> &CVarOrigin {
         &self.vars[v.index()]
+    }
+
+    /// Display name of a symbol: query variables keep their names;
+    /// created NDVs get the paper's encoding of their provenance,
+    /// `n{ordinal}_c{parent}i{ind}a{attr}L{level}`, rendered here on
+    /// demand rather than stored.
+    pub fn var_name(&self, v: CVar) -> Cow<'_, str> {
+        match self.vars[v.index()] {
+            CVarOrigin::Query { .. } => Cow::Borrowed(&self.query_names[v.index()]),
+            CVarOrigin::Created {
+                attr,
+                parent,
+                ind_idx,
+                level,
+            } => Cow::Owned(format!(
+                "n{}_c{}i{}a{}L{}",
+                v.0, parent.0, ind_idx, attr, level
+            )),
+        }
     }
 
     /// Number of symbols ever created.
@@ -383,15 +410,11 @@ impl ChaseState {
         level: u32,
     ) -> CVar {
         let cv = CVar(self.vars.len() as u32);
-        let name = format!("n{}_c{}i{}a{}L{}", cv.0, parent.0, ind_idx, attr, level);
-        self.vars.push(CVarInfo {
-            origin: CVarOrigin::Created {
-                attr,
-                parent,
-                ind_idx,
-                level,
-            },
-            name,
+        self.vars.push(CVarOrigin::Created {
+            attr,
+            parent,
+            ind_idx,
+            level,
         });
         cv
     }
@@ -403,10 +426,12 @@ impl ChaseState {
         let id = ConjId(self.conjuncts.len() as u32);
         let syms: Vec<Sym> = terms.iter().map(|t| self.index.term_sym(t)).collect();
         self.index.cols.insert_row(rel, id.0, &syms);
-        let prev = self.index.dedup.insert(rel, &syms, id.0);
-        debug_assert!(prev.is_none(), "push_conjunct must not duplicate a row");
-        for &s in &syms {
-            self.index.occ_insert(s, id.0);
+        if self.index.fd_indexes {
+            let prev = self.index.dedup.insert(rel, &syms, id.0);
+            debug_assert!(prev.is_none(), "push_conjunct must not duplicate a row");
+            for &s in &syms {
+                self.index.occ_insert(s, id.0);
+            }
         }
         let list = &mut self.index.rel_rows[rel.index()];
         debug_assert!(list.last().is_none_or(|&l| l < id.0));
@@ -420,17 +445,6 @@ impl ChaseState {
             merged_into: None,
         });
         id
-    }
-
-    /// Appends a conjunct unless an identical live one exists (used for
-    /// the level-0 conjuncts, where `C_Q` is a set). Returns the id of
-    /// the representative.
-    fn push_conjunct_dedup(&mut self, rel: RelId, terms: Vec<CTerm>, level: u32) -> ConjId {
-        let syms: Vec<Sym> = terms.iter().map(|t| self.index.term_sym(t)).collect();
-        if let Some(existing) = self.index.dedup.get(rel, &syms) {
-            return ConjId(existing);
-        }
-        self.push_conjunct(rel, terms, level)
     }
 
     /// Kills `dead`, recording `survivor` as its representative; fixes
@@ -480,6 +494,7 @@ impl ChaseState {
     /// proportional to the rows actually containing `from`, not the
     /// whole chase.
     pub(crate) fn substitute(&mut self, from: CVar, to: &CTerm) -> Vec<Merge> {
+        debug_assert!(self.index.fd_indexes, "the FD rule needs its indexes");
         let from_sym = ChaseIndex::var_sym(from);
         let to_sym = self.index.term_sym(to);
         debug_assert_ne!(from_sym, to_sym);
@@ -692,7 +707,7 @@ impl ChaseState {
             }
             match t {
                 CTerm::Const(k) => s.push_str(&k.to_string()),
-                CTerm::Var(v) => s.push_str(&self.vars[v.index()].name),
+                CTerm::Var(v) => s.push_str(&self.var_name(*v)),
             }
         }
         s.push(')');
@@ -806,21 +821,21 @@ mod tests {
     #[test]
     fn dvs_precede_ndvs_in_symbol_order() {
         let p = prog();
-        let st = ChaseState::from_query(&p.queries[0], &p.catalog);
+        let st = ChaseState::from_query(&p.queries[0], &p.catalog, true);
         // Query variable order is x, y (NDVs interned first in the body)
         // …actually z is the head DV and interned first. Regardless of
         // interning order, the chase order must put the DV `z` first.
-        assert_eq!(st.vars[0].name, "z");
+        assert_eq!(st.var_name(CVar(0)), "z");
         assert!(matches!(
-            st.vars[0].origin,
+            st.vars[0],
             CVarOrigin::Query {
                 kind: VarKind::Distinguished,
                 ..
             }
         ));
-        for info in &st.vars[1..] {
+        for origin in &st.vars[1..] {
             assert!(matches!(
-                info.origin,
+                origin,
                 CVarOrigin::Query {
                     kind: VarKind::Existential,
                     ..
@@ -832,7 +847,7 @@ mod tests {
     #[test]
     fn conjuncts_start_at_level_zero() {
         let p = prog();
-        let st = ChaseState::from_query(&p.queries[0], &p.catalog);
+        let st = ChaseState::from_query(&p.queries[0], &p.catalog, true);
         assert_eq!(st.num_alive(), 2);
         assert!(st.alive_conjuncts().all(|(_, c)| c.level == 0));
         assert_eq!(st.max_level(), Some(0));
@@ -842,7 +857,7 @@ mod tests {
     #[test]
     fn shared_variables_share_symbols() {
         let p = prog();
-        let st = ChaseState::from_query(&p.queries[0], &p.catalog);
+        let st = ChaseState::from_query(&p.queries[0], &p.catalog, true);
         let c0 = &st.conjuncts[0];
         let c1 = &st.conjuncts[1];
         // Q(z) :- R(x, y, z), R(z, y, x): position 2 of c0 == position 0 of c1.
@@ -854,12 +869,12 @@ mod tests {
     #[test]
     fn fresh_vars_extend_the_order() {
         let p = prog();
-        let mut st = ChaseState::from_query(&p.queries[0], &p.catalog);
+        let mut st = ChaseState::from_query(&p.queries[0], &p.catalog, true);
         let before = st.num_vars();
         let v = st.fresh_var(1, ConjId(0), 0, 1);
         assert_eq!(v.index(), before);
         assert!(matches!(
-            st.var_info(v).origin,
+            st.var_origin(v),
             CVarOrigin::Created {
                 attr: 1,
                 level: 1,
@@ -867,13 +882,13 @@ mod tests {
             }
         ));
         // Encoded name mentions provenance.
-        assert!(st.var_info(v).name.contains("c0"));
+        assert_eq!(st.var_name(v), format!("n{before}_c0i0a1L1"));
     }
 
     #[test]
     fn render() {
         let p = prog();
-        let st = ChaseState::from_query(&p.queries[0], &p.catalog);
+        let st = ChaseState::from_query(&p.queries[0], &p.catalog, true);
         let s = st.render_conjunct(ConjId(0));
         assert!(s.starts_with("R("), "{s}");
         assert!(s.contains('z'), "{s}");
@@ -884,7 +899,7 @@ mod tests {
         // Q(z) :- R(x, y, z), R(z, y, x): substituting x ↦ z makes the
         // two conjuncts identical; the earlier one survives.
         let p = prog();
-        let mut st = ChaseState::from_query(&p.queries[0], &p.catalog);
+        let mut st = ChaseState::from_query(&p.queries[0], &p.catalog, true);
         let x = st.alive_conjuncts().next().unwrap().1.terms[0]
             .as_var()
             .unwrap();
@@ -904,7 +919,7 @@ mod tests {
     #[test]
     fn width_zero_ind_witnessed_by_any_row() {
         let p = parse_program("relation R(a, b). Q(x) :- R(x, y).").unwrap();
-        let st = ChaseState::from_query(&p.queries[0], &p.catalog);
+        let st = ChaseState::from_query(&p.queries[0], &p.catalog, true);
         let r = p.catalog.resolve("R").unwrap();
         let ind = cqchase_ir::Ind::new(r, vec![], r, vec![]);
         // Degenerate width-0 IND: every nonempty relation witnesses it.
@@ -919,11 +934,159 @@ mod tests {
              Q(x) :- R(x, y), R(y, z).",
         )
         .unwrap();
-        let st = ChaseState::from_query(&p.queries[0], &p.catalog);
+        let st = ChaseState::from_query(&p.queries[0], &p.catalog, true);
         let ind = p.deps.inds().next().unwrap();
         // R(x, y) projected on [2] is (y); R(y, z) has y in column 1.
         assert_eq!(st.find_witness(ind, ConjId(0)), Some(ConjId(1)));
         // R(y, z) projected on [2] is (z); nothing has z in column 1.
         assert_eq!(st.find_witness(ind, ConjId(1)), None);
+    }
+
+    /// Asserts that every index equals a rebuild from
+    /// [`ChaseState::alive_conjuncts`]: interned rows, posting lists and
+    /// `rel_rows` always; whole-row dedup and occurrence lists when Σ has
+    /// FDs (and that they stay empty when it has none).
+    fn assert_indexes_match_rebuild(st: &ChaseState, has_fds: bool) {
+        let cat = &st.catalog;
+        let mut cols = ColumnIndex::new(cat.rel_ids().map(|r| cat.arity(r)));
+        let mut rel_rows = vec![Vec::new(); cat.len()];
+        let mut var_occ: Vec<Vec<u32>> = Vec::new();
+        let mut alive = 0;
+        for (id, c) in st.alive_conjuncts() {
+            alive += 1;
+            let syms: Vec<Sym> = c
+                .terms
+                .iter()
+                .map(|t| match t {
+                    CTerm::Var(v) => ChaseIndex::var_sym(*v),
+                    CTerm::Const(k) => Sym(st.index.consts.get(k).expect("interned").0 << 1),
+                })
+                .collect();
+            assert_eq!(st.index.sym_rows[id.index()], syms, "row {id:?}");
+            cols.insert_row(c.rel, id.0, &syms);
+            rel_rows[c.rel.index()].push(id.0);
+            for v in syms.iter().filter_map(|&s| ChaseIndex::sym_var(s)) {
+                if var_occ.len() <= v.index() {
+                    var_occ.resize(v.index() + 1, Vec::new());
+                }
+                if var_occ[v.index()].last() != Some(&id.0) {
+                    var_occ[v.index()].push(id.0);
+                }
+            }
+            if has_fds {
+                assert_eq!(st.index.dedup.get(c.rel, &syms), Some(id.0), "dedup {id:?}");
+            }
+        }
+        assert_eq!(st.index.rel_rows, rel_rows, "rel_rows");
+        for rel in cat.rel_ids() {
+            for col in 0..cat.arity(rel) {
+                assert_eq!(
+                    st.index.cols.distinct_count(rel, col),
+                    cols.distinct_count(rel, col),
+                    "distinct symbols in {rel:?}.{col}"
+                );
+            }
+        }
+        for (id, c) in st.alive_conjuncts() {
+            for (col, &sym) in st.index.sym_rows[id.index()].iter().enumerate() {
+                assert_eq!(
+                    st.index.cols.posting(c.rel, col, sym),
+                    cols.posting(c.rel, col, sym),
+                    "posting {:?}.{col} of {id:?}",
+                    c.rel
+                );
+            }
+        }
+        if has_fds {
+            assert_eq!(st.index.dedup.len(), alive, "dedup size");
+            let n = st.index.var_occ.len().max(var_occ.len());
+            for v in 0..n {
+                let got = st.index.var_occ.get(v).map_or(&[][..], Vec::as_slice);
+                let want = var_occ.get(v).map_or(&[][..], Vec::as_slice);
+                assert_eq!(got, want, "occurrences of symbol {v}");
+            }
+        } else {
+            assert!(st.index.dedup.is_empty(), "dedup kept without FDs");
+            assert!(
+                st.index.var_occ.iter().all(Vec::is_empty),
+                "occurrences kept without FDs"
+            );
+        }
+    }
+
+    /// Σ from each of the five classes over `R(a, b), S(a, b)`.
+    const SIGMAS: [(&str, &str); 5] = [
+        ("empty", ""),
+        ("fds-only", "fd R: a -> b. fd S: b -> a."),
+        (
+            "inds-only",
+            "ind R[2] <= S[1]. ind S[2] <= R[1]. ind R[1] <= R[2].",
+        ),
+        (
+            "key-based",
+            "fd R: a -> b. fd S: a -> b. ind R[2] <= S[1]. ind S[2] <= R[1].",
+        ),
+        (
+            "mixed",
+            "fd R: a -> b. fd S: b -> a. ind R[2] <= R[1]. ind R[1] <= S[2].",
+        ),
+    ];
+
+    fn random_body() -> impl proptest::strategy::Strategy<Value = String> {
+        use proptest::prelude::*;
+        // Variables v0..v3, and one time in five a constant 1 or 2.
+        let term = (0usize..10).prop_map(|k| match k {
+            8 | 9 => (k - 7).to_string(),
+            _ => format!("v{}", k % 4),
+        });
+        proptest::collection::vec((any::<bool>(), term.clone(), term), 1..6).prop_map(|atoms| {
+            atoms
+                .iter()
+                .enumerate()
+                .map(|(i, (s, x, y))| {
+                    let x = if i == 0 { "v0" } else { x.as_str() };
+                    format!("{}({x}, {y})", if *s { "S" } else { "R" })
+                })
+                .collect::<Vec<_>>()
+                .join(", ")
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// After every scheduling step, under Σ of every class and both
+        /// modes, the incrementally maintained indexes equal a rebuild.
+        #[test]
+        fn indexes_match_rebuild_after_every_step(body in random_body()) {
+            use crate::chase::driver::{Chase, ChaseMode};
+            use crate::classify::{classify, SigmaClass};
+            for (class, sigma) in SIGMAS {
+                let p = parse_program(&format!(
+                    "relation R(a, b). relation S(a, b). {sigma} Q(v0) :- {body}."
+                ))
+                .unwrap();
+                let got = classify(&p.deps, &p.catalog);
+                let expected = match class {
+                    "empty" => matches!(got, SigmaClass::Empty),
+                    "fds-only" => matches!(got, SigmaClass::FdsOnly),
+                    "inds-only" => matches!(got, SigmaClass::IndsOnly { .. }),
+                    "key-based" => matches!(got, SigmaClass::KeyBased { .. }),
+                    _ => matches!(got, SigmaClass::Mixed),
+                };
+                assert!(expected, "{class}: classified {got:?}");
+                let has_fds = p.deps.fds().next().is_some();
+                for mode in [ChaseMode::Required, ChaseMode::Oblivious] {
+                    let mut ch = Chase::new(&p.queries[0], &p.deps, &p.catalog, mode);
+                    assert_indexes_match_rebuild(ch.state(), has_fds);
+                    for _ in 0..40 {
+                        if !ch.step_once() {
+                            break;
+                        }
+                        assert_indexes_match_rebuild(ch.state(), has_fds);
+                    }
+                }
+            }
+        }
     }
 }

@@ -485,7 +485,7 @@ pub fn render_chase_witness(
             }
             TSym::Node(n) => {
                 let v = crate::chase::CVar(*n as u32);
-                let _ = writeln!(out, "  {name} -> {}", state.var_info(v).name);
+                let _ = writeln!(out, "  {name} -> {}", state.var_name(v));
             }
         }
     }

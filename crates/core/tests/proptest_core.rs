@@ -60,7 +60,7 @@ fn chase_as_database(ch: &Chase, cat: &Catalog) -> Database {
             .iter()
             .map(|t| match t {
                 CTerm::Const(k) => Value::Const(k.clone()),
-                CTerm::Var(v) => Value::str(&ch.state().var_info(*v).name),
+                CTerm::Var(v) => Value::str(ch.state().var_name(*v)),
             })
             .collect();
         db.insert(c.rel, t).unwrap();

@@ -39,6 +39,33 @@ use cqchase_storage::{DbIndex, Value};
 use crate::cache::sigma_fingerprint;
 use crate::session::{class_name, Session};
 
+/// The most atoms one query of a registered program may have.
+///
+/// The join engine, the acyclic solver and the isomorphism search
+/// recurse once per atom, on threads with the default 2 MiB stack, and a
+/// stack overflow aborts the whole process — every tenant with it. On a
+/// 2 MiB thread, `contained(q, q)` for a chain query overflowed at 6,500
+/// atoms (release build; 6,000 passed), so this cap leaves 6x headroom.
+/// The benchmark workloads use at most 28 atoms.
+pub const MAX_QUERY_ATOMS: usize = 1_000;
+
+/// Refuses a program that has a query over [`MAX_QUERY_ATOMS`] atoms,
+/// naming the query and the cap.
+pub(crate) fn check_query_sizes(program: &Program) -> Result<(), String> {
+    match program
+        .queries
+        .iter()
+        .find(|q| q.atoms.len() > MAX_QUERY_ATOMS)
+    {
+        Some(q) => Err(format!(
+            "query `{}` has {} atoms; the cap is {MAX_QUERY_ATOMS} atoms per query",
+            q.name,
+            q.atoms.len()
+        )),
+        None => Ok(()),
+    }
+}
+
 /// One set of ground facts and everything compiled against it: the
 /// index that stores them (the only copy — it answers membership and
 /// enumerates in insertion order) and the plans cached for that index.
@@ -236,7 +263,8 @@ impl CatalogRegistry {
     }
 
     /// Builds a session attached to the (shared, possibly pre-existing)
-    /// catalog for `program_src` — the server's register path.
+    /// catalog for `program_src` — the server's register path, which
+    /// refuses queries over [`MAX_QUERY_ATOMS`] atoms.
     ///
     /// `plan_cache_capacity` is unused: an attached session reads the
     /// base's plan cache, sized by [`CatalogRegistry::new`], and keeps a
@@ -249,6 +277,7 @@ impl CatalogRegistry {
         plan_cache_capacity: usize,
     ) -> Result<Session, String> {
         let program = parse_program(program_src).map_err(|e| e.to_string())?;
+        check_query_sizes(&program)?;
         self.session_from_program(name, program, sem_cache_capacity, plan_cache_capacity)
     }
 

@@ -55,7 +55,7 @@ use cqchase_ir::{parse_program, Program};
 use cqchase_obs::{SpanKind, Tracer};
 use serde_json::{Map, Value};
 
-use crate::catalog::{catalog_key, program_schema_text, CatalogRegistry};
+use crate::catalog::{catalog_key, check_query_sizes, program_schema_text, CatalogRegistry};
 use crate::proto::FactSpec;
 use crate::session::{Session, SessionRegistry, UpdateSummary};
 
@@ -72,6 +72,15 @@ pub struct RecoveryReport {
     pub torn_tail: Option<String>,
     /// True when the data directory held no prior state.
     pub fresh: bool,
+    /// Sessions recovery refused to rebuild, one reason each: their
+    /// program has a query over [`MAX_QUERY_ATOMS`] atoms, logged before
+    /// registration enforced that cap. Serving it could overflow a
+    /// thread's stack and abort the process, so the session is dropped
+    /// (as a registration today would be refused) and its WAL updates
+    /// are skipped; boot continues.
+    ///
+    /// [`MAX_QUERY_ATOMS`]: crate::catalog::MAX_QUERY_ATOMS
+    pub refused_sessions: Vec<String>,
 }
 
 impl RecoveryReport {
@@ -89,6 +98,15 @@ impl RecoveryReport {
             Value::from(self.wal_records_replayed),
         );
         m.insert("fresh".into(), Value::from(self.fresh));
+        m.insert(
+            "refused_sessions".into(),
+            Value::Array(
+                self.refused_sessions
+                    .iter()
+                    .map(|r| Value::from(r.as_str()))
+                    .collect(),
+            ),
+        );
         m.insert(
             "torn_tail".into(),
             match &self.torn_tail {
@@ -205,6 +223,10 @@ impl Durability {
         let catalogs = Arc::new(CatalogRegistry::new(plan_cache_capacity));
         let snapshot_sessions = sessions.len();
         let mut logged = HashSet::new();
+        // Sessions over the query-size cap: reported, not rebuilt, and
+        // their updates skipped until a later `Register` reuses the name.
+        let mut refused_sessions = Vec::new();
+        let mut refused = HashSet::new();
         // Restore in two passes: parse every record, group by catalog
         // identity, then share one frozen catalog among the groups of
         // two or more. A session whose facts diverged from everyone
@@ -220,10 +242,15 @@ impl Durability {
                     format!("session `{}`: {e}", rec.name),
                 )
             })?;
+            if let Err(e) = check_query_sizes(&program) {
+                refused_sessions.push(format!("session `{}`: {e}", rec.name));
+                refused.insert(rec.name.clone());
+                continue;
+            }
             *key_counts.entry(catalog_key(&program)).or_insert(0) += 1;
-            programs.push(program);
+            programs.push((rec, program));
         }
-        for (rec, program) in sessions.iter().zip(programs) {
+        for (rec, program) in programs {
             let shared = key_counts[&catalog_key(&program)] > 1;
             let session = if shared {
                 catalogs.session_from_program(
@@ -260,22 +287,33 @@ impl Durability {
                     // session) is the benign race of a registration
                     // logged just after a snapshot rendered it.
                     if registry.check_free(&name).is_ok() {
+                        let replay_err = |e: String| {
+                            corrupt(&wal_file, format!("replaying register `{name}`: {e}"))
+                        };
+                        let program =
+                            parse_program(&program).map_err(|e| replay_err(e.to_string()))?;
+                        if let Err(e) = check_query_sizes(&program) {
+                            if refused.insert(name.clone()) {
+                                refused_sessions.push(format!("session `{name}`: {e}"));
+                            }
+                            continue;
+                        }
                         let session = catalogs
-                            .session_from_source(
+                            .session_from_program(
                                 &name,
-                                &program,
+                                program,
                                 sem_cache_capacity,
                                 plan_cache_capacity,
                             )
-                            .map_err(|e| {
-                                corrupt(&wal_file, format!("replaying register `{name}`: {e}"))
-                            })?;
+                            .map_err(replay_err)?;
                         registry
                             .insert_new(session)
                             .map_err(|e| corrupt(&wal_file, e))?;
+                        refused.remove(&name);
                     }
                     logged.insert(name);
                 }
+                WalRecord::Update { session, .. } if refused.contains(&session) => {}
                 WalRecord::Update { session, deltas } => {
                     let s = registry.get(&session).map_err(|e| {
                         corrupt(
@@ -306,6 +344,7 @@ impl Durability {
             wal_records_replayed,
             torn_tail,
             fresh,
+            refused_sessions,
         };
         Ok((durability, report))
     }

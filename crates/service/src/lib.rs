@@ -72,7 +72,7 @@ pub mod session;
 
 pub use batch::{BarrierMode, Batcher, Job, Outcome, TraceAnnotations, Work};
 pub use cache::{CacheStats, SemanticCache};
-pub use catalog::{CatalogRegistry, Facts, FrozenCatalog};
+pub use catalog::{CatalogRegistry, Facts, FrozenCatalog, MAX_QUERY_ATOMS};
 pub use client::{Client, ClientError, RetryPolicy};
 pub use durable::{Durability, RecoveryReport};
 pub use lanes::{lane_of, LaneSet};

@@ -412,3 +412,70 @@ fn restart_with_lanes_restores_lane_placement_and_reattaches_catalogs() {
     handle.join().unwrap().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A `R(a, b)` program with the chain query `Q(x0) :- R(x0, x1), …` of
+/// `n` atoms.
+fn chain_program(n: usize) -> String {
+    let atoms: Vec<String> = (0..n).map(|i| format!("R(x{i}, x{})", i + 1)).collect();
+    format!("relation R(a, b). Q(x0) :- {}.", atoms.join(", "))
+}
+
+#[test]
+fn recovery_refuses_an_over_cap_session_logged_before_the_cap() {
+    use cqchase_durability::{Store, WalRecord, DEFAULT_ROTATE_BYTES};
+    use cqchase_service::MAX_QUERY_ATOMS;
+
+    let io = Arc::new(MemIo::new());
+    let dir = Path::new("/data");
+    // A WAL as a server without the cap would have written it: an
+    // over-cap registration and an update to it, between the records of
+    // an ordinary session.
+    {
+        let (store, _) = Store::open(
+            Arc::clone(&io) as Arc<dyn StorageIo>,
+            dir,
+            DEFAULT_ROTATE_BYTES,
+        )
+        .unwrap();
+        let register = |name: &str, program: String| WalRecord::Register {
+            name: name.into(),
+            program,
+        };
+        let update = |session: &str| WalRecord::Update {
+            session: session.into(),
+            deltas: vec![(
+                vec![("R".into(), vec![Constant::Int(1), Constant::Int(2)])],
+                vec![],
+            )],
+        };
+        store.log(&register("small", BASE.into())).unwrap();
+        store
+            .log(&register("big", chain_program(MAX_QUERY_ATOMS + 1)))
+            .unwrap();
+        store.log(&update("big")).unwrap();
+        store.log(&update("small")).unwrap();
+    }
+
+    // Boot does not abort: the big session is refused and reported,
+    // its update skipped, and the small one fully replayed.
+    let (d, report, registry) = open(&io, dir);
+    assert_eq!(report.refused_sessions.len(), 1, "{report:?}");
+    let reason = &report.refused_sessions[0];
+    assert!(
+        reason.contains("`big`") && reason.contains(&format!("cap is {MAX_QUERY_ATOMS}")),
+        "{reason}"
+    );
+    assert!(registry.get("big").is_err());
+    assert_eq!(registry.get("small").unwrap().facts_snapshot().0, 1);
+
+    // The name is free again, and a new registration of it replays
+    // with its later updates after the refused incarnation.
+    let big = d.register("big", BASE).expect("register under the cap");
+    d.apply_updates(&big, &[(vec![fact(5, 6)], vec![])])[0]
+        .as_ref()
+        .expect("update applies");
+    drop((d, registry));
+    let (_, report, registry) = open(&io, dir);
+    assert_eq!(report.refused_sessions.len(), 1, "{report:?}");
+    assert_eq!(registry.get("big").unwrap().facts_snapshot().0, 1);
+}

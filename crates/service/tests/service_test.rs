@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use cqchase_core::{contained, ContainmentOptions};
 use cqchase_ir::display;
-use cqchase_service::{Client, ServeOptions, Server};
+use cqchase_service::{Client, ClientError, ServeOptions, Server, MAX_QUERY_ATOMS};
 use cqchase_storage::{evaluate, Database};
 use cqchase_workload::successor_containment_batch;
 use serde_json::Value;
@@ -559,4 +559,51 @@ fn semantic_cache_serves_isomorphic_clients() {
     assert_eq!(second["bound"], first["bound"]);
     c.shutdown().unwrap();
     handle.join().unwrap().unwrap();
+}
+
+/// A `R(a, b)` program with the chain query `Q(x0) :- R(x0, x1), …` of
+/// `n` atoms.
+fn chain_program(n: usize) -> String {
+    let atoms: Vec<String> = (0..n).map(|i| format!("R(x{i}, x{})", i + 1)).collect();
+    format!("relation R(a, b). Q(x0) :- {}.", atoms.join(", "))
+}
+
+#[test]
+fn over_cap_query_is_refused_and_the_server_survives() {
+    let (addr, handle) = spawn_server(64);
+    let mut c = Client::connect(addr).unwrap();
+    // 20,000 atoms used to overflow a handler's stack on `check`,
+    // aborting the process; registration now refuses it.
+    match c.register("big", &chain_program(20_000)) {
+        Err(ClientError::Server(msg)) => assert!(
+            msg.contains("20000 atoms") && msg.contains(&format!("cap is {MAX_QUERY_ATOMS}")),
+            "{msg}"
+        ),
+        other => panic!("expected a refusal naming the cap, got {other:?}"),
+    }
+    assert_eq!(c.ping().unwrap()["ok"], true);
+    assert!(c.check("big", "Q", "Q").is_err(), "nothing was registered");
+    // A query at the cap registers and checks.
+    c.register("cap", &chain_program(MAX_QUERY_ATOMS)).unwrap();
+    assert_eq!(c.check("cap", "Q", "Q").unwrap()["contained"], true);
+    c.shutdown().unwrap();
+    handle.join().unwrap().unwrap();
+}
+
+#[test]
+fn query_at_the_cap_fits_a_default_thread_stack() {
+    let p = cqchase_ir::parse_program(&chain_program(MAX_QUERY_ATOMS)).unwrap();
+    let answers = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || {
+            let q = &p.queries[0];
+            let contained = contained(q, q, &p.deps, &p.catalog, &ContainmentOptions::default())
+                .unwrap()
+                .contained;
+            (contained, cqchase_core::is_isomorphic(q, q))
+        })
+        .unwrap()
+        .join()
+        .expect("no stack overflow at the cap");
+    assert_eq!(answers, (true, true));
 }

@@ -156,6 +156,18 @@ grep -q '"planner"' <<<"$S" || fail "stats missing planner counters"
 grep -qE '"compiled":[1-9]' <<<"$S" || fail "planner should report compiled plans"
 grep -qE '"acyclic_hits":[1-9]' <<<"$S" || fail "planner should report acyclic fast-path hits"
 
+# --- over-cap query: refused at registration, the server survives ----
+# A 20,000-atom chain used to overflow a handler's stack on `check` and
+# abort the whole process. The ~360 KB line exceeds the per-argument
+# limit of `exec`, so it goes through `request -` (stdin). The ping
+# below still counts 3 sessions: nothing was registered.
+BIG_BODY=$(seq 0 19999 | awk '{ printf "%sR(x%d, x%d)", (NR > 1 ? ", " : ""), $1, $1 + 1 }')
+BR=$(printf '{"op":"register","session":"big","program":"relation R(a, b). Q(x0) :- %s."}\n' "$BIG_BODY" \
+    | "$BIN" request --addr "$ADDR" - || true)
+echo "$BR"
+grep -q '"ok":false' <<<"$BR" || fail "over-cap register must be refused"
+grep -q 'the cap is 1000 atoms per query' <<<"$BR" || fail "over-cap refusal should name the cap"
+
 # --- ping: the inline health probe -----------------------------------
 PING=$(req '{"op":"ping"}')
 echo "$PING"
