@@ -28,7 +28,19 @@ use crate::hom::{ChaseHomFinder, Homomorphism};
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ContainmentOptions {
     /// Chase discipline override (`None`: the paper's choice for the
-    /// class — O-chase for INDs-only, R-chase otherwise).
+    /// class, [`SigmaClass::preferred_mode`] — O-chase for INDs-only,
+    /// R-chase otherwise).
+    ///
+    /// Forcing the R-chase on INDs-only Σ gives the same answers, and
+    /// its negatives are certified under the same Theorem 2 bound. The
+    /// chase expands conjuncts in `(level, id)` order, so when the R-chase
+    /// skips an application to a level-`L` conjunct, the witness already
+    /// exists at level at most `L + 1`. By induction every level-`k`
+    /// O-chase conjunct maps to an R-chase conjunct of level at most
+    /// `k`, and the R-chase is a sub-instance of the O-chase up to
+    /// renaming. So `Q′` maps into levels `≤ k` of one chase iff it maps
+    /// into levels `≤ k` of the other, and the R-chase gets there with
+    /// far fewer conjuncts.
     pub mode: Option<ChaseMode>,
     /// Chase resource limits.
     pub budget: ChaseBudgetOpt,
@@ -216,6 +228,10 @@ pub fn contained(
 /// The containment loop against an already-initialized (possibly
 /// already-expanded) chase of `Q`. Factored out of [`contained`] so the
 /// batch engine can run several `Q′` against one shared chase.
+///
+/// The chase may be an O-chase or an R-chase: a negative is certified
+/// either way once the Theorem 2 bound is explored (see
+/// [`ContainmentOptions::mode`]).
 fn contained_against(
     chase: &mut Chase,
     q_prime: &ConjunctiveQuery,

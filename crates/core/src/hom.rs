@@ -14,7 +14,7 @@
 //! retained in [`naive`] as a differential-testing reference.
 
 use cqchase_index::{
-    compile, join_with, CancelToken, ColumnIndex, CompiledQuery, FactSource, FrozenSymPool,
+    compile_probe, join_with, CancelToken, ColumnIndex, CompiledQuery, FactSource, FrozenSymPool,
     JoinOutcome, JoinScratch, Sym, SymPool,
 };
 use cqchase_ir::{Catalog, ConjunctiveQuery, Constant, RelId, Term, VarId};
@@ -266,7 +266,7 @@ pub fn find_hom_with(
     target: &HomTarget,
     scratch: &mut JoinScratch,
 ) -> Option<Homomorphism> {
-    let cq = compile(source, target)?;
+    let cq = compile_probe(source, target)?;
     probe(source, target, &cq, scratch)
 }
 
@@ -310,8 +310,8 @@ fn probe(
 }
 
 /// A reusable homomorphism probe `source → target` over a **fixed**
-/// [`HomTarget`]: the source query is compiled once (cost-based order,
-/// acyclicity certificate and all) and the join scratch is reused, so
+/// [`HomTarget`]: the source query is compiled once as a head-bound
+/// probe plan ([`compile_probe`]) and the join scratch is reused, so
 /// repeated probes pay only the search itself. This is the production
 /// shape of every hot containment loop — per-call [`find_hom`] spends a
 /// measurable fraction of short probes recompiling the plan.
@@ -334,7 +334,7 @@ impl<'q, 't> HomFinder<'q, 't> {
         HomFinder {
             source,
             target,
-            plan: compile(source, target),
+            plan: compile_probe(source, target),
             scratch: JoinScratch::new(),
         }
     }
@@ -436,7 +436,9 @@ impl<'q> ChaseHomFinder<'q> {
                 self.plan = None;
             }
         }
-        let plan = self.plan.get_or_insert_with(|| compile(self.source, &view));
+        let plan = self
+            .plan
+            .get_or_insert_with(|| compile_probe(self.source, &view));
         let cq = plan.as_ref()?;
         let mut found: Option<Homomorphism> = None;
         join_with(&view, cq, &pre, &mut self.scratch, |bind, rows| {

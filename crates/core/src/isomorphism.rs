@@ -118,28 +118,37 @@ pub fn iso_key(q: &ConjunctiveQuery) -> u64 {
     /// Tag for head occurrences in a variable's profile (no relation id
     /// collides with it).
     const HEAD_REL: u64 = u64::MAX;
-    let mut occ: Vec<Vec<(u64, u64)>> = vec![Vec::new(); q.vars.len()];
+    // Every variable occurrence as `(var, relation, column)`, sorted so
+    // each variable's profile is one sorted run: one buffer instead of
+    // one vector per variable.
+    let slots = q.head.len() + q.atoms.iter().map(|a| a.terms.len()).sum::<usize>();
+    let mut occ: Vec<(u32, (u64, u64))> = Vec::with_capacity(slots);
     for atom in &q.atoms {
         for (col, t) in atom.terms.iter().enumerate() {
             if let Term::Var(v) = t {
-                occ[v.index()].push((u64::from(atom.relation.0), col as u64));
+                occ.push((v.0, (u64::from(atom.relation.0), col as u64)));
             }
         }
     }
     for (col, t) in q.head.iter().enumerate() {
         if let Term::Var(v) = t {
-            occ[v.index()].push((HEAD_REL, col as u64));
+            occ.push((v.0, (HEAD_REL, col as u64)));
         }
     }
-    let var_sig: Vec<u64> = occ
-        .into_iter()
-        .map(|mut profile| {
-            profile.sort_unstable();
-            let mut h = FxHasher::default();
-            profile.hash(&mut h);
-            h.finish()
-        })
-        .collect();
+    occ.sort_unstable();
+    // A profile hashes like the slice of its `(relation, column)` pairs.
+    let profile_hash = |profile: &[(u32, (u64, u64))]| {
+        let mut h = FxHasher::default();
+        h.write_usize(profile.len());
+        for (_, slot) in profile {
+            slot.hash(&mut h);
+        }
+        h.finish()
+    };
+    let mut var_sig: Vec<u64> = vec![profile_hash(&[]); q.vars.len()];
+    for run in occ.chunk_by(|a, b| a.0 == b.0) {
+        var_sig[run[0].0 as usize] = profile_hash(run);
+    }
     let hash_terms = |terms: &[Term], h: &mut FxHasher| {
         for t in terms {
             match t {

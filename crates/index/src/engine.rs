@@ -1,22 +1,27 @@
 //! The shared join engine: cost-based static orders + acyclic fast path.
 //!
 //! A conjunctive query is compiled against a [`FactSource`] into atoms
-//! of [`Slot`]s (interned constants and dense variable slots). At
-//! compile time the engine derives:
+//! of [`Slot`]s (interned constants and dense variable slots). A plan
+//! is compiled for the one way it will run, and carries one order:
 //!
-//! * two **cost-based atom orders** (one for unbound searches, one for
-//!   head-prebound searches) from per-relation live-row counts and
-//!   per-column distinct-value counts — each greedy step picks the atom
-//!   with the lowest estimated candidate count given the variables the
-//!   already-ordered atoms bind;
-//! * an **acyclicity certificate**: a GYO ear reduction over the body's
-//!   hypergraph. Acyclic bodies get an [`AcyclicPlan`], a join forest
-//!   rooted at each component's first atom in the unbound cost order,
-//!   executed as top-down candidate generation (children probe the
-//!   posting lists with their parent's keys when the parent's list is
-//!   the shorter side), bottom-up semijoin reduction and backtrack-free
-//!   enumeration (see [`crate::acyclic`]); cyclic bodies keep the
-//!   backtracking search;
+//! * an **eval plan** ([`compile`]) searches with nothing bound. Its
+//!   **cost-based atom order** comes from per-relation live-row counts
+//!   and per-column distinct-value counts — each greedy step picks the
+//!   atom with the lowest estimated candidate count given the variables
+//!   the already-ordered atoms bind. It also carries an **acyclicity
+//!   certificate**: a GYO ear reduction over the body's hypergraph.
+//!   Acyclic bodies get an [`AcyclicPlan`], a join forest rooted at each
+//!   component's first atom in the cost order, executed as top-down
+//!   candidate generation (children probe the posting lists with their
+//!   parent's keys when the parent's list is the shorter side),
+//!   bottom-up semijoin reduction and backtrack-free enumeration (see
+//!   [`crate::acyclic`]); cyclic bodies keep the backtracking search;
+//! * a **probe plan** ([`compile_probe`]) runs with the head variables
+//!   pre-bound — the shape of every summary-preserving homomorphism
+//!   probe and tuple-membership test. Its order is the same cost model
+//!   with the head variables counted as bound, and it carries no join
+//!   forest, because pre-bound searches always backtrack. A query with
+//!   no head variables runs unbound, so its probe plan is the eval plan;
 //! * a **statistics snapshot** of the relation sizes the orders were
 //!   derived from, so plan owners can detect cardinality drift
 //!   ([`CompiledQuery::stats_drifted`]) and recompile.
@@ -86,7 +91,8 @@ pub struct CompiledAtom {
 }
 
 /// A query compiled against one source's symbol space, carrying its
-/// cost-based orders, acyclicity certificate, and stats snapshot.
+/// cost-based order, acyclicity certificate (eval plans only), and stats
+/// snapshot.
 #[derive(Debug, Clone)]
 pub struct CompiledQuery {
     /// Atoms in the original query's order (the search follows a
@@ -98,20 +104,19 @@ pub struct CompiledQuery {
     /// The query's head variables (deduplicated, in head order) — the
     /// variables whose distinct bindings evaluation cares about.
     pub head_vars: Vec<u32>,
-    /// Cost-based atom order for searches starting with nothing bound.
+    /// The cost-based atom order the search runs: with nothing bound
+    /// for an eval plan ([`compile`]), with the head variables bound for
+    /// a probe plan ([`compile_probe`]).
     pub order: Vec<u32>,
-    /// Cost-based atom order assuming the head variables are pre-bound
-    /// (the containment probes' shape: `bind_summary` seeds exactly the
-    /// head variables).
-    pub order_prebound: Vec<u32>,
-    /// The Yannakakis join forest when the body is α-acyclic; `None`
-    /// keeps the backtracking engine.
+    /// The Yannakakis join forest when the body is α-acyclic and the
+    /// plan runs unbound; `None` keeps the backtracking engine (always
+    /// for a probe plan with head variables).
     pub acyclic: Option<AcyclicPlan>,
     /// Per-relation live-row counts observed at compile time (one entry
     /// per distinct body relation) — the drift detector's reference.
     pub stats: Vec<(RelId, usize)>,
     /// Estimated candidate count per atom (original atom index), as
-    /// computed when the unbound cost order picked it. The "estimated"
+    /// computed when the plan's cost order picked it. The "estimated"
     /// side of est-vs-actual diagnostics ([`ExecStats::atom_actual`]).
     pub atom_est: Vec<f64>,
 }
@@ -235,11 +240,26 @@ fn cost_order<S: FactSource>(
     order
 }
 
-/// Compiles `q`'s body against `src`: slot resolution, cost-based
-/// ordering, GYO acyclicity test, and a stats snapshot. Returns `None`
-/// when some body constant does not occur in the source at all — no atom
-/// can then match, so the query is unsatisfiable over this source.
+/// Compiles `q`'s body against `src` as an **eval plan**, run with
+/// nothing bound ([`join_unbound`], [`join_unbound_distinct`]): slot
+/// resolution, the unbound cost order, GYO acyclicity test, and a stats
+/// snapshot. Returns `None` when some body constant does not occur in
+/// the source at all — no atom can then match, so the query is
+/// unsatisfiable over this source.
 pub fn compile(q: &ConjunctiveQuery, src: &impl FactSource) -> Option<CompiledQuery> {
+    compile_for(q, src, false)
+}
+
+/// Compiles `q`'s body against `src` as a **probe plan**, run through
+/// [`join_with`] with the head variables pre-bound: the cost order
+/// counts them as bound, and no join forest is built, since a pre-bound
+/// search never runs one. A query without head variables is probed
+/// unbound and gets the full eval plan. `None` as for [`compile`].
+pub fn compile_probe(q: &ConjunctiveQuery, src: &impl FactSource) -> Option<CompiledQuery> {
+    compile_for(q, src, true)
+}
+
+fn compile_for(q: &ConjunctiveQuery, src: &impl FactSource, probe: bool) -> Option<CompiledQuery> {
     let mut atoms = Vec::with_capacity(q.atoms.len());
     for a in &q.atoms {
         let mut slots = Vec::with_capacity(a.terms.len());
@@ -263,17 +283,18 @@ pub fn compile(q: &ConjunctiveQuery, src: &impl FactSource) -> Option<CompiledQu
             }
         }
     }
-    let ordered = cost_order(&atoms, num_vars, src, &[]);
+    let prebound: &[u32] = if probe { &head_vars } else { &[] };
+    let ordered = cost_order(&atoms, num_vars, src, prebound);
     let mut atom_est = vec![0.0; atoms.len()];
     for &(pick, est) in &ordered {
         atom_est[pick as usize] = est;
     }
     let order: Vec<u32> = ordered.into_iter().map(|(a, _)| a).collect();
-    let order_prebound: Vec<u32> = cost_order(&atoms, num_vars, src, &head_vars)
-        .into_iter()
-        .map(|(a, _)| a)
-        .collect();
-    let acyclic = acyclic::build(&atoms, &head_vars, &order);
+    let acyclic = if prebound.is_empty() {
+        acyclic::build(&atoms, &head_vars, &order)
+    } else {
+        None
+    };
     let mut stats: Vec<(RelId, usize)> = Vec::new();
     for a in &atoms {
         if !stats.iter().any(|&(r, _)| r == a.rel) {
@@ -285,7 +306,6 @@ pub fn compile(q: &ConjunctiveQuery, src: &impl FactSource) -> Option<CompiledQu
         num_vars,
         head_vars,
         order,
-        order_prebound,
         acyclic,
         stats,
         atom_est,
@@ -620,6 +640,10 @@ pub fn join_unbound_distinct<S: FactSource>(
 /// all working memory comes from (and returns to) `scratch`, so a caller
 /// running many joins — the batch containment and evaluation engines —
 /// allocates nothing per call once the buffers are warm.
+///
+/// Pre-bound searches backtrack along the plan's order, so compile them
+/// with [`compile_probe`]; an eval plan's join forest only ever runs
+/// with nothing bound.
 pub fn join_with<S: FactSource>(
     src: &S,
     cq: &CompiledQuery,
@@ -630,20 +654,19 @@ pub fn join_with<S: FactSource>(
     assert_eq!(pre.len(), cq.num_vars, "pre-binding length mismatch");
     scratch.reset(cq, pre);
     let prebound = pre.iter().any(Option::is_some);
-    if !prebound {
-        if let Some(plan) = &cq.acyclic {
+    if let Some(plan) = &cq.acyclic {
+        debug_assert!(
+            !prebound,
+            "an acyclic eval plan run with pre-bound variables; compile the probe with compile_probe"
+        );
+        if !prebound {
             return acyclic::run(src, cq, plan, scratch, false, &mut emit);
         }
     }
-    let order = if prebound {
-        &cq.order_prebound
-    } else {
-        &cq.order
-    };
     let mut search = Search {
         src,
         cq,
-        order,
+        order: &cq.order,
         scratch,
     };
     if search.solve(0, &mut emit) {
@@ -782,7 +805,7 @@ mod tests {
     fn pre_binding_restricts() {
         let p = parse_program("relation R(a, b). Q(x) :- R(x, y).").unwrap();
         let src = Toy::new(&p.catalog, &[("R", &[1, 2]), ("R", &[3, 4])]);
-        let cq = compile(&p.queries[0], &src).unwrap();
+        let cq = compile_probe(&p.queries[0], &src).unwrap();
         // Bind x (VarId 0 — head var interned first) to the sym of 3.
         let x_sym = src.sym_of_const(&Constant::int(3)).unwrap();
         let mut pre = vec![None; cq.num_vars];
@@ -889,6 +912,44 @@ mod tests {
         let slow = answers(&forced, &mut JoinScratch::new());
         assert_eq!(fast, slow);
         assert_eq!(fast.len(), 3, "9_999 has a successor but no second step");
+    }
+
+    #[test]
+    fn probe_plans_carry_no_forest() {
+        let p = parse_program(
+            "relation R(a, b).
+             Q(x) :- R(x, y), R(y, z).
+             B() :- R(x, y), R(y, z).",
+        )
+        .unwrap();
+        let facts: Vec<(&str, Vec<i64>)> = (0..4).map(|i| ("R", vec![i, i + 1])).collect();
+        let borrowed: Vec<(&str, &[i64])> = facts.iter().map(|(n, v)| (*n, v.as_slice())).collect();
+        let src = Toy::new(&p.catalog, &borrowed);
+        let q = p.query("Q").unwrap();
+        let eval = compile(q, &src).unwrap();
+        let probe = compile_probe(q, &src).unwrap();
+        assert!(eval.acyclic.is_some(), "the eval plan keeps the forest");
+        assert!(probe.acyclic.is_none(), "a head-bound probe never runs it");
+        // The probe's order is the head-bound cost order: it starts at
+        // the atom holding the bound head variable.
+        assert_eq!(probe.order[0], 0);
+        assert_eq!(probe.atom_est.len(), 2);
+        // Pre-bound to 1, x starts exactly one 2-step path.
+        let x = src.sym_of_const(&Constant::int(1)).unwrap();
+        let mut pre = vec![None; probe.num_vars];
+        pre[0] = Some(x);
+        let mut n = 0;
+        join(&src, &probe, pre, |_, _| {
+            n += 1;
+            false
+        });
+        assert_eq!(n, 1);
+        // A query with no head variables is probed unbound, so its probe
+        // plan is the full eval plan.
+        let b = p.query("B").unwrap();
+        let (eval_b, probe_b) = (compile(b, &src).unwrap(), compile_probe(b, &src).unwrap());
+        assert!(probe_b.acyclic.is_some());
+        assert_eq!(probe_b.order, eval_b.order);
     }
 
     #[test]

@@ -52,8 +52,8 @@ pub mod sym;
 pub use acyclic::AcyclicPlan;
 pub use cancel::{CancelToken, CANCEL_CHECK_INTERVAL};
 pub use engine::{
-    compile, join, join_unbound, join_unbound_distinct, join_with, CompiledAtom, CompiledQuery,
-    ExecStats, FactSource, JoinOutcome, JoinScratch, Slot,
+    compile, compile_probe, join, join_unbound, join_unbound_distinct, join_with, CompiledAtom,
+    CompiledQuery, ExecStats, FactSource, JoinOutcome, JoinScratch, Slot,
 };
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use plan::{query_key, PlanCache, PlanLookup, QueryKey};

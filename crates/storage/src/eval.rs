@@ -15,7 +15,7 @@
 use std::collections::BTreeSet;
 
 use cqchase_index::{
-    compile, join, join_unbound_distinct, CompiledQuery, JoinScratch, PlanCache, Sym,
+    compile, compile_probe, join, join_unbound_distinct, CompiledQuery, JoinScratch, PlanCache, Sym,
 };
 use cqchase_ir::{ConjunctiveQuery, Term};
 
@@ -134,7 +134,7 @@ pub fn contains_tuple_indexed(q: &ConjunctiveQuery, idx: &DbIndex, t: &Tuple) ->
     if t.len() != q.output_arity() {
         return false;
     }
-    let Some(cq) = compile(q, idx) else {
+    let Some(cq) = compile_probe(q, idx) else {
         return false;
     };
     let mut pre: Vec<Option<Sym>> = vec![None; cq.num_vars];

@@ -111,6 +111,7 @@ fn cmd_contain(path: &str, a: &str, b: &str) -> Result<(), String> {
     let qp = query(&p, b)?;
     let ans = contained(q, qp, &p.deps, &p.catalog, &ContainmentOptions::default())
         .map_err(|e| e.to_string())?;
+    let mode = ans.class.preferred_mode();
     println!(
         "Σ ⊨ {a} ⊆ {b}: {}{}",
         ans.contained,
@@ -120,13 +121,16 @@ fn cmd_contain(path: &str, a: &str, b: &str) -> Result<(), String> {
             "   (semi-decision: inconclusive negative)"
         }
     );
+    let mode_name = match mode {
+        ChaseMode::Oblivious => "O-chase",
+        ChaseMode::Required => "R-chase",
+    };
     println!(
-        "class: {:?}   bound: {}   levels explored: {}   chase conjuncts: {}",
+        "class: {:?}   mode: {mode_name}   bound: {}   levels explored: {}   chase conjuncts: {}",
         ans.class, ans.bound, ans.levels_explored, ans.chase_conjuncts
     );
     if let Some(h) = &ans.witness {
         // Re-derive the chase for rendering (answers don't retain state).
-        let mode = ans.class.preferred_mode();
         let mut ch = Chase::new(q, &p.deps, &p.catalog, mode);
         ch.expand_to_level(h.max_level, ChaseBudget::default());
         println!("{}", render_chase_witness(h, qp, ch.state()));

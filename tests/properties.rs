@@ -4,6 +4,7 @@ use cqchase::core::chase::{Chase, ChaseBudget, ChaseMode};
 use cqchase::core::containment::ChaseBudgetOpt;
 use cqchase::core::{contained, minimize, ContainmentOptions};
 use cqchase::ir::{Catalog, ConjunctiveQuery, DependencySet, Ind, QueryBuilder};
+use cqchase::workload::{IndSetGen, QueryGen};
 use proptest::prelude::*;
 
 fn catalog() -> Catalog {
@@ -179,4 +180,95 @@ proptest! {
             prop_assert_eq!(o.contained, r.contained);
         }
     }
+}
+
+/// SplitMix64: derives each case's parameters from its index.
+fn mix(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+/// The R-chase decides INDs-only Σ exactly like the paper's O-chase:
+/// same `contained`, same `exact`, and every witness within the
+/// Theorem 2 bound. Σ is random (three relations of arity 2–3, 1–4
+/// INDs of width 1–3, cycles allowed) and the queries carry constants.
+/// The R-chase builds a sub-instance of the O-chase, so it must answer
+/// whenever the O-chase does; most cases must compare, or the test
+/// proves nothing about negatives.
+#[test]
+fn r_chase_decides_inds_only_like_o_chase() {
+    const CASES: u64 = 256;
+    let budget = ChaseBudgetOpt(ChaseBudget {
+        max_steps: 3_000,
+        max_conjuncts: 3_000,
+    });
+    let (mut compared, mut negatives) = (0, 0);
+    for case in 0..CASES {
+        let seed = mix(case);
+        let pick = |salt: u64, lo: u64, hi: u64| (lo + mix(seed ^ salt) % (hi - lo)) as usize;
+        let mut cat = Catalog::new();
+        for i in 0..3 {
+            let attrs: Vec<String> = (0..pick(i, 2, 4)).map(|c| format!("c{c}")).collect();
+            cat.declare(format!("R{i}"), attrs).unwrap();
+        }
+        let sigma = IndSetGen {
+            seed,
+            num_inds: pick(3, 1, 5),
+            width: pick(4, 1, 4),
+            acyclic: false,
+        }
+        .generate(&cat);
+        if sigma.num_inds() == 0 {
+            continue;
+        }
+        let query = |name: &str, salt: u64, num_atoms: usize| {
+            QueryGen {
+                seed: seed ^ salt,
+                num_atoms,
+                num_vars: 3,
+                num_dvs: 1,
+                const_prob: 0.1,
+                const_pool: 2,
+            }
+            .generate(name, &cat)
+        };
+        let q = query("Q", 0x51, pick(5, 1, 4));
+        let qp = query("Qp", 0xA7, pick(6, 1, 3));
+        let run = |mode| {
+            let opts = ContainmentOptions {
+                mode: Some(mode),
+                budget,
+            };
+            contained(&q, &qp, &sigma, &cat, &opts)
+        };
+        let (r, o) = (run(ChaseMode::Required), run(ChaseMode::Oblivious));
+        assert!(
+            r.is_ok() || o.is_err(),
+            "case {case}: only the O-chase answered"
+        );
+        let (Ok(r), Ok(o)) = (r, o) else { continue };
+        assert_eq!(r.contained, o.contained, "case {case}");
+        assert_eq!(r.exact, o.exact, "case {case}");
+        assert!(r.exact, "case {case}: INDs-only answers are certified");
+        for ans in [&r, &o] {
+            if let Some(w) = &ans.witness {
+                assert!(
+                    w.max_level <= ans.bound,
+                    "case {case}: witness above the bound"
+                );
+            }
+        }
+        compared += 1;
+        negatives += usize::from(!r.contained);
+    }
+    eprintln!("compared {compared} of {CASES} cases, {negatives} negatives");
+    assert!(compared >= 200, "only {compared} of {CASES} cases compared");
+    assert!(negatives >= 50, "only {negatives} compared negatives");
+    assert!(
+        compared - negatives >= 20,
+        "only {} compared positives",
+        compared - negatives
+    );
 }
