@@ -227,9 +227,9 @@ pub fn measure_barrier_speedup(w: &ChurnWorkload) -> f64 {
 
 /// Per-tuple delete cost (seconds) on an `n`-tuple successor relation:
 /// deletes the front half one tuple at a time through
-/// `Database::remove` and `DbIndex::note_remove` (tombstones,
-/// posting-list removal, adaptive compaction — everything the live
-/// path pays).
+/// `Database::remove` and `DbIndex::note_remove`. A live session pays
+/// only the `DbIndex` half (tombstones, posting-list removal, adaptive
+/// compaction); the `Database` half is the library store's own delete.
 pub fn delete_cost_per_tuple(n: usize) -> f64 {
     let mut program = parse_program("relation R(a, b).").expect("schema parses");
     let rel = program.catalog.resolve("R").unwrap();

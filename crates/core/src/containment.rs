@@ -339,7 +339,7 @@ fn contained_against(
 
 /// One containment test of a batch: indices into the batch's query
 /// slice, `Σ ⊨ queries[q] ⊆∞ queries[q_prime]`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ContainmentPair {
     /// Index of the contained-side query `Q`.
     pub q: usize,

@@ -255,23 +255,12 @@ fn bind_summary(
 /// Returns `None` when the output arities differ or no homomorphism
 /// exists.
 pub fn find_hom(source: &ConjunctiveQuery, target: &HomTarget) -> Option<Homomorphism> {
-    find_hom_with(source, target, &mut JoinScratch::new())
-}
-
-/// [`find_hom`] with caller-owned scratch space — the batch layer's
-/// entry point (one scratch per worker thread, zero steady-state
-/// allocation in the search).
-pub fn find_hom_with(
-    source: &ConjunctiveQuery,
-    target: &HomTarget,
-    scratch: &mut JoinScratch,
-) -> Option<Homomorphism> {
     let cq = compile_probe(source, target)?;
-    probe(source, target, &cq, scratch)
+    probe(source, target, &cq, &mut JoinScratch::new())
 }
 
 /// One summary-preserving probe with an already-compiled plan: the
-/// shared tail of [`find_hom_with`] and [`HomFinder::find`].
+/// shared tail of [`find_hom`] and [`HomFinder::find`].
 fn probe(
     source: &ConjunctiveQuery,
     target: &HomTarget,
@@ -459,11 +448,6 @@ impl<'q> ChaseHomFinder<'q> {
         });
         found
     }
-}
-
-/// Resolves a homomorphism's atom image tags back to chase conjunct ids.
-pub fn atom_images_as_conjuncts(h: &Homomorphism) -> Vec<ConjId> {
-    h.atom_images.iter().map(|&t| ConjId(t)).collect()
 }
 
 /// Renders a witness homomorphism `source → chase` as a human-readable

@@ -26,6 +26,12 @@
 //!   derived from, so plan owners can detect cardinality drift
 //!   ([`CompiledQuery::stats_drifted`]) and recompile.
 //!
+//! Plans run through two doors: [`join_with`] (any pre-binding, every
+//! solution) and [`join_unbound_distinct`] (nothing bound, one witness
+//! per distinct head binding). Both end in one search step that runs the
+//! join forest when the plan has one and nothing is pre-bound, and the
+//! backtracking search otherwise.
+//!
 //! One engine serves all three homomorphism consumers of the paper:
 //! query-to-query homomorphisms (Chandra–Merlin), query-to-chase
 //! homomorphisms (Theorems 1/2), and finite evaluation `Q(B)`.
@@ -39,7 +45,7 @@ use crate::sym::Sym;
 /// A finite store of rows of interned symbols, queryable by column.
 ///
 /// Row ids are source-chosen `u32`s, unique per relation and stable for
-/// the duration of a [`join`] call.
+/// the duration of a join call.
 pub trait FactSource {
     /// Number of live rows of `rel` (ordering heuristic).
     fn rel_size(&self, rel: RelId) -> usize;
@@ -241,9 +247,9 @@ fn cost_order<S: FactSource>(
 }
 
 /// Compiles `q`'s body against `src` as an **eval plan**, run with
-/// nothing bound ([`join_unbound`], [`join_unbound_distinct`]): slot
-/// resolution, the unbound cost order, GYO acyclicity test, and a stats
-/// snapshot. Returns `None` when some body constant does not occur in
+/// nothing bound ([`join_with`] with an all-`None` binding table, or
+/// [`join_unbound_distinct`]): slot resolution, the unbound cost order,
+/// GYO acyclicity test, and a stats snapshot. Returns `None` when some body constant does not occur in
 /// the source at all — no atom can then match, so the query is
 /// unsatisfiable over this source.
 pub fn compile(q: &ConjunctiveQuery, src: &impl FactSource) -> Option<CompiledQuery> {
@@ -312,7 +318,7 @@ fn compile_for(q: &ConjunctiveQuery, src: &impl FactSource, probe: bool) -> Opti
     })
 }
 
-/// What a [`join`] call found.
+/// What a join call found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinOutcome {
     /// The emit callback requested a stop (it saw the solution it
@@ -440,15 +446,12 @@ impl JoinScratch {
     }
 
     /// Sizes the buffers for `cq` and seeds the binding table from
-    /// `pre`, keeping existing heap capacity.
+    /// `pre` (variables past its end start unbound), keeping existing
+    /// heap capacity.
     fn reset(&mut self, cq: &CompiledQuery, pre: &[Option<Sym>]) {
         self.bind.clear();
         self.bind.extend_from_slice(pre);
-        self.reset_rest(cq);
-    }
-
-    /// The binding-table-independent part of [`JoinScratch::reset`].
-    fn reset_rest(&mut self, cq: &CompiledQuery) {
+        self.bind.resize(cq.num_vars, None);
         let n = cq.atoms.len();
         self.rows.clear();
         self.rows.resize(n, 0);
@@ -554,7 +557,7 @@ impl<S: FactSource> Search<'_, S> {
     }
 }
 
-/// Runs the backtracking join of `cq` over `src`.
+/// Runs the join of `cq` over `src` with caller-owned scratch space.
 ///
 /// `pre` seeds variable bindings (e.g. from a summary-row constraint);
 /// its length must be `cq.num_vars`. For every total assignment the
@@ -562,84 +565,9 @@ impl<S: FactSource> Search<'_, S> {
 /// `i`-th atom mapped onto. Returning `true` from `emit` stops the
 /// search with [`JoinOutcome::Stopped`] and leaves that solution's
 /// bindings observable in the callback; returning `false` keeps
-/// enumerating.
-pub fn join<S: FactSource>(
-    src: &S,
-    cq: &CompiledQuery,
-    pre: Vec<Option<Sym>>,
-    emit: impl FnMut(&[Option<Sym>], &[u32]) -> bool,
-) -> JoinOutcome {
-    join_with(src, cq, &pre, &mut JoinScratch::new(), emit)
-}
-
-/// [`join_with`] with no pre-bound variables: the all-unbound binding
-/// table is built inside the scratch, so even the `pre` vector costs
-/// nothing per call. The batch evaluator's entry point.
-pub fn join_unbound<S: FactSource>(
-    src: &S,
-    cq: &CompiledQuery,
-    scratch: &mut JoinScratch,
-    mut emit: impl FnMut(&[Option<Sym>], &[u32]) -> bool,
-) -> JoinOutcome {
-    scratch.bind.clear();
-    scratch.bind.resize(cq.num_vars, None);
-    scratch.reset_rest(cq);
-    if let Some(plan) = &cq.acyclic {
-        return acyclic::run(src, cq, plan, scratch, false, &mut emit);
-    }
-    let mut search = Search {
-        src,
-        cq,
-        order: &cq.order,
-        scratch,
-    };
-    if search.solve(0, &mut emit) {
-        JoinOutcome::Stopped
-    } else {
-        JoinOutcome::Exhausted
-    }
-}
-
-/// [`join_unbound`] in *distinct-witness* mode: the evaluator's entry
-/// point, for callers that only care about the distinct bindings of the
-/// query's **head** variables (and deduplicate emissions themselves).
-///
-/// For acyclic plans, subtrees whose head variables are all bound are
-/// collapsed to one representative row, so e.g. a Boolean query costs a
-/// semijoin reduction instead of a full cross-product enumeration. Every
-/// emission is still a genuine solution (bindings + witness rows), and
-/// every distinct head binding is emitted at least once — but solutions
-/// differing only outside the head may be skipped. Cyclic plans fall
-/// back to full enumeration.
-pub fn join_unbound_distinct<S: FactSource>(
-    src: &S,
-    cq: &CompiledQuery,
-    scratch: &mut JoinScratch,
-    mut emit: impl FnMut(&[Option<Sym>], &[u32]) -> bool,
-) -> JoinOutcome {
-    scratch.bind.clear();
-    scratch.bind.resize(cq.num_vars, None);
-    scratch.reset_rest(cq);
-    if let Some(plan) = &cq.acyclic {
-        return acyclic::run(src, cq, plan, scratch, true, &mut emit);
-    }
-    let mut search = Search {
-        src,
-        cq,
-        order: &cq.order,
-        scratch,
-    };
-    if search.solve(0, &mut emit) {
-        JoinOutcome::Stopped
-    } else {
-        JoinOutcome::Exhausted
-    }
-}
-
-/// [`join`] with caller-owned scratch space: identical semantics, but
-/// all working memory comes from (and returns to) `scratch`, so a caller
-/// running many joins — the batch containment and evaluation engines —
-/// allocates nothing per call once the buffers are warm.
+/// enumerating. All working memory comes from (and returns to)
+/// `scratch`, so a caller running many joins allocates nothing per call
+/// once the buffers are warm.
 ///
 /// Pre-bound searches backtrack along the plan's order, so compile them
 /// with [`compile_probe`]; an eval plan's join forest only ever runs
@@ -654,14 +582,48 @@ pub fn join_with<S: FactSource>(
     assert_eq!(pre.len(), cq.num_vars, "pre-binding length mismatch");
     scratch.reset(cq, pre);
     let prebound = pre.iter().any(Option::is_some);
-    if let Some(plan) = &cq.acyclic {
-        debug_assert!(
-            !prebound,
-            "an acyclic eval plan run with pre-bound variables; compile the probe with compile_probe"
-        );
-        if !prebound {
-            return acyclic::run(src, cq, plan, scratch, false, &mut emit);
-        }
+    debug_assert!(
+        !prebound || cq.acyclic.is_none(),
+        "an acyclic eval plan run with pre-bound variables; compile the probe with compile_probe"
+    );
+    let forest = cq.acyclic.as_ref().filter(|_| !prebound);
+    run(src, cq, forest, false, scratch, &mut emit)
+}
+
+/// The evaluator's entry point: a join with nothing bound, in
+/// *distinct-witness* mode, for callers that only care about the
+/// distinct bindings of the query's **head** variables (and deduplicate
+/// emissions themselves).
+///
+/// For acyclic plans, subtrees whose head variables are all bound are
+/// collapsed to one representative row, so e.g. a Boolean query costs a
+/// semijoin reduction instead of a full cross-product enumeration. Every
+/// emission is still a genuine solution (bindings + witness rows), and
+/// every distinct head binding is emitted at least once — but solutions
+/// differing only outside the head may be skipped. Cyclic plans fall
+/// back to full enumeration.
+pub fn join_unbound_distinct<S: FactSource>(
+    src: &S,
+    cq: &CompiledQuery,
+    scratch: &mut JoinScratch,
+    mut emit: impl FnMut(&[Option<Sym>], &[u32]) -> bool,
+) -> JoinOutcome {
+    scratch.reset(cq, &[]);
+    run(src, cq, cq.acyclic.as_ref(), true, scratch, &mut emit)
+}
+
+/// The shared tail of both doors, over a scratch already reset: the
+/// join forest when one may run, else the backtracking search.
+fn run<S: FactSource>(
+    src: &S,
+    cq: &CompiledQuery,
+    forest: Option<&AcyclicPlan>,
+    distinct: bool,
+    scratch: &mut JoinScratch,
+    emit: &mut EmitFn<'_>,
+) -> JoinOutcome {
+    if let Some(plan) = forest {
+        return acyclic::run(src, cq, plan, scratch, distinct, emit);
     }
     let mut search = Search {
         src,
@@ -669,7 +631,7 @@ pub fn join_with<S: FactSource>(
         order: &cq.order,
         scratch,
     };
-    if search.solve(0, &mut emit) {
+    if search.solve(0, emit) {
         JoinOutcome::Stopped
     } else {
         JoinOutcome::Exhausted
@@ -739,7 +701,8 @@ mod tests {
     fn count_solutions(src: &Toy, q: &ConjunctiveQuery) -> usize {
         let Some(cq) = compile(q, src) else { return 0 };
         let mut n = 0;
-        join(src, &cq, vec![None; cq.num_vars], |_, _| {
+        let mut scratch = JoinScratch::new();
+        join_with(src, &cq, &vec![None; cq.num_vars], &mut scratch, |_, _| {
             n += 1;
             false
         });
@@ -791,7 +754,8 @@ mod tests {
         let src = Toy::new(&p.catalog, &[("R", &[1, 2]), ("R", &[3, 4])]);
         let cq = compile(&p.queries[0], &src).unwrap();
         let mut seen: Option<Vec<Option<Sym>>> = None;
-        let outcome = join(&src, &cq, vec![None; cq.num_vars], |bind, rows| {
+        let (unbound, mut scratch) = (vec![None; cq.num_vars], JoinScratch::new());
+        let outcome = join_with(&src, &cq, &unbound, &mut scratch, |bind, rows| {
             assert_eq!(rows.len(), 1);
             seen = Some(bind.to_vec());
             true
@@ -811,7 +775,7 @@ mod tests {
         let mut pre = vec![None; cq.num_vars];
         pre[0] = Some(x_sym);
         let mut n = 0;
-        join(&src, &cq, pre, |bind, _| {
+        join_with(&src, &cq, &pre, &mut JoinScratch::new(), |bind, _| {
             assert_eq!(bind[0], Some(x_sym));
             n += 1;
             false
@@ -833,7 +797,8 @@ mod tests {
         assert_eq!(cq.atom_est.len(), 3);
         assert!(cq.atom_est.iter().all(|&e| e > 0.0));
         let mut scratch = JoinScratch::new();
-        let outcome = join_unbound(&src, &cq, &mut scratch, |_, _| false);
+        let unbound = vec![None; cq.num_vars];
+        let outcome = join_with(&src, &cq, &unbound, &mut scratch, |_, _| false);
         assert_eq!(outcome, JoinOutcome::Exhausted);
         let exec = scratch.exec().clone();
         // 3 triangle rotations found; every candidate row was scanned.
@@ -846,7 +811,7 @@ mod tests {
             "per-atom actuals partition the scan total"
         );
         // Scalars accumulate across runs; per-atom actuals reset.
-        join_unbound(&src, &cq, &mut scratch, |_, _| false);
+        join_with(&src, &cq, &unbound, &mut scratch, |_, _| false);
         assert_eq!(scratch.exec().rows_emitted, 6);
         assert_eq!(
             scratch.exec().candidates_scanned,
@@ -888,7 +853,7 @@ mod tests {
         assert!(cq.acyclic.is_some());
         let answers = |cq: &CompiledQuery, scratch: &mut JoinScratch| {
             let mut rows: Vec<Vec<Option<Sym>>> = Vec::new();
-            join_unbound(&src, cq, scratch, |bind, _| {
+            join_with(&src, cq, &vec![None; cq.num_vars], scratch, |bind, _| {
                 rows.push(bind.to_vec());
                 false
             });
@@ -939,7 +904,7 @@ mod tests {
         let mut pre = vec![None; probe.num_vars];
         pre[0] = Some(x);
         let mut n = 0;
-        join(&src, &probe, pre, |_, _| {
+        join_with(&src, &probe, &pre, &mut JoinScratch::new(), |_, _| {
             n += 1;
             false
         });

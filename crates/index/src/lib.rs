@@ -17,24 +17,27 @@
 //!   insertion, deletion, and symbol substitution;
 //! * [`DedupIndex`] — hash-based duplicate detection of whole rows (the
 //!   chase's "sets of conjuncts don't duplicate" rule as an O(1) lookup);
-//! * [`FactSource`] + [`join`] — the join engine: compile-time
-//!   cost-based atom ordering (selectivities from live-row and
-//!   per-column distinct counts), a Yannakakis semijoin fast path for
-//!   α-acyclic bodies ([`acyclic`]), backtracking with
-//!   index-intersection candidate generation for cyclic ones.
+//! * [`FactSource`] + the join engine: compile-time cost-based atom
+//!   ordering (selectivities from live-row and per-column distinct
+//!   counts), a Yannakakis semijoin fast path for α-acyclic bodies
+//!   ([`acyclic`]), backtracking with index-intersection candidate
+//!   generation for cyclic ones. It has two doors: [`join_with`] runs
+//!   any pre-binding and enumerates every solution, and
+//!   [`join_unbound_distinct`] is the evaluator's all-unbound,
+//!   distinct-head-witness mode. Both take a caller-owned
+//!   [`JoinScratch`], so steady-state batch search allocates nothing per
+//!   join.
 //!
 //! Consumers implement [`FactSource`] over their own storage
-//! (`HomTarget`, `ChaseState`, `Database`) and share one search.
+//! (`HomTarget`, `ChaseState`, `DbIndex`) and share one search.
 //!
-//! The batch/parallel layer builds on three further pieces:
+//! The batch/parallel layer builds on two further pieces:
 //!
 //! * [`fx`] — a hand-rolled FxHash-style hasher ([`FxHashMap`] /
 //!   [`FxHashSet`]) for every hot map; keys are interned symbols we
 //!   produce ourselves, so SipHash's DoS resistance is pure overhead;
 //! * [`PlanCache`] — memoized [`CompiledQuery`] plans keyed by query
-//!   identity, so repeated checks of one query skip `compile`;
-//! * [`JoinScratch`] + [`join_with`] — caller-owned working memory, so
-//!   steady-state batch search allocates nothing per join.
+//!   identity, so repeated checks of one query skip `compile`.
 //!
 //! [`Constant`]: cqchase_ir::Constant
 
@@ -52,8 +55,8 @@ pub mod sym;
 pub use acyclic::AcyclicPlan;
 pub use cancel::{CancelToken, CANCEL_CHECK_INTERVAL};
 pub use engine::{
-    compile, compile_probe, join, join_unbound, join_unbound_distinct, join_with, CompiledAtom,
-    CompiledQuery, ExecStats, FactSource, JoinOutcome, JoinScratch, Slot,
+    compile, compile_probe, join_unbound_distinct, join_with, CompiledAtom, CompiledQuery,
+    ExecStats, FactSource, JoinOutcome, JoinScratch, Slot,
 };
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use plan::{query_key, PlanCache, PlanLookup, QueryKey};

@@ -393,7 +393,9 @@ mod tests {
     fn rows_via(cache: &mut PlanCache, q: &cqchase_ir::ConjunctiveQuery, src: &Toy) -> Vec<u32> {
         let mut rows = Vec::new();
         if let (Some(plan), _) = cache.get_or_compile(q, src) {
-            crate::engine::join(src, plan, vec![None; plan.num_vars], |_, picked| {
+            let unbound = vec![None; plan.num_vars];
+            let mut scratch = crate::engine::JoinScratch::new();
+            crate::engine::join_with(src, plan, &unbound, &mut scratch, |_, picked| {
                 rows.extend_from_slice(picked);
                 false
             });

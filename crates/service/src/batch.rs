@@ -17,7 +17,8 @@
 //! * **chase sharing** — checks with the same left query in one batch
 //!   reuse one chase (the batch engines' contract);
 //! * **coalescing** — identical in-flight requests (same session, same
-//!   query indices) run once and fan the answer out;
+//!   query indices) run once, under the first waiter's token, and fan
+//!   the answer out (one `coalesce` routine serves checks and evals);
 //! * **bounded compute concurrency** — one batch runs at a time, on
 //!   [`check_batch`](cqchase_par::check_batch)'s worker threads, no
 //!   matter how many connections are open.
@@ -25,7 +26,8 @@
 //! The semantic cache is consulted *before* enqueueing (a hit never
 //! touches the queue) and filled by the leader after computing, so
 //! every isomorphism class is computed at most once per cache
-//! residency.
+//! residency. A traced eval's join annotation travels back to the
+//! server inside its [`Outcome::Eval`].
 //!
 //! Updates are **per-session barriers** ([`BarrierMode::PerSession`]):
 //! a drained batch is partitioned into per-session lanes, an update
@@ -33,6 +35,7 @@
 //! updates coalesce into one write-lock acquisition — see
 //! [`Work::Update`].
 
+use std::hash::Hash;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
@@ -49,12 +52,6 @@ use crate::durable::Durability;
 use crate::metrics::Metrics;
 use crate::proto::CheckSummary;
 use crate::session::Session;
-
-/// Per-request join annotations parked by the batch layer for the
-/// slow-query logger, keyed by trace id. The connection handler removes
-/// its request's entry after every traced request (slow or not), so
-/// residency is bounded by in-flight traced requests.
-pub type TraceAnnotations = Mutex<FxHashMap<u64, Value>>;
 
 /// One unit of submitted work.
 #[derive(Debug, Clone)]
@@ -120,6 +117,10 @@ pub enum Outcome {
         cached: bool,
         /// Answered by riding an identical in-flight request.
         coalesced: bool,
+        /// The join annotation for the slow-query log (plan provenance,
+        /// join order, per-atom estimated vs actual rows); `Some` only
+        /// when the queue traces and a waiter of this eval is traced.
+        annotation: Option<Value>,
     },
     /// What an update did (or the validation error message).
     Update(Result<crate::session::UpdateSummary, String>),
@@ -296,8 +297,6 @@ pub struct Batcher {
     /// The span recorder; disabled by default (a private one-slot
     /// tracer), replaced by the server's via [`Batcher::with_tracing`].
     tracer: Arc<Tracer>,
-    /// Join annotations parked for the slow-query logger.
-    annotations: Arc<TraceAnnotations>,
 }
 
 impl std::fmt::Debug for Batcher {
@@ -333,7 +332,6 @@ impl Batcher {
             barrier_mode,
             durability: None,
             tracer: Arc::new(Tracer::new(1)),
-            annotations: Arc::new(Mutex::new(FxHashMap::default())),
         }
     }
 
@@ -351,16 +349,12 @@ impl Batcher {
         self
     }
 
-    /// Shares the server's tracer and annotation map with the queue, so
-    /// traced requests get admission-wait / batch-drain / cache / join /
-    /// fsync spans and join annotations. Builder-style, used at boot.
-    pub fn with_tracing(
-        mut self,
-        tracer: Arc<Tracer>,
-        annotations: Arc<TraceAnnotations>,
-    ) -> Batcher {
+    /// Shares the server's tracer with the queue, so traced requests get
+    /// admission-wait / batch-drain / cache / join / fsync spans, and
+    /// their eval outcomes carry join annotations. Builder-style, used
+    /// at boot.
+    pub fn with_tracing(mut self, tracer: Arc<Tracer>) -> Batcher {
         self.tracer = tracer;
-        self.annotations = annotations;
         self
     }
 
@@ -739,8 +733,8 @@ impl Batcher {
         // Group by session identity, preserving arrival order.
         struct Group {
             session: Arc<Session>,
-            checks: Vec<(usize, usize, Sender<Outcome>, CancelToken)>,
-            evals: Vec<(usize, u64, Sender<Outcome>, CancelToken)>,
+            checks: Vec<(ContainmentPair, CancelToken, Sender<Outcome>)>,
+            evals: Vec<(usize, CancelToken, (u64, Sender<Outcome>))>,
         }
         let mut groups: Vec<Group> = Vec::new();
         for p in batch {
@@ -759,9 +753,10 @@ impl Batcher {
             let Pending { job, tx, .. } = p;
             match job.work {
                 Work::Check { q, q_prime, .. } => {
-                    groups[i].checks.push((q, q_prime, tx, job.cancel))
+                    let pair = ContainmentPair { q, q_prime };
+                    groups[i].checks.push((pair, job.cancel, tx))
                 }
-                Work::Eval { q, .. } => groups[i].evals.push((q, job.trace_id, tx, job.cancel)),
+                Work::Eval { q, .. } => groups[i].evals.push((q, job.cancel, (job.trace_id, tx))),
                 Work::Update { .. } => unreachable!("updates are barriers, not segment items"),
             }
         }
@@ -772,34 +767,44 @@ impl Batcher {
         }
     }
 
+    /// Coalesces identical items: one computation per distinct key, in
+    /// arrival order, paired with its waiters. The computation runs
+    /// under the FIRST waiter's token and later riders share its fate
+    /// (documented trade — a rider with a longer deadline may see the
+    /// representative's cancellation, but shared work stays live for
+    /// every other key); riders count on `coalesced_items`.
+    fn coalesce<K: Copy + Eq + Hash, W>(
+        &self,
+        items: Vec<(K, CancelToken, W)>,
+    ) -> (Vec<(K, CancelToken)>, Vec<Vec<W>>) {
+        let total = items.len();
+        let mut slot_of: FxHashMap<K, usize> = FxHashMap::default();
+        let mut unique: Vec<(K, CancelToken)> = Vec::new();
+        let mut waiters: Vec<Vec<W>> = Vec::new();
+        for (key, cancel, waiter) in items {
+            let slot = *slot_of.entry(key).or_insert_with(|| {
+                unique.push((key, cancel));
+                waiters.push(Vec::new());
+                unique.len() - 1
+            });
+            waiters[slot].push(waiter);
+        }
+        self.metrics
+            .lane(self.lane)
+            .coalesced_items
+            .fetch_add((total - unique.len()) as u64, Ordering::Relaxed);
+        (unique, waiters)
+    }
+
     fn run_checks(
         &self,
         session: &Session,
-        checks: Vec<(usize, usize, Sender<Outcome>, CancelToken)>,
+        checks: Vec<(ContainmentPair, CancelToken, Sender<Outcome>)>,
     ) {
         if checks.is_empty() {
             return;
         }
-        // Coalesce identical pairs: one computation, many answers. The
-        // computation runs under the FIRST waiter's token; coalesced
-        // riders share its fate (documented trade — a rider with a
-        // longer deadline may see the representative's cancellation,
-        // but the shared chase stays live for every other pair).
-        let mut unique: Vec<(ContainmentPair, CancelToken)> = Vec::new();
-        let mut waiters: FxHashMap<(usize, usize), Vec<Sender<Outcome>>> = FxHashMap::default();
-        for (q, q_prime, tx, cancel) in checks {
-            let entry = waiters.entry((q, q_prime)).or_default();
-            if entry.is_empty() {
-                unique.push((ContainmentPair { q, q_prime }, cancel));
-            } else {
-                self.metrics
-                    .lane(self.lane)
-                    .coalesced_items
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            entry.push(tx);
-        }
-
+        let (unique, waiters) = self.coalesce(checks);
         let program = session.program();
         let answers = cqchase_par::check_batch(
             &program.queries,
@@ -810,10 +815,7 @@ impl Batcher {
             BatchOptions::with_threads(self.threads),
         );
 
-        for ((pair, cancel), answer) in unique.iter().zip(answers) {
-            let txs = waiters
-                .remove(&(pair.q, pair.q_prime))
-                .expect("every unique pair has waiters");
+        for (((pair, cancel), txs), answer) in unique.iter().zip(waiters).zip(answers) {
             if let Err(e @ ContainmentEngineError::Cancelled { .. }) = &answer {
                 // A cancelled check never certifies anything and never
                 // enters the semantic cache; every waiter of the pair
@@ -856,35 +858,18 @@ impl Batcher {
         }
     }
 
-    fn run_evals(&self, session: &Session, evals: Vec<(usize, u64, Sender<Outcome>, CancelToken)>) {
+    fn run_evals(
+        &self,
+        session: &Session,
+        evals: Vec<(usize, CancelToken, (u64, Sender<Outcome>))>,
+    ) {
         if evals.is_empty() {
             return;
         }
-        // As in `run_checks`: the computation runs under the first
-        // waiter's token, coalesced riders share its fate.
-        let mut waiters: FxHashMap<usize, Vec<(u64, Sender<Outcome>)>> = FxHashMap::default();
-        let mut unique: Vec<(usize, CancelToken)> = Vec::new();
-        for (q, trace_id, tx, cancel) in evals {
-            let entry = waiters.entry(q).or_default();
-            if entry.is_empty() {
-                unique.push((q, cancel));
-            } else {
-                self.metrics
-                    .lane(self.lane)
-                    .coalesced_items
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            entry.push((trace_id, tx));
-        }
-        for (q, cancel) in unique {
-            let ids: Vec<u64> = waiters
-                .get(&q)
-                .expect("every unique query has waiters")
-                .iter()
-                .map(|(id, _)| *id)
-                .collect();
+        let (unique, waiters) = self.coalesce(evals);
+        for ((q, cancel), txs) in unique.into_iter().zip(waiters) {
+            let ids: Vec<u64> = txs.iter().map(|(id, _)| *id).collect();
             let answer = session.eval_request(q, &cancel, self.trace_ctx(&ids));
-            let txs = waiters.remove(&q).expect("every unique query has waiters");
             let Some((rows, cached, annotation)) = answer else {
                 // Cancelled mid-join: the partial rows were discarded
                 // inside the session, nothing was cached.
@@ -893,17 +878,12 @@ impl Batcher {
                 }
                 continue;
             };
-            if let Some(ann) = annotation {
-                let mut map = self.annotations.lock().expect("annotations lock");
-                for &id in ids.iter().filter(|id| **id != 0) {
-                    map.insert(id, ann.clone());
-                }
-            }
             for (i, (_, tx)) in txs.into_iter().enumerate() {
                 let _ = tx.send(Outcome::Eval {
                     rows: rows.clone(),
                     cached,
                     coalesced: i > 0,
+                    annotation: annotation.clone(),
                 });
             }
         }
@@ -1040,6 +1020,51 @@ mod tests {
         assert_eq!(rows, direct);
         let rendered = rows_to_value(&rows);
         assert_eq!(rendered[0][0], "1");
+    }
+
+    #[test]
+    fn coalesced_evals_share_the_join_annotation() {
+        let evals = |batcher: &Batcher, s: &Arc<Session>| {
+            let job = |trace_id| Job {
+                work: Work::Eval {
+                    session: Arc::clone(s),
+                    q: 1,
+                },
+                trace_id,
+                cancel: CancelToken::unlimited(),
+            };
+            let outs = batcher.submit_many(vec![job(7), job(8)]);
+            outs.into_iter()
+                .map(|o| match o.unwrap() {
+                    Outcome::Eval {
+                        coalesced,
+                        annotation,
+                        ..
+                    } => (coalesced, annotation),
+                    other => panic!("unexpected outcome {other:?}"),
+                })
+                .collect::<Vec<_>>()
+        };
+        let tracer = Arc::new(Tracer::new(64));
+        tracer.set_enabled(true);
+        let traced = Batcher::new(1, Arc::new(Metrics::new())).with_tracing(tracer);
+        let outs = evals(&traced, &test_session());
+        assert_eq!((outs[0].0, outs[1].0), (false, true));
+        let ann = outs[0]
+            .1
+            .clone()
+            .expect("a traced eval carries its annotation");
+        for key in ["plan", "join_order", "atoms"] {
+            assert!(
+                ann.as_object().unwrap().get(key).is_some(),
+                "no {key}: {ann}"
+            );
+        }
+        assert_eq!(outs[1].1, Some(ann), "the rider gets the same one");
+        // Tracing off: no annotation, trace ids or not.
+        let plain = Batcher::new(1, Arc::new(Metrics::new()));
+        let outs = evals(&plain, &test_session());
+        assert!(outs.iter().all(|(_, ann)| ann.is_none()));
     }
 
     #[test]

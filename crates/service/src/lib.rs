@@ -70,7 +70,7 @@ pub mod proto;
 pub mod server;
 pub mod session;
 
-pub use batch::{BarrierMode, Batcher, Job, Outcome, TraceAnnotations, Work};
+pub use batch::{BarrierMode, Batcher, Job, Outcome, Work};
 pub use cache::{CacheStats, SemanticCache};
 pub use catalog::{CatalogRegistry, Facts, FrozenCatalog, MAX_QUERY_ATOMS};
 pub use client::{Client, ClientError, RetryPolicy};

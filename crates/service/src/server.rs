@@ -6,6 +6,10 @@
 //! [`ThreadPool`] (blocking reads with a short timeout so handlers
 //! notice shutdown) in front of the admission queue of [`crate::batch`],
 //! which bounds *compute* concurrency separately from connection count.
+//! `update`, `check` and `eval` share one admission path: the shed gate,
+//! a deadline token armed before admission, a disconnect watch, the
+//! lane submit, and the refusal, cancellation and error responses.
+//! Every other verb is answered on the handler thread.
 //!
 //! Shutdown protocol: a `shutdown` request flips the shared flag and
 //! pokes the listener with a dummy connection to unblock `accept`. The
@@ -21,12 +25,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use cqchase_index::{CancelToken, FxHashMap};
+use cqchase_index::CancelToken;
 use cqchase_obs::{SpanKind, Tracer};
 use cqchase_par::ThreadPool;
 use serde_json::{Map, Value};
 
-use crate::batch::{rows_to_value, Batcher, Job, Outcome, TraceAnnotations, Work};
+use crate::batch::{rows_to_value, Batcher, Job, Outcome, Work};
 use crate::catalog::CatalogRegistry;
 use crate::durable::{Durability, RecoveryReport, StdIo};
 use crate::lanes::{lane_of, LaneSet};
@@ -300,8 +304,6 @@ struct Shared {
     /// The span recorder (shared with the batcher); enabled iff
     /// `opts.trace` or a slow-query threshold is set.
     tracer: Arc<Tracer>,
-    /// Join annotations parked by the batch layer, keyed by trace id.
-    annotations: Arc<TraceAnnotations>,
     /// The slow-query log sink: `--data-dir/slowlog` when a data
     /// directory is configured, `None` falls back to stderr.
     slowlog: Option<std::sync::Mutex<std::fs::File>>,
@@ -377,8 +379,6 @@ impl Server {
         };
         let tracer = Arc::new(Tracer::new(TRACE_CAPACITY));
         tracer.set_enabled(opts.trace || opts.slow_query_us.is_some());
-        let annotations: Arc<TraceAnnotations> =
-            Arc::new(std::sync::Mutex::new(FxHashMap::default()));
         // Each lane gets its own batcher over its own slice of the
         // compute budget; with one lane this is exactly the old single
         // batcher (same thread count, same counters).
@@ -386,7 +386,7 @@ impl Server {
         let lanes = LaneSet::new(lane_count, |i| {
             let mut b = Batcher::new(threads_per_lane, Arc::clone(&metrics))
                 .with_lane(i)
-                .with_tracing(Arc::clone(&tracer), Arc::clone(&annotations));
+                .with_tracing(Arc::clone(&tracer));
             if let Some(d) = &durability {
                 b = b.with_durability(Arc::clone(d));
             }
@@ -413,7 +413,6 @@ impl Server {
             opts,
             active_conns: std::sync::atomic::AtomicUsize::new(0),
             tracer,
-            annotations,
             slowlog,
             watcher,
             shedding: AtomicBool::new(false),
@@ -739,12 +738,9 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
         } else {
             (0, 0)
         };
-        let (response, op) = match Request::from_line(&line) {
-            Ok(req) => {
-                let op = req.op();
-                (dispatch(&shared, req, trace_id, &stream), Some(op))
-            }
-            Err(msg) => (error_response(None, &msg), None),
+        let (op, (response, annotation)) = match Request::from_line(&line) {
+            Ok(req) => (Some(req.op()), dispatch(&shared, req, trace_id, &stream)),
+            Err(msg) => (None, (error_response(None, &msg), None)),
         };
         let ok = response["ok"] == true;
         if let Some(op) = op {
@@ -757,7 +753,7 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
                 start_us,
                 shared.tracer.now_us(),
             );
-            finish_trace(&shared, trace_id, op, started.elapsed(), ok);
+            finish_trace(&shared, trace_id, op, started.elapsed(), ok, annotation);
         }
         if !write_or_drop(&mut stream, &shared, &response) {
             break;
@@ -769,19 +765,19 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
     }
 }
 
-/// Closes out one traced request: reclaims its parked join annotation
-/// and, when the latency reaches the slow-query threshold, emits one
-/// structured JSON line — op, latency, every recorded span, and (for
-/// evals) the join plan with per-atom estimated-vs-actual cardinality —
-/// to the slowlog file or stderr.
-fn finish_trace(shared: &Shared, trace_id: u64, op: Option<Op>, latency: Duration, ok: bool) {
-    // Always reclaim the annotation — residency in the parking map must
-    // be bounded by in-flight traced requests, not by slow ones.
-    let annotation = shared
-        .annotations
-        .lock()
-        .expect("annotations lock")
-        .remove(&trace_id);
+/// Closes out one traced request: when the latency reaches the
+/// slow-query threshold, emits one structured JSON line — op, latency,
+/// every recorded span, and (for evals) the join `annotation` the eval
+/// outcome carried, with per-atom estimated-vs-actual cardinality — to
+/// the slowlog file or stderr.
+fn finish_trace(
+    shared: &Shared,
+    trace_id: u64,
+    op: Option<Op>,
+    latency: Duration,
+    ok: bool,
+    annotation: Option<Value>,
+) {
     let threshold = match shared.opts.slow_query_us {
         Some(t) => t,
         None => return,
@@ -840,87 +836,6 @@ fn get_session(shared: &Shared, name: &str) -> Result<Arc<Session>, String> {
     // Lifetime traffic drives the top-K `sessions_detail` selection.
     s.traffic.fetch_add(1, Ordering::Relaxed);
     Ok(s)
-}
-
-/// One queued request's cancellation wiring: the token the engines
-/// poll, the effective deadline (request field or server default), and
-/// the disconnect-watch registration (dropped — deregistering the
-/// socket — when the request finishes).
-struct Lifecycle<'a> {
-    token: CancelToken,
-    deadline_ms: Option<u64>,
-    _watch: Option<WatchGuard<'a>>,
-}
-
-/// Arms the request lifecycle for a queued verb: the deadline clock
-/// starts here — *before* admission, so queue wait counts against it —
-/// and the connection is registered with the disconnect watcher so a
-/// peer hang-up cancels the work mid-flight.
-fn arm_lifecycle<'a>(
-    shared: &'a Shared,
-    stream: &TcpStream,
-    deadline_ms: Option<u64>,
-) -> Lifecycle<'a> {
-    let deadline_ms = deadline_ms.or(shared.opts.default_deadline_ms);
-    let token = match deadline_ms {
-        Some(ms) => CancelToken::with_deadline_ms(ms),
-        None => CancelToken::unlimited(),
-    };
-    let watch = shared.watcher.watch(stream, token.clone());
-    Lifecycle {
-        token,
-        deadline_ms,
-        _watch: watch,
-    }
-}
-
-/// Closes out a queued verb: records how far past its deadline a
-/// deadline-carrying request was answered (0 when in time — the
-/// `deadline_overrun` distribution bounds the cancellation-check
-/// reaction lag).
-fn finish_lifecycle(shared: &Shared, lc: &Lifecycle<'_>) {
-    if lc.deadline_ms.is_some() {
-        shared
-            .metrics
-            .deadline_overrun
-            .record(Duration::from_micros(lc.token.overrun_us()), true);
-    }
-}
-
-/// The structured refusal for a cancelled request: `error` is the
-/// stable headline (`deadline exceeded` / `cancelled: client
-/// disconnected`), `detail` carries the partial-progress counters the
-/// engine reported, and a [`SpanKind::Cancelled`] span records how
-/// long the cooperative unwind took (deadline expiry → reply).
-fn cancelled_response(
-    shared: &Shared,
-    op: Op,
-    lc: &Lifecycle<'_>,
-    disconnect: bool,
-    detail: &str,
-    trace_id: u64,
-) -> Value {
-    if trace_id != 0 {
-        let now = shared.tracer.now_us();
-        let lag = if disconnect { 0 } else { lc.token.overrun_us() };
-        shared
-            .tracer
-            .record(trace_id, SpanKind::Cancelled, now.saturating_sub(lag), now);
-    }
-    let headline = if disconnect {
-        "cancelled: client disconnected"
-    } else {
-        "deadline exceeded"
-    };
-    let mut v = error_response(Some(op), headline);
-    if let Value::Object(m) = &mut v {
-        m.insert("cancelled".into(), Value::from(true));
-        m.insert("detail".into(), Value::from(detail));
-        if let Some(ms) = lc.deadline_ms {
-            m.insert("deadline_ms".into(), Value::from(ms));
-        }
-    }
-    v
 }
 
 /// The pressure gate for queued verbs: `Some(refusal)` when the
@@ -1011,7 +926,181 @@ fn evict_for_pressure(shared: &Shared) {
         .fetch_add(dropped, Ordering::Relaxed);
 }
 
-fn dispatch(shared: &Shared, req: Request, trace_id: u64, stream: &TcpStream) -> Value {
+/// Runs one queued verb (`update`, `check` or `eval`) on its session's
+/// lane. The pressure gate runs first. Then the cancel token is armed
+/// *before* admission, so queue wait counts against the deadline: the
+/// request's `deadline_ms`, else the server default. The socket is
+/// watched while the work is in flight, so a peer hang-up cancels it.
+/// A deadline-carrying request samples `deadline_overrun` (0 when in
+/// time), which bounds the cancellation-check reaction lag.
+///
+/// `Ok` is a successful outcome. `Err` is the finished response for a
+/// shed refusal, an error, or a cancellation: `error` is then the
+/// stable headline (`deadline exceeded` / `cancelled: client
+/// disconnected`), `detail` carries the partial-progress counters the
+/// engine reported, and a [`SpanKind::Cancelled`] span records how long
+/// the cooperative unwind took (deadline expiry → reply).
+fn run_queued(
+    shared: &Shared,
+    op: Op,
+    session: &str,
+    work: Work,
+    deadline_ms: Option<u64>,
+    trace_id: u64,
+    stream: &TcpStream,
+) -> Result<Outcome, Value> {
+    if let Some(refusal) = shed_refusal(shared, op, session) {
+        return Err(refusal);
+    }
+    let deadline_ms = deadline_ms.or(shared.opts.default_deadline_ms);
+    let cancel = match deadline_ms {
+        Some(ms) => CancelToken::with_deadline_ms(ms),
+        None => CancelToken::unlimited(),
+    };
+    let _watch = shared.watcher.watch(stream, cancel.clone());
+    let result = shared.lanes.for_session(session).submit(Job {
+        work,
+        trace_id,
+        cancel: cancel.clone(),
+    });
+    if deadline_ms.is_some() {
+        shared
+            .metrics
+            .deadline_overrun
+            .record(Duration::from_micros(cancel.overrun_us()), true);
+    }
+    let (disconnect, detail) = match result {
+        Ok(Outcome::Cancelled { disconnect, detail }) => (disconnect, detail),
+        Ok(Outcome::Update(Err(msg)))
+        | Ok(Outcome::Check {
+            summary: Err(msg), ..
+        })
+        | Err(msg) => return Err(error_response(Some(op), &msg)),
+        Ok(outcome) => return Ok(outcome),
+    };
+    if trace_id != 0 {
+        let now = shared.tracer.now_us();
+        let lag = if disconnect { 0 } else { cancel.overrun_us() };
+        shared
+            .tracer
+            .record(trace_id, SpanKind::Cancelled, now.saturating_sub(lag), now);
+    }
+    let headline = if disconnect {
+        "cancelled: client disconnected"
+    } else {
+        "deadline exceeded"
+    };
+    let mut v = error_response(Some(op), headline);
+    if let Value::Object(m) = &mut v {
+        m.insert("cancelled".into(), Value::from(true));
+        m.insert("detail".into(), Value::from(detail));
+        if let Some(ms) = deadline_ms {
+            m.insert("deadline_ms".into(), Value::from(ms));
+        }
+    }
+    Err(v)
+}
+
+/// Answers one request, plus the join annotation an eval outcome
+/// carried (for [`finish_trace`]). The queued verbs go through
+/// [`run_queued`]; every other verb is answered on the handler thread
+/// by [`answer_inline`].
+fn dispatch(
+    shared: &Shared,
+    req: Request,
+    trace_id: u64,
+    stream: &TcpStream,
+) -> (Value, Option<Value>) {
+    let op = req.op();
+    // Each queued verb resolves its session and query names up front
+    // and seeds its answer with the names it echoes.
+    let mut m = ok_response(op);
+    let queued = match req {
+        Request::Update {
+            session,
+            insert,
+            delete,
+            deadline_ms,
+        } => get_session(shared, &session).map(|s| {
+            m.insert("session".into(), Value::from(session.as_str()));
+            let work = Work::Update {
+                session: s,
+                insert,
+                delete,
+            };
+            (session, work, deadline_ms)
+        }),
+        Request::Check {
+            session,
+            q,
+            q_prime,
+            deadline_ms,
+        } => get_session(shared, &session).and_then(|s| {
+            let work = Work::Check {
+                q: s.query_index(&q)?,
+                q_prime: s.query_index(&q_prime)?,
+                session: s,
+            };
+            m.insert("q".into(), Value::from(q.as_str()));
+            m.insert("q_prime".into(), Value::from(q_prime.as_str()));
+            Ok((session, work, deadline_ms))
+        }),
+        Request::Eval {
+            session,
+            query,
+            deadline_ms,
+        } => get_session(shared, &session).and_then(|s| {
+            let work = Work::Eval {
+                q: s.query_index(&query)?,
+                session: s,
+            };
+            m.insert("query".into(), Value::from(query.as_str()));
+            Ok((session, work, deadline_ms))
+        }),
+        inline => return (answer_inline(shared, inline, trace_id), None),
+    };
+    let outcome = queued
+        .map_err(|msg| error_response(Some(op), &msg))
+        .and_then(|(session, work, deadline_ms)| {
+            run_queued(shared, op, &session, work, deadline_ms, trace_id, stream)
+        });
+    let mut annotation = None;
+    match outcome {
+        Err(response) => return (response, None),
+        Ok(Outcome::Update(Ok(sum))) => {
+            m.insert("inserted".into(), Value::from(sum.inserted));
+            m.insert("deleted".into(), Value::from(sum.deleted));
+            m.insert("facts".into(), Value::from(sum.facts));
+            m.insert("epoch".into(), Value::from(sum.epoch));
+        }
+        Ok(Outcome::Check {
+            summary: Ok(sum),
+            cached,
+            coalesced,
+        }) => {
+            sum.write_into(&mut m);
+            m.insert("cached".into(), Value::from(cached));
+            m.insert("coalesced".into(), Value::from(coalesced));
+        }
+        Ok(Outcome::Eval {
+            rows,
+            cached,
+            coalesced,
+            annotation: join,
+        }) => {
+            m.insert("count".into(), Value::from(rows.len()));
+            m.insert("rows".into(), rows_to_value(&rows));
+            m.insert("cached".into(), Value::from(cached));
+            m.insert("coalesced".into(), Value::from(coalesced));
+            annotation = join;
+        }
+        Ok(other) => unreachable!("run_queued answers failures itself, got {other:?}"),
+    }
+    (Value::Object(m), annotation)
+}
+
+/// Answers a verb that never queues, on the handler thread.
+fn answer_inline(shared: &Shared, req: Request, trace_id: u64) -> Value {
     let op = req.op();
     let trace = (trace_id != 0).then(|| (shared.tracer.as_ref(), trace_id));
     match req {
@@ -1068,142 +1157,6 @@ fn dispatch(shared: &Shared, req: Request, trace_id: u64, stream: &TcpStream) ->
                     Value::Object(m)
                 }
                 Err(msg) => error_response(Some(op), &msg),
-            }
-        }
-        Request::Update {
-            session,
-            insert,
-            delete,
-            deadline_ms,
-        } => {
-            let s = match get_session(shared, &session) {
-                Ok(s) => s,
-                Err(msg) => return error_response(Some(op), &msg),
-            };
-            if let Some(refusal) = shed_refusal(shared, op, &session) {
-                return refusal;
-            }
-            let lc = arm_lifecycle(shared, stream, deadline_ms);
-            let result = shared.lanes.for_session(&session).submit(Job {
-                work: Work::Update {
-                    session: s,
-                    insert,
-                    delete,
-                },
-                trace_id,
-                cancel: lc.token.clone(),
-            });
-            finish_lifecycle(shared, &lc);
-            match result {
-                Ok(Outcome::Update(Ok(sum))) => {
-                    let mut m = ok_response(op);
-                    m.insert("session".into(), Value::from(session.as_str()));
-                    m.insert("inserted".into(), Value::from(sum.inserted));
-                    m.insert("deleted".into(), Value::from(sum.deleted));
-                    m.insert("facts".into(), Value::from(sum.facts));
-                    m.insert("epoch".into(), Value::from(sum.epoch));
-                    Value::Object(m)
-                }
-                Ok(Outcome::Cancelled { disconnect, detail }) => {
-                    cancelled_response(shared, op, &lc, disconnect, &detail, trace_id)
-                }
-                Ok(Outcome::Update(Err(msg))) | Err(msg) => error_response(Some(op), &msg),
-                Ok(other) => unreachable!("update work yields update outcomes, got {other:?}"),
-            }
-        }
-        Request::Check {
-            session,
-            q,
-            q_prime,
-            deadline_ms,
-        } => {
-            let result = get_session(shared, &session).and_then(|s| {
-                let qi = s.query_index(&q)?;
-                let qpi = s.query_index(&q_prime)?;
-                Ok((s, qi, qpi))
-            });
-            let (s, qi, qpi) = match result {
-                Ok(x) => x,
-                Err(msg) => return error_response(Some(op), &msg),
-            };
-            if let Some(refusal) = shed_refusal(shared, op, &session) {
-                return refusal;
-            }
-            let lc = arm_lifecycle(shared, stream, deadline_ms);
-            let result = shared.lanes.for_session(&session).submit(Job {
-                work: Work::Check {
-                    session: s,
-                    q: qi,
-                    q_prime: qpi,
-                },
-                trace_id,
-                cancel: lc.token.clone(),
-            });
-            finish_lifecycle(shared, &lc);
-            match result {
-                Ok(Outcome::Check {
-                    summary: Ok(sum),
-                    cached,
-                    coalesced,
-                }) => {
-                    let mut m = ok_response(op);
-                    m.insert("q".into(), Value::from(q.as_str()));
-                    m.insert("q_prime".into(), Value::from(q_prime.as_str()));
-                    sum.write_into(&mut m);
-                    m.insert("cached".into(), Value::from(cached));
-                    m.insert("coalesced".into(), Value::from(coalesced));
-                    Value::Object(m)
-                }
-                Ok(Outcome::Cancelled { disconnect, detail }) => {
-                    cancelled_response(shared, op, &lc, disconnect, &detail, trace_id)
-                }
-                Ok(Outcome::Check {
-                    summary: Err(msg), ..
-                })
-                | Err(msg) => error_response(Some(op), &msg),
-                Ok(other) => unreachable!("check work yields check outcomes, got {other:?}"),
-            }
-        }
-        Request::Eval {
-            session,
-            query,
-            deadline_ms,
-        } => {
-            let result =
-                get_session(shared, &session).and_then(|s| s.query_index(&query).map(|qi| (s, qi)));
-            let (s, qi) = match result {
-                Ok(x) => x,
-                Err(msg) => return error_response(Some(op), &msg),
-            };
-            if let Some(refusal) = shed_refusal(shared, op, &session) {
-                return refusal;
-            }
-            let lc = arm_lifecycle(shared, stream, deadline_ms);
-            let result = shared.lanes.for_session(&session).submit(Job {
-                work: Work::Eval { session: s, q: qi },
-                trace_id,
-                cancel: lc.token.clone(),
-            });
-            finish_lifecycle(shared, &lc);
-            match result {
-                Ok(Outcome::Eval {
-                    rows,
-                    cached,
-                    coalesced,
-                }) => {
-                    let mut m = ok_response(op);
-                    m.insert("query".into(), Value::from(query.as_str()));
-                    m.insert("count".into(), Value::from(rows.len()));
-                    m.insert("rows".into(), rows_to_value(&rows));
-                    m.insert("cached".into(), Value::from(cached));
-                    m.insert("coalesced".into(), Value::from(coalesced));
-                    Value::Object(m)
-                }
-                Ok(Outcome::Cancelled { disconnect, detail }) => {
-                    cancelled_response(shared, op, &lc, disconnect, &detail, trace_id)
-                }
-                Err(msg) => error_response(Some(op), &msg),
-                Ok(other) => unreachable!("eval work yields eval outcomes, got {other:?}"),
             }
         }
         Request::Classify { session } => match get_session(shared, &session) {
@@ -1275,6 +1228,9 @@ fn dispatch(shared: &Shared, req: Request, trace_id: u64, stream: &TcpStream) ->
             );
             m.insert("recovery".into(), shared.recovery_json.clone());
             Value::Object(m)
+        }
+        Request::Update { .. } | Request::Check { .. } | Request::Eval { .. } => {
+            unreachable!("dispatch queues the update, check and eval verbs")
         }
     }
 }

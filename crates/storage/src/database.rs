@@ -1,4 +1,9 @@
 //! Databases: finite sets of relation instances over a catalog.
+//!
+//! A [`Database`] is the plain value-level store that the naive
+//! engines, the data chase and the instance enumerator read. Service
+//! sessions keep their facts in a [`DbIndex`](crate::indexed::DbIndex)
+//! instead, so a [`RelationInstance`] only packs its own slots.
 
 use std::fmt;
 
@@ -10,60 +15,26 @@ use crate::value::{NullId, Value};
 /// A row of a relation instance.
 pub type Tuple = Vec<Value>;
 
-/// Minimum tombstone count before a relation instance considers
-/// compacting its slot vector (tiny relations are not worth the pass).
-/// Shared with [`DbIndex`](crate::indexed::DbIndex) so database and
-/// index reclaim in lockstep.
-pub(crate) const COMPACT_MIN_DEAD: usize = 32;
-
-/// The adaptive compaction trigger shared by [`RelationInstance`] and
-/// [`DbIndex`](crate::indexed::DbIndex): compact when the dead-slot
-/// count crosses a **size-tiered fraction of the live count** — small
-/// relations wait until tombstones outnumber live rows (a pass there is
-/// cheap but pointless earlier), large ones compact at dead > live/2,
-/// and very large ones at dead > live/4. A compaction pass costs
-/// O(live + dead) slot copies, so the tiered trigger bounds the
-/// amortized cost per reclaimed slot at ~2, ~3, and ~5 copies
-/// respectively while capping the memory a churn-heavy session wastes
-/// on tombstones at 25% for relations where that waste is measured in
-/// megabytes.
-pub(crate) fn compaction_due(live: usize, dead: usize) -> bool {
-    if dead < COMPACT_MIN_DEAD {
-        return false;
-    }
-    let required = if live < 4_096 {
-        live
-    } else if live < 262_144 {
-        live / 2
-    } else {
-        live / 4
-    };
-    dead > required
-}
-
 /// One relation's extent: a duplicate-free multiset of tuples in insertion
 /// order (order is preserved so experiments print deterministically).
 ///
-/// Removal is **O(1)**: a tuple→slot map finds the victim and the slot
-/// is tombstoned rather than shifted out (mirroring
-/// [`DbIndex`](crate::indexed::DbIndex)); tombstones are reclaimed by
-/// the shared adaptive compaction policy (`compaction_due`), which
-/// preserves the live tuples' relative order. Enumeration goes through
-/// the live-slot view [`RelationInstance::tuples`], so every consumer
-/// (the naive engines included) sees exactly the live tuples in
-/// insertion order, never a tombstone.
+/// Removal is **O(1)** amortized: a tuple→slot map finds the victim and
+/// its slot is emptied rather than shifted out. Once the holes outnumber
+/// the live tuples, one `retain` pass packs the slots (order preserved)
+/// and renumbers the map, so the slot vector stays within twice the live
+/// count. Enumeration goes through
+/// [`RelationInstance::tuples`], so every consumer (the naive engines
+/// included) sees exactly the live tuples in insertion order.
 #[derive(Debug, Clone, Default)]
 pub struct RelationInstance {
-    /// Slots in insertion order; tombstoned slots keep their tuple
-    /// until compaction (the memory is reclaimed wholesale there).
-    slots: Vec<Tuple>,
-    /// Liveness per slot (`false` = tombstone).
-    live: Vec<bool>,
+    /// Tuples in insertion order; a removed tuple leaves `None` until
+    /// the next pack.
+    slots: Vec<Option<Tuple>>,
     /// `tuple → slot` for the live tuples (the O(1) removal path;
     /// doubles as the duplicate probe).
     pos: FxHashMap<Tuple, u32>,
-    /// Tombstoned slot count (compaction trigger).
-    dead: usize,
+    /// Emptied slots since the last pack.
+    holes: usize,
 }
 
 impl RelationInstance {
@@ -72,57 +43,28 @@ impl RelationInstance {
         if self.pos.contains_key(&t) {
             return false;
         }
-        let slot = self.slots.len() as u32;
-        self.pos.insert(t.clone(), slot);
-        self.slots.push(t);
-        self.live.push(true);
+        self.pos.insert(t.clone(), self.slots.len() as u32);
+        self.slots.push(Some(t));
         true
     }
 
-    /// Removes a tuple; returns `true` if it was present. O(1): the
-    /// slot is found through the position map and tombstoned; insertion
-    /// order of the survivors is preserved across the amortized
-    /// compaction that eventually reclaims it.
+    /// Removes a tuple; returns `true` if it was present. The slot is
+    /// found through the position map and emptied; the survivors keep
+    /// their insertion order across the pack that eventually drops it.
     pub fn remove(&mut self, t: &Tuple) -> bool {
         let Some(slot) = self.pos.remove(t) else {
             return false;
         };
-        debug_assert!(self.live[slot as usize], "the position map maps live slots");
-        self.live[slot as usize] = false;
-        self.dead += 1;
-        if compaction_due(self.pos.len(), self.dead) {
-            self.compact();
+        self.slots[slot as usize] = None;
+        self.holes += 1;
+        if self.holes > self.pos.len() {
+            self.slots.retain(Option::is_some);
+            self.holes = 0;
+            for (slot, t) in self.slots.iter().flatten().enumerate() {
+                *self.pos.get_mut(t).expect("live tuples stay mapped") = slot as u32;
+            }
         }
         true
-    }
-
-    /// Reclaims tombstones: drops dead slots, renumbers the survivors
-    /// densely (relative order preserved), and shrinks slot and map
-    /// capacity when occupancy fell below a quarter — a long-lived
-    /// session must not hold peak-size allocations forever.
-    fn compact(&mut self) {
-        let mut keep = 0usize;
-        for slot in 0..self.slots.len() {
-            if !self.live[slot] {
-                continue;
-            }
-            if keep != slot {
-                self.slots.swap(keep, slot);
-            }
-            keep += 1;
-        }
-        self.slots.truncate(keep);
-        self.live.clear();
-        self.live.resize(keep, true);
-        self.dead = 0;
-        for (slot, t) in self.slots.iter().enumerate() {
-            *self.pos.get_mut(t).expect("live tuples stay mapped") = slot as u32;
-        }
-        if self.slots.len() < self.slots.capacity() / 4 {
-            self.slots.shrink_to_fit();
-            self.live.shrink_to_fit();
-            self.pos.shrink_to_fit();
-        }
     }
 
     /// Whether the tuple is present.
@@ -140,52 +82,26 @@ impl RelationInstance {
         self.pos.is_empty()
     }
 
-    /// The live tuples, in insertion order (the live-slot view —
-    /// tombstones awaiting compaction are skipped).
+    /// The live tuples, in insertion order.
     pub fn tuples(&self) -> impl Iterator<Item = &Tuple> + '_ {
-        self.slots
-            .iter()
-            .zip(&self.live)
-            .filter_map(|(t, &alive)| alive.then_some(t))
-    }
-
-    /// Approximate resident bytes: slot tuples (including tombstones
-    /// awaiting compaction), the liveness bitmap, and the position map
-    /// whose keys clone every live tuple. An estimate for capacity
-    /// planning, not an allocator measurement — string heap data inside
-    /// values is not chased.
-    pub fn approx_bytes(&self) -> usize {
-        let val = std::mem::size_of::<Value>();
-        let tup = std::mem::size_of::<Tuple>();
-        let slot_payload: usize = self.slots.iter().map(|t| t.capacity() * val).sum();
-        let key_payload: usize = self.pos.keys().map(|t| t.capacity() * val).sum();
-        self.slots.capacity() * tup
-            + slot_payload
-            + self.live.capacity()
-            + self.pos.capacity() * (tup + std::mem::size_of::<u32>() + 8)
-            + key_payload
+        self.slots.iter().flatten()
     }
 
     /// Rebuilds the instance applying `f` to every value (used by the data
     /// chase when unifying nulls). Collapses tuples that become equal and
-    /// drops any accumulated tombstones.
+    /// drops any holes.
     pub fn map_values(&mut self, f: impl Fn(&Value) -> Value) {
         let old = std::mem::take(&mut self.slots);
-        let old_live = std::mem::take(&mut self.live);
         self.pos.clear();
-        self.dead = 0;
-        for (t, alive) in old.into_iter().zip(old_live) {
-            if !alive {
-                continue;
-            }
-            let t: Tuple = t.iter().map(&f).collect();
-            self.insert(t);
+        self.holes = 0;
+        for t in old.into_iter().flatten() {
+            self.insert(t.iter().map(&f).collect());
         }
     }
 }
 
 /// Equality is extensional over the **live** tuples in insertion order:
-/// two instances with different tombstone histories (slot layouts) but
+/// two instances with different removal histories (slot layouts) but
 /// identical live contents are equal.
 impl PartialEq for RelationInstance {
     fn eq(&self, other: &Self) -> bool {
@@ -224,22 +140,10 @@ impl Database {
         &self.relations[rel.index()]
     }
 
-    /// Mutable access to the instance of relation `rel`.
-    pub fn relation_mut(&mut self, rel: RelId) -> &mut RelationInstance {
-        &mut self.relations[rel.index()]
-    }
-
     /// Inserts a tuple into `rel`, checking arity. Returns whether the
     /// tuple was new.
     pub fn insert(&mut self, rel: RelId, tuple: Tuple) -> IrResult<bool> {
-        let arity = self.catalog.arity(rel);
-        if tuple.len() != arity {
-            return Err(IrError::ArityMismatch {
-                relation: self.catalog.name(rel).to_owned(),
-                expected: arity,
-                found: tuple.len(),
-            });
-        }
+        self.check_arity(rel, &tuple)?;
         for v in &tuple {
             if let Value::Null(n) = v {
                 self.next_null = self.next_null.max(n.0 + 1);
@@ -251,6 +155,11 @@ impl Database {
     /// Removes a tuple from `rel`, checking arity. Returns whether the
     /// tuple was present.
     pub fn remove(&mut self, rel: RelId, tuple: &Tuple) -> IrResult<bool> {
+        self.check_arity(rel, tuple)?;
+        Ok(self.relations[rel.index()].remove(tuple))
+    }
+
+    fn check_arity(&self, rel: RelId, tuple: &Tuple) -> IrResult<()> {
         let arity = self.catalog.arity(rel);
         if tuple.len() != arity {
             return Err(IrError::ArityMismatch {
@@ -259,7 +168,7 @@ impl Database {
                 found: tuple.len(),
             });
         }
-        Ok(self.relations[rel.index()].remove(tuple))
+        Ok(())
     }
 
     /// Inserts by relation name; values convert via `Into<Value>`.
@@ -295,16 +204,6 @@ impl Database {
     /// Total number of tuples across all relations.
     pub fn total_tuples(&self) -> usize {
         self.relations.iter().map(RelationInstance::len).sum()
-    }
-
-    /// Approximate resident bytes across all relation instances
-    /// ([`RelationInstance::approx_bytes`]); the catalog itself is not
-    /// counted (it is shared, small, and identical across sessions).
-    pub fn approx_bytes(&self) -> usize {
-        self.relations
-            .iter()
-            .map(RelationInstance::approx_bytes)
-            .sum()
     }
 
     /// Whether any value anywhere is a labelled null.
@@ -418,7 +317,7 @@ mod tests {
         a.insert_named("R", [3i64, 4]).unwrap();
         let mut b = a.clone();
         let r = c.resolve("R").unwrap();
-        // b takes a detour: insert + delete leaves a tombstone behind.
+        // b takes a detour: insert + delete leaves a hole behind.
         b.insert(r, vec![Value::int(9), Value::int(9)]).unwrap();
         b.remove(r, &vec![Value::int(9), Value::int(9)]).unwrap();
         assert_eq!(a, b, "live contents equal ⇒ databases equal");
@@ -432,7 +331,7 @@ mod tests {
         let r = c.resolve("R").unwrap();
         let mut db = Database::new(&c);
         // Sliding window: keep ~64 live while deleting thousands — the
-        // tombstone count repeatedly crosses the compaction trigger.
+        // hole count repeatedly crosses the live count and packs.
         let window = 64i64;
         for i in 0..4096i64 {
             db.insert(r, vec![Value::int(i), Value::int(i + 1)])
@@ -445,18 +344,32 @@ mod tests {
         assert_eq!(db.relation(r).len(), window as usize);
         let live: Vec<Tuple> = db.relation(r).tuples().cloned().collect();
         assert_eq!(live.len(), window as usize);
-        // Insertion order survives compaction.
+        // Insertion order survives packing.
         for (k, t) in live.iter().enumerate() {
             assert_eq!(t[0], Value::int(4096 - window + k as i64));
         }
-        // The slot store was actually reclaimed, not grown without
-        // bound: at most live + the compaction threshold slack remains.
+        // The slot store was actually packed, not grown without bound:
+        // holes never outnumber the live tuples.
         assert!(
-            db.relation(r).slots.len() <= window as usize * 2 + COMPACT_MIN_DEAD,
-            "tombstones unreclaimed: {} slots for {} live",
+            db.relation(r).slots.len() <= 2 * window as usize + 1,
+            "holes unreclaimed: {} slots for {} live",
             db.relation(r).slots.len(),
             window
         );
+    }
+
+    #[test]
+    fn removing_the_last_tuple_then_reinserting_it() {
+        let c = cat();
+        let r = c.resolve("R").unwrap();
+        let mut db = Database::new(&c);
+        let t = vec![Value::int(1), Value::int(2)];
+        db.insert(r, t.clone()).unwrap();
+        assert!(db.remove(r, &t).unwrap());
+        assert!(db.relation(r).is_empty() && db.relation(r).slots.is_empty());
+        assert!(db.insert(r, t.clone()).unwrap(), "the tuple is new again");
+        assert!(!db.insert(r, t.clone()).unwrap());
+        assert_eq!(db.relation(r).tuples().collect::<Vec<_>>(), vec![&t]);
     }
 
     #[test]

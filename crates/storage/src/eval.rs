@@ -15,7 +15,8 @@
 use std::collections::BTreeSet;
 
 use cqchase_index::{
-    compile, compile_probe, join, join_unbound_distinct, CompiledQuery, JoinScratch, PlanCache, Sym,
+    compile, compile_probe, join_unbound_distinct, join_with, CompiledQuery, JoinScratch,
+    PlanCache, Sym,
 };
 use cqchase_ir::{ConjunctiveQuery, Term};
 
@@ -158,7 +159,8 @@ pub fn contains_tuple_indexed(q: &ConjunctiveQuery, idx: &DbIndex, t: &Tuple) ->
             }
         }
     }
-    join(idx, &cq, pre, |_, _| true) == cqchase_index::JoinOutcome::Stopped
+    join_with(idx, &cq, &pre, &mut JoinScratch::new(), |_, _| true)
+        == cqchase_index::JoinOutcome::Stopped
 }
 
 /// Whether `t ∈ Q(B)` — decided by pre-binding the head and searching,

@@ -18,16 +18,14 @@
 //! (the data chase does). Deletion **tombstones** the row: its slot
 //! keeps its symbols but drops out of every posting list, the dedup map,
 //! and live-row enumeration, so in-flight plans never see it. Tombstones
-//! are reclaimed by amortized per-relation compaction (the size-tiered
-//! adaptive trigger shared with
-//! [`RelationInstance`](crate::database::RelationInstance): the dead
-//! fraction required decays as the relation grows), which renumbers the
-//! live rows in place, order preserved — but **never** touches the
-//! symbol pool: interned symbols are stable for the index's whole
-//! lifetime, so compiled plans (which embed resolved constant symbols)
-//! survive every mutation. The one plan invalidation mutation can cause
-//! is an insert interning a *new* constant, which falsifies cached
-//! "unsatisfiable" plans — watch [`DbIndex::num_syms`] and call
+//! are reclaimed by amortized per-relation compaction (a size-tiered
+//! adaptive trigger: the dead fraction required decays as the relation
+//! grows), which renumbers the live rows in place, order preserved —
+//! but **never** touches the symbol pool: interned symbols are stable
+//! for the index's whole lifetime, so compiled plans (which embed
+//! resolved constant symbols) survive every mutation. The one plan
+//! invalidation mutation can cause is an insert interning a *new*
+//! constant, which falsifies cached "unsatisfiable" plans — watch [`DbIndex::num_syms`] and call
 //! [`PlanCache::drop_unsatisfiable`](cqchase_index::PlanCache::drop_unsatisfiable)
 //! when it grows. Wholesale value rewrites ([`Database::map_values`])
 //! still invalidate everything; rebuild afterwards.
@@ -35,11 +33,32 @@
 use cqchase_index::{ColumnIndex, DedupIndex, FactSource, Sym, SymPool};
 use cqchase_ir::{Catalog, Constant, RelId};
 
-use crate::database::{compaction_due, Database, Tuple};
+use crate::database::{Database, Tuple};
 use crate::value::Value;
 
-#[cfg(test)]
-use crate::database::COMPACT_MIN_DEAD;
+/// Minimum tombstone count before a relation considers compacting
+/// (tiny relations are not worth the pass).
+const COMPACT_MIN_DEAD: usize = 32;
+
+/// The adaptive compaction trigger: compact once the dead slots exceed
+/// a **size-tiered fraction of the live rows** — all of them below 4,096
+/// live rows, half below 262,144, a quarter above. A pass copies
+/// O(live + dead) slots, so the tiers bound the amortized cost per
+/// reclaimed slot at ~2, ~3 and ~5 copies while capping tombstone memory
+/// at 25% where that waste is measured in megabytes.
+fn compaction_due(live: usize, dead: usize) -> bool {
+    if dead < COMPACT_MIN_DEAD {
+        return false;
+    }
+    let required = if live < 4_096 {
+        live
+    } else if live < 262_144 {
+        live / 2
+    } else {
+        live / 4
+    };
+    dead > required
+}
 
 /// Interned rows, posting lists and a dedup map for one instance,
 /// maintained incrementally under insertion and deletion.

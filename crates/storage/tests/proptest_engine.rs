@@ -2,9 +2,7 @@
 //! retained naive scan-based evaluator must return identical `Q(B)`
 //! result sets (not just cardinalities) on random queries and instances.
 
-use cqchase_index::{
-    compile, join_unbound, join_unbound_distinct, CompiledQuery, JoinScratch, Sym,
-};
+use cqchase_index::{compile, join_unbound_distinct, join_with, CompiledQuery, JoinScratch, Sym};
 use cqchase_ir::builder::TermSpec;
 use cqchase_ir::{Catalog, ConjunctiveQuery, QueryBuilder};
 use cqchase_storage::eval::naive;
@@ -93,10 +91,16 @@ fn queries() -> impl Strategy<Value = ConjunctiveQuery> {
 /// faithful multiset fingerprint of the enumeration.
 fn all_solutions(idx: &DbIndex, cq: &CompiledQuery) -> Vec<Vec<Option<Sym>>> {
     let mut out = Vec::new();
-    join_unbound(idx, cq, &mut JoinScratch::new(), |bind, _| {
-        out.push(bind.to_vec());
-        false
-    });
+    join_with(
+        idx,
+        cq,
+        &vec![None; cq.num_vars],
+        &mut JoinScratch::new(),
+        |bind, _| {
+            out.push(bind.to_vec());
+            false
+        },
+    );
     out.sort();
     out
 }
