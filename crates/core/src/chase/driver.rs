@@ -17,8 +17,16 @@
 //! order — fixed canonical choices in the spirit of the paper's
 //! convention (Maier, Mendelzon & Sagiv show the result is unique up to
 //! variable renaming regardless).
+//!
+//! The choice is a min-heap of `(level, id)` entries with lazy deletion:
+//! a `ConjId`-indexed table holds each conjunct's current key, a key
+//! change pushes a new entry, and stale entries are popped whenever they
+//! reach the top. A conjunct therefore costs one heap push and one pop
+//! instead of an ordered-set insert and remove, and the top is always
+//! the paper's choice, including after an FD merge lowers a level.
 
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use cqchase_index::CancelToken;
 use cqchase_ir::{Catalog, ConjunctiveQuery, DependencySet, Fd, Ind};
@@ -117,22 +125,38 @@ pub struct Chase {
     /// Indices of the INDs whose left-hand side is each relation
     /// (`RelId`-indexed), in Σ order.
     inds_by_rel: Vec<Vec<usize>>,
-    /// Conjuncts that still have unprocessed applicable INDs, keyed by
-    /// (level, id) so the scheduler's min is the paper's choice. A set,
-    /// not a per-level queue, because FD merges can lower a level.
-    pending: BTreeSet<(u32, ConjId)>,
-    /// The level each conjunct is stored under in `pending`
-    /// (`ConjId`-indexed; [`NOT_PENDING`] when absent).
+    /// Min-heap of `(level, id)` entries for conjuncts with unprocessed
+    /// applicable INDs, so its top is the paper's choice. Deletion is
+    /// lazy: an entry is live while it matches `pending_key`, a key
+    /// change pushes a new entry rather than moving the old one (so an
+    /// FD merge that lowers a level costs one push), and stale entries
+    /// are popped as soon as they reach the top. The top is therefore
+    /// always live, or the heap is empty.
+    pending: BinaryHeap<Reverse<(u32, ConjId)>>,
+    /// The level each conjunct is pending under (`ConjId`-indexed;
+    /// [`NOT_PENDING`] when it has no work left) — the source of truth
+    /// `pending`'s entries are checked against.
     pending_key: Vec<u32>,
+    /// Number of conjuncts whose `pending_key` is a level.
+    live_pending: usize,
     /// Bitset of the INDs already handled for each conjunct: `stride`
     /// words per `ConjId`, bit `i` for the IND at Σ index `i`.
     applied: Vec<u64>,
     stride: usize,
     steps: usize,
     fd_steps: usize,
-    /// Cooperative stop signal, consulted once per scheduling step.
+    /// Cooperative stop signal, consulted every [`CANCEL_CHECK_STEPS`]
+    /// scheduling steps.
     cancel: Option<CancelToken>,
 }
+
+/// How many scheduling steps pass between two looks at the cancel token.
+/// A deadline-armed token reads the clock, which costs about a tenth of
+/// an IND step; 64 steps stay within tens of microseconds of the
+/// deadline, as the join engines' [`CANCEL_CHECK_INTERVAL`] rows do.
+///
+/// [`CANCEL_CHECK_INTERVAL`]: cqchase_index::CANCEL_CHECK_INTERVAL
+const CANCEL_CHECK_STEPS: usize = 64;
 
 /// [`Chase::pending_key`] entry of a conjunct not in the pending set.
 const NOT_PENDING: u32 = u32::MAX;
@@ -164,8 +188,9 @@ impl Chase {
             fds,
             inds,
             inds_by_rel,
-            pending: BTreeSet::new(),
+            pending: BinaryHeap::new(),
             pending_key: Vec::new(),
+            live_pending: 0,
             applied: Vec::new(),
             stride,
             steps: 0,
@@ -186,8 +211,8 @@ impl Chase {
         self.mode
     }
 
-    /// Installs (or replaces) a [`CancelToken`] consulted once per
-    /// scheduling step — a fired token makes the driver return
+    /// Installs (or replaces) a [`CancelToken`] consulted every 64
+    /// scheduling steps — a fired token makes the driver return
     /// [`ChaseStatus::Cancelled`] between steps, never mid-step, so the
     /// partial chase stays consistent and expansion can resume after
     /// re-arming.
@@ -195,9 +220,11 @@ impl Chase {
         self.cancel = Some(token);
     }
 
-    /// Whether the installed token (if any) has fired.
+    /// Whether the installed token (if any) has fired, asked only when
+    /// the step count is a multiple of [`CANCEL_CHECK_STEPS`].
     fn cancel_fired(&self) -> bool {
-        self.cancel.as_ref().is_some_and(CancelToken::should_stop)
+        self.steps.is_multiple_of(CANCEL_CHECK_STEPS)
+            && self.cancel.as_ref().is_some_and(CancelToken::should_stop)
     }
 
     /// Read access to the current (partial) chase.
@@ -217,14 +244,14 @@ impl Chase {
 
     /// Whether the chase has terminated on its own (no pending work).
     pub fn is_complete(&self) -> bool {
-        self.state.failed || self.pending.is_empty()
+        self.state.failed || self.live_pending == 0
     }
 
     /// The minimum level with unprocessed conjuncts. All conjuncts with
     /// level ≤ `frontier_level()` already exist; `None` means the chase
     /// is complete (every level of the finite chase is built).
     pub fn frontier_level(&self) -> Option<u32> {
-        self.pending.iter().next().map(|&(l, _)| l)
+        self.pending.peek().map(|&Reverse((l, _))| l)
     }
 
     /// The words of `id`'s applied-IND bitset (empty if none is set yet).
@@ -265,16 +292,30 @@ impl Chase {
         if old == new {
             return;
         }
-        if old != NOT_PENDING {
-            self.pending.remove(&(old, id));
-        }
-        if new != NOT_PENDING {
-            self.pending.insert((new, id));
-        }
         if self.pending_key.len() <= id.index() {
             self.pending_key.resize(id.index() + 1, NOT_PENDING);
         }
         self.pending_key[id.index()] = new;
+        if old != NOT_PENDING {
+            self.live_pending -= 1;
+        }
+        if new != NOT_PENDING {
+            self.live_pending += 1;
+            self.pending.push(Reverse((new, id)));
+        }
+        self.pop_stale();
+    }
+
+    /// Pops stale entries (those no longer matching their conjunct's
+    /// key) off the top of `pending`.
+    fn pop_stale(&mut self) {
+        while let Some(&Reverse((l, id))) = self.pending.peek() {
+            if self.pending_key[id.index()] == l {
+                break;
+            }
+            self.pending.pop();
+        }
+        debug_assert_eq!(self.pending.is_empty(), self.live_pending == 0);
     }
 
     fn absorb_merges(&mut self, merges: &[Merge]) {
@@ -289,15 +330,11 @@ impl Chase {
             for k in 0..self.stride {
                 self.applied[survivor * self.stride + k] |= self.applied[dead * self.stride + k];
             }
+            // A merge is the only thing that changes a level (the
+            // survivor takes the minimum), so re-keying each merge's pair
+            // re-keys every entry whose level moved.
             self.refresh_pending(m.dead);
             self.refresh_pending(m.survivor);
-        }
-        if !merges.is_empty() {
-            // Levels may have shrunk anywhere; refresh every pending key.
-            let ids: Vec<ConjId> = self.pending.iter().map(|&(_, id)| id).collect();
-            for id in ids {
-                self.refresh_pending(id);
-            }
         }
     }
 
@@ -308,12 +345,12 @@ impl Chase {
         if self.state.failed {
             return false;
         }
-        let Some(&(_, id)) = self.pending.iter().next() else {
+        let Some(&Reverse((_, id))) = self.pending.peek() else {
             return false;
         };
         let Some(ind_idx) = self.unprocessed_inds(id).next() else {
             self.refresh_pending(id);
-            return !self.pending.is_empty();
+            return !self.is_complete();
         };
         self.steps += 1;
         self.applied_words_mut(id)[ind_idx / 64] |= 1 << (ind_idx % 64);
@@ -366,7 +403,7 @@ impl Chase {
             if self.state.failed {
                 return ChaseStatus::Failed;
             }
-            if self.pending.is_empty() {
+            if self.live_pending == 0 {
                 return ChaseStatus::Complete;
             }
             if self.steps >= budget.max_steps
@@ -603,6 +640,195 @@ mod tests {
         let status = ch.expand_to_level(3, ChaseBudget::default());
         assert_eq!(status, ChaseStatus::LevelReached);
         assert_eq!(ch.frontier_level(), Some(3));
+    }
+
+    /// The paper's next choice, recomputed from scratch: the smallest
+    /// `(level, id)` among live conjuncts with an unprocessed IND.
+    fn paper_choice(ch: &Chase) -> Option<(u32, ConjId)> {
+        if ch.state().is_failed() {
+            return None;
+        }
+        ch.state()
+            .alive_conjuncts()
+            .filter(|&(id, _)| ch.unprocessed_inds(id).next().is_some())
+            .map(|(id, c)| (c.level, id))
+            .min()
+    }
+
+    /// Sets `id`'s level as a merge would and tells the scheduler.
+    fn plant_level(ch: &mut Chase, id: ConjId, level: u32) {
+        ch.state.conjuncts[id.index()].level = level;
+        ch.refresh_pending(id);
+    }
+
+    /// Takes one step and asserts it processed the paper's choice: the
+    /// step's arc leaves the smallest `(level, id)` with pending work.
+    fn step_checked(ch: &mut Chase) -> bool {
+        let want = paper_choice(ch);
+        assert_eq!(ch.frontier_level(), want.map(|(l, _)| l), "stale frontier");
+        assert_eq!(ch.is_complete(), want.is_none());
+        let arcs = ch.state().arcs().len();
+        let more = ch.step_once();
+        if let Some((_, id)) = want {
+            assert_eq!(ch.state().arcs().len(), arcs + 1, "one arc per step");
+            assert_eq!(
+                ch.state().arcs()[arcs].from,
+                id,
+                "step out of (level, id) order"
+            );
+        }
+        more
+    }
+
+    #[test]
+    fn merge_that_lowers_a_level_reorders_the_schedule() {
+        // Key-based Σ under the O-chase: R(x, y)'s IND child S(y, n)
+        // merges into S(y, z) through S's key. Creation order follows
+        // levels, so the chase never puts a survivor above its absorbed
+        // twin by itself; plant one by lifting S(y, z) to level 5. The
+        // merge then lowers it to the child's level 1, ahead of the
+        // level-2 and level-3 work it would otherwise follow.
+        let p = parse_program(
+            "relation R(a, b). relation S(a, b).
+             fd R: a -> b. fd S: a -> b.
+             ind R[2] <= S[1]. ind S[2] <= R[1].
+             Q(x) :- R(x, y), S(y, z), R(u, v).",
+        )
+        .unwrap();
+        assert!(matches!(
+            crate::classify::classify(&p.deps, &p.catalog),
+            crate::classify::SigmaClass::KeyBased { .. }
+        ));
+        let mut ch = Chase::new(&p.queries[0], &p.deps, &p.catalog, ChaseMode::Oblivious);
+        plant_level(&mut ch, ConjId(1), 5);
+        assert_eq!(ch.frontier_level(), Some(0));
+        // R(x, y) goes first; its child merges into S(y, z).
+        assert!(step_checked(&mut ch));
+        assert_eq!(ch.state().arcs()[0].from, ConjId(0));
+        assert!(!ch.state().conjunct(ch.state().arcs()[0].to).alive);
+        assert_eq!(ch.state().conjunct(ConjId(1)).level, 1);
+        assert_eq!(ch.pending_key[1], 1, "merge re-keyed the survivor");
+        let mut steps = 1;
+        while steps < 60 && step_checked(&mut ch) {
+            steps += 1;
+        }
+        // The lowered survivor ran at level 1, before any level-2 work.
+        let first_s = ch.state().arcs().iter().position(|a| a.from == ConjId(1));
+        let first_l2 = ch
+            .state()
+            .arcs()
+            .iter()
+            .position(|a| ch.state().conjunct(a.from).level >= 2);
+        assert!(first_s < first_l2, "{first_s:?} vs {first_l2:?}");
+    }
+
+    #[test]
+    fn key_changed_and_changed_back_is_processed_once() {
+        let mut ch = chase_of(
+            "relation R(a). relation S(a). relation T(a).
+             ind R[1] <= T[1]. ind S[1] <= T[1].
+             Q(x) :- R(x), S(y).",
+            ChaseMode::Required,
+        );
+        // S(y)'s entry goes stale below R(x)'s live top, then its key
+        // returns: the heap holds two matching entries for one conjunct.
+        plant_level(&mut ch, ConjId(1), 3);
+        plant_level(&mut ch, ConjId(1), 0);
+        let entries = ch
+            .pending
+            .iter()
+            .filter(|&&Reverse(e)| e == (0, ConjId(1)))
+            .count();
+        assert_eq!(entries, 2);
+        assert_eq!(ch.live_pending, 2);
+        while step_checked(&mut ch) {}
+        assert_eq!(
+            ch.run_to_completion(ChaseBudget::default()),
+            ChaseStatus::Complete
+        );
+        assert_eq!(ch.steps(), 2);
+        let from_s = ch
+            .state()
+            .arcs()
+            .iter()
+            .filter(|a| a.from == ConjId(1))
+            .count();
+        assert_eq!(from_s, 1, "S(y)'s IND applied once");
+        assert!(ch.pending.is_empty());
+        assert_eq!(ch.frontier_level(), None);
+    }
+
+    fn random_body() -> impl proptest::strategy::Strategy<Value = String> {
+        use proptest::prelude::*;
+        proptest::collection::vec((any::<bool>(), 0u32..4, 0u32..4), 1..6).prop_map(|atoms| {
+            atoms
+                .iter()
+                .enumerate()
+                // The first atom holds the head variable v0.
+                .map(|(i, &(s, x, y))| {
+                    let x = if i == 0 { 0 } else { x };
+                    format!("{}(v{x}, v{y})", if s { "S" } else { "R" })
+                })
+                .collect::<Vec<_>>()
+                .join(", ")
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Under planted level changes (some lowering, some raising,
+        /// some back and forth) on key-based and INDs-only Σ in both
+        /// modes, every step processes the smallest live `(level, id)`
+        /// and `frontier_level` never reports a stale level.
+        #[test]
+        fn heap_schedule_matches_a_rescan(
+            body in random_body(),
+            plants in proptest::collection::vec((proptest::prelude::any::<bool>(), 0u32..8, 0u32..4), 40),
+        ) {
+            for sigma in [
+                "fd R: a -> b. fd S: a -> b. ind R[2] <= S[1]. ind S[2] <= R[1].",
+                "ind R[2] <= S[1]. ind S[2] <= R[1]. ind R[1] <= R[2].",
+            ] {
+                let p = parse_program(&format!(
+                    "relation R(a, b). relation S(a, b). {sigma} Q(v0) :- {body}."
+                ))
+                .unwrap();
+                for mode in [ChaseMode::Required, ChaseMode::Oblivious] {
+                    let mut ch = Chase::new(&p.queries[0], &p.deps, &p.catalog, mode);
+                    for &(plant, id, level) in &plants {
+                        let n = ch.state().all_conjuncts().len() as u32;
+                        if plant && n > 0 {
+                            plant_level(&mut ch, ConjId(id % n), level);
+                        }
+                        if !step_checked(&mut ch) {
+                            break;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fired_token_is_noticed_within_one_check_interval() {
+        let mut ch = chase_of(
+            "relation R(a, b).
+             ind R[2] <= R[1].
+             Q(x) :- R(x, y).",
+            ChaseMode::Required,
+        );
+        ch.expand_to_level(10, ChaseBudget::default());
+        assert_eq!(ch.steps(), 10);
+        let token = CancelToken::unlimited();
+        token.cancel();
+        ch.set_cancel(token);
+        // Steps 10..64 run on; the look at step 64 stops the chase.
+        assert_eq!(
+            ch.run_to_completion(ChaseBudget::default()),
+            ChaseStatus::Cancelled
+        );
+        assert_eq!(ch.steps(), CANCEL_CHECK_STEPS);
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //! what lets the FD rule, the R-chase's witness checks, and
 //! [`find_chase_hom`](crate::hom::find_chase_hom) run without rescanning
 //! the conjunct vector. Whole-row dedup and occurrence lists serve only
-//! the FD rule, so they are kept only when Σ has FDs.
+//! the FD rule, so they are kept only when Σ has FDs. Interned rows live
+//! back to back in one flat buffer with a start offset per conjunct, so
+//! adding a conjunct appends to it rather than allocating a row; the FD
+//! rule rewrites rows in place.
 //!
 //! Symbols store their provenance, not their names: an IND step creates
 //! a symbol with one append, and [`ChaseState::var_name`] renders the
@@ -164,8 +167,12 @@ struct ChaseIndex {
     cols: ColumnIndex,
     /// Whole-row dedup over live conjuncts.
     dedup: DedupIndex,
-    /// Interned terms per conjunct (ConjId-indexed, dead rows retained).
-    sym_rows: Vec<Vec<Sym>>,
+    /// Interned terms of every conjunct, back to back in creation order
+    /// (dead rows retained); read through [`ChaseIndex::row`].
+    sym_flat: Vec<Sym>,
+    /// Where each conjunct's row starts in `sym_flat` (`ConjId`-indexed),
+    /// plus one trailing entry: the buffer's length.
+    row_start: Vec<usize>,
     /// Live conjunct ids per relation, ascending.
     rel_rows: Vec<Vec<u32>>,
     /// Live conjunct ids containing each chase variable, ascending.
@@ -193,6 +200,25 @@ impl ChaseIndex {
 
     fn sym_var(sym: Sym) -> Option<CVar> {
         (sym.0 & 1 == 1).then_some(CVar(sym.0 >> 1))
+    }
+
+    /// The span of `id`'s row in `sym_flat`.
+    #[inline]
+    fn span(&self, id: ConjId) -> std::ops::Range<usize> {
+        self.row_start[id.index()]..self.row_start[id.index() + 1]
+    }
+
+    /// The interned terms of conjunct `id`.
+    #[inline]
+    fn row(&self, id: ConjId) -> &[Sym] {
+        &self.sym_flat[self.span(id)]
+    }
+
+    /// Mutable interned terms of conjunct `id`.
+    #[inline]
+    fn row_mut(&mut self, id: ConjId) -> &mut [Sym] {
+        let span = self.span(id);
+        &mut self.sym_flat[span]
     }
 
     fn occ_insert(&mut self, sym: Sym, row: u32) {
@@ -273,6 +299,7 @@ impl ChaseState {
             failed: false,
             index: ChaseIndex {
                 cols: ColumnIndex::new(catalog.rel_ids().map(|r| catalog.arity(r))),
+                row_start: vec![0],
                 rel_rows: vec![Vec::new(); catalog.len()],
                 fd_indexes: has_fds,
                 ..ChaseIndex::default()
@@ -424,19 +451,27 @@ impl ChaseState {
     /// (IND children carry fresh NDVs or were witness-checked first).
     pub(crate) fn push_conjunct(&mut self, rel: RelId, terms: Vec<CTerm>, level: u32) -> ConjId {
         let id = ConjId(self.conjuncts.len() as u32);
-        let syms: Vec<Sym> = terms.iter().map(|t| self.index.term_sym(t)).collect();
-        self.index.cols.insert_row(rel, id.0, &syms);
-        if self.index.fd_indexes {
-            let prev = self.index.dedup.insert(rel, &syms, id.0);
+        let index = &mut self.index;
+        for t in &terms {
+            let sym = index.term_sym(t);
+            index.sym_flat.push(sym);
+        }
+        index.row_start.push(index.sym_flat.len());
+        let span = index.span(id);
+        index
+            .cols
+            .insert_row(rel, id.0, &index.sym_flat[span.clone()]);
+        if index.fd_indexes {
+            let prev = index.dedup.insert(rel, &index.sym_flat[span.clone()], id.0);
             debug_assert!(prev.is_none(), "push_conjunct must not duplicate a row");
-            for &s in &syms {
-                self.index.occ_insert(s, id.0);
+            for k in span {
+                let sym = index.sym_flat[k];
+                index.occ_insert(sym, id.0);
             }
         }
-        let list = &mut self.index.rel_rows[rel.index()];
+        let list = &mut index.rel_rows[rel.index()];
         debug_assert!(list.last().is_none_or(|&l| l < id.0));
         list.push(id.0);
-        self.index.sym_rows.push(syms);
         self.conjuncts.push(Conjunct {
             rel,
             terms,
@@ -452,12 +487,11 @@ impl ChaseState {
     /// rows are identical.
     fn kill_conjunct(&mut self, dead: ConjId, survivor: ConjId) {
         let rel = self.conjuncts[dead.index()].rel;
-        let syms = std::mem::take(&mut self.index.sym_rows[dead.index()]);
+        let syms = self.index.row(dead).to_vec();
         self.index.cols.remove_row(rel, dead.0, &syms);
         for &s in &syms {
             self.index.occ_remove(s, dead.0);
         }
-        self.index.sym_rows[dead.index()] = syms;
         let list = &mut self.index.rel_rows[rel.index()];
         if let Ok(pos) = list.binary_search(&dead.0) {
             list.remove(pos);
@@ -510,22 +544,22 @@ impl ChaseState {
             debug_assert!(self.conjuncts[id.index()].alive);
             let rel = self.conjuncts[id.index()].rel;
             // Un-register the old row shape.
-            let old_syms = self.index.sym_rows[id.index()].clone();
-            self.index.dedup.remove(rel, &old_syms, row);
+            let mut syms = self.index.row(id).to_vec();
+            self.index.dedup.remove(rel, &syms, row);
             // Rewrite terms + syms + postings in the affected columns.
-            for (col, sym) in old_syms.iter().enumerate() {
+            for (col, sym) in syms.iter_mut().enumerate() {
                 if *sym == from_sym {
                     self.index
                         .cols
                         .replace_in_col(rel, col, row, from_sym, to_sym);
-                    self.index.sym_rows[id.index()][col] = to_sym;
+                    *sym = to_sym;
                     self.conjuncts[id.index()].terms[col] = to.clone();
                 }
             }
+            self.index.row_mut(id).copy_from_slice(&syms);
             self.index.occ_insert(to_sym, row);
-            let new_syms = self.index.sym_rows[id.index()].clone();
             // Re-register, merging on collision (min id survives).
-            if let Some(other) = self.index.dedup.try_insert(rel, &new_syms, row) {
+            if let Some(other) = self.index.dedup.try_insert(rel, &syms, row) {
                 let (survivor, dead) = if other < row {
                     (ConjId(other), id)
                 } else {
@@ -534,7 +568,7 @@ impl ChaseState {
                 if survivor.0 == row {
                     // `try_insert` left the old holder in place; the
                     // rewritten row outranks it.
-                    self.index.dedup.insert(rel, &new_syms, row);
+                    self.index.dedup.insert(rel, &syms, row);
                 }
                 self.kill_conjunct(dead, survivor);
                 merges.push(Merge { dead, survivor });
@@ -555,7 +589,7 @@ impl ChaseState {
     /// index intersection; the smallest conjunct id wins (the canonical
     /// witness, matching creation order).
     pub(crate) fn find_witness(&self, ind: &Ind, parent: ConjId) -> Option<ConjId> {
-        let parent_syms = &self.index.sym_rows[parent.index()];
+        let parent_syms = self.index.row(parent);
         let bound: Vec<(usize, Sym)> = ind
             .rhs_cols
             .iter()
@@ -574,7 +608,7 @@ impl ChaseState {
             .first_candidate(
                 ind.rhs_rel,
                 &bound,
-                |row| &self.index.sym_rows[row as usize],
+                |row| self.index.row(ConjId(row)),
                 |_| true,
             )
             .map(ConjId)
@@ -600,7 +634,7 @@ impl ChaseState {
                     return None;
                 }
                 let rel = self.conjuncts[c.index()].rel;
-                let c_syms = &self.index.sym_rows[c.index()];
+                let c_syms = self.index.row(c);
                 // Original schedule: iterate other conjuncts in id order,
                 // and per other take the first applicable FD — i.e.
                 // minimize (other, fd_idx).
@@ -613,8 +647,7 @@ impl ChaseState {
                     // the first accepted row is this fd's minimal
                     // applicable partner for `c`.
                     let accept = |other: u32| {
-                        other != c.0
-                            && self.index.sym_rows[other as usize][fd.rhs] != c_syms[fd.rhs]
+                        other != c.0 && self.index.row(ConjId(other))[fd.rhs] != c_syms[fd.rhs]
                     };
                     let bound: Vec<(usize, Sym)> = fd.lhs.iter().map(|&z| (z, c_syms[z])).collect();
                     let first = if bound.is_empty() {
@@ -626,7 +659,7 @@ impl ChaseState {
                         self.index.cols.first_candidate(
                             rel,
                             &bound,
-                            |row| &self.index.sym_rows[row as usize],
+                            |row| self.index.row(ConjId(row)),
                             accept,
                         )
                     };
@@ -654,7 +687,7 @@ impl ChaseState {
                 for (fd_idx, fd) in fds.iter().enumerate() {
                     let mut groups: FxHashMap<Vec<Sym>, (u32, Sym)> = FxHashMap::default();
                     for &row in &self.index.rel_rows[fd.relation.index()] {
-                        let syms = &self.index.sym_rows[row as usize];
+                        let syms = self.index.row(ConjId(row));
                         let key: Vec<Sym> = fd.lhs.iter().map(|&z| syms[z]).collect();
                         let rhs = syms[fd.rhs];
                         match groups.get(&key) {
@@ -765,7 +798,7 @@ impl FactSource for ChaseHomSource<'_> {
     }
 
     fn row_syms(&self, _rel: RelId, row: u32) -> &[Sym] {
-        &self.state.index.sym_rows[row as usize]
+        self.state.index.row(ConjId(row))
     }
 
     fn posting_len(&self, rel: RelId, col: usize, sym: Sym) -> usize {
@@ -785,7 +818,7 @@ impl FactSource for ChaseHomSource<'_> {
             self.state.index.cols.candidates(
                 rel,
                 bound,
-                |row| &self.state.index.sym_rows[row as usize],
+                |row| self.state.index.row(ConjId(row)),
                 out,
             );
             let mut keep = start;
@@ -914,6 +947,33 @@ mod tests {
         let (_, c) = st.alive_conjuncts().next().unwrap();
         assert_eq!(c.terms[0], z);
         assert_eq!(c.terms[2], z);
+        assert_indexes_match_rebuild(&st, true);
+    }
+
+    #[test]
+    fn flat_rows_match_terms_after_fd_merges() {
+        use crate::chase::driver::{Chase, ChaseMode};
+        // Every IND child S(x, n) of an R-row merges into the S-row with
+        // its key, so the chase's FD path rewrites and kills rows while
+        // later rows keep being appended to the flat buffer.
+        let p = parse_program(
+            "relation R(a, b). relation S(a, b).
+             fd S: a -> b. ind R[1] <= S[1]. ind S[2] <= R[1].
+             Q(x) :- R(x, y), S(x, z), R(y, x), S(y, x).",
+        )
+        .unwrap();
+        let mut ch = Chase::new(&p.queries[0], &p.deps, &p.catalog, ChaseMode::Oblivious);
+        let mut dead = 0;
+        for _ in 0..30 {
+            if !ch.step_once() {
+                break;
+            }
+            let st = ch.state();
+            assert_indexes_match_rebuild(st, true);
+            dead = st.all_conjuncts().iter().filter(|c| !c.alive).count();
+        }
+        assert!(dead >= 2, "the FD rule merged rows ({dead} dead)");
+        assert!(ch.fd_steps() >= 2);
     }
 
     #[test]
@@ -962,7 +1022,7 @@ mod tests {
                     CTerm::Const(k) => Sym(st.index.consts.get(k).expect("interned").0 << 1),
                 })
                 .collect();
-            assert_eq!(st.index.sym_rows[id.index()], syms, "row {id:?}");
+            assert_eq!(st.index.row(id), &syms[..], "row {id:?}");
             cols.insert_row(c.rel, id.0, &syms);
             rel_rows[c.rel.index()].push(id.0);
             for v in syms.iter().filter_map(|&s| ChaseIndex::sym_var(s)) {
@@ -988,7 +1048,7 @@ mod tests {
             }
         }
         for (id, c) in st.alive_conjuncts() {
-            for (col, &sym) in st.index.sym_rows[id.index()].iter().enumerate() {
+            for (col, &sym) in st.index.row(id).iter().enumerate() {
                 assert_eq!(
                     st.index.cols.posting(c.rel, col, sym),
                     cols.posting(c.rel, col, sym),

@@ -276,9 +276,10 @@ fn contained_against(
 
     // Iterative deepening over levels 0, 1, …, bound. Early levels are
     // checked one by one (cheap, returns positives as soon as possible);
-    // past level 32 the homomorphism search runs every 8 levels — each
-    // check rebuilds a target of the chase's size, so per-level checking
-    // would make deep negatives quadratic in the chase.
+    // past level 32 the homomorphism search runs every 8 levels. The
+    // finder probes the chase's own indexes, but each check re-joins Q′
+    // against every level ≤ L, so per-level checking would make deep
+    // negatives quadratic in the chase.
     let mut level: u32 = 0;
     loop {
         let status = chase.expand_to_level(level, budget);

@@ -407,8 +407,10 @@ impl<'q> ChaseHomFinder<'q> {
     /// Searches for a homomorphism into `state` truncated at
     /// `max_level`, compiling the source query on the first call and
     /// recompiling when the chase has grown ≥2x past the plan's stats
-    /// snapshot (the chase doubles per level, so a stale ordering would
-    /// otherwise persist across the whole containment loop).
+    /// snapshot, so a stale ordering does not persist across the whole
+    /// containment loop. (A branching Σ doubles the chase per level; a
+    /// successor-style Σ grows it by about |Q| conjuncts per level, so
+    /// there the plan is recompiled only a few times.)
     pub fn find(&mut self, state: &ChaseState, max_level: u32) -> Option<Homomorphism> {
         let view = state.hom_source(max_level);
         let pre = bind_summary(
