@@ -1,8 +1,8 @@
 //! Instance repair cost: the data chase on random instances under
 //! foreign-key dependencies.
 
+use cqchase_core::{chase_instance, DataChaseBudget};
 use cqchase_ir::parse_program;
-use cqchase_storage::{chase_instance, DataChaseBudget};
 use cqchase_workload::DatabaseGen;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -29,10 +29,7 @@ fn bench_datachase(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(tuples), &tuples, |b, _| {
             b.iter(|| {
                 let out = chase_instance(&db, &p.deps, DataChaseBudget::default());
-                std::hint::black_box(matches!(
-                    out,
-                    cqchase_storage::DataChaseOutcome::Satisfied(_)
-                ))
+                std::hint::black_box(matches!(out, cqchase_core::DataChaseOutcome::Satisfied(_)))
             });
         });
     }

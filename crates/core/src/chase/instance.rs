@@ -1,35 +1,38 @@
 //! The instance-level chase: repair a finite database so it satisfies a
 //! set of FDs and INDs.
 //!
-//! This is the classical Maier–Mendelzon–Sagiv chase lifted from queries
-//! to instances with labelled nulls:
+//! A database with labelled nulls is a Boolean query whose
+//! nondistinguished variables are its nulls, so the classical instance
+//! repair is the R-chase of that query, run by the same [`Chase`] that
+//! decides containment:
 //!
-//! * **FD step** `R: Z → A`: two tuples agree on `Z` but differ on `A` ⇒
-//!   unify the two `A`-values. Constant/constant disagreement is a hard
-//!   inconsistency (mirroring the query chase's "delete all conjuncts and
-//!   halt"); a null unifies with anything; null/null unification keeps the
-//!   lower-numbered null.
-//! * **IND step** `R[X] ⊆ S[Y]`: a tuple of `R` with no witness in `S` ⇒
-//!   insert a new `S`-tuple carrying the `X`-projection in columns `Y` and
-//!   fresh labelled nulls elsewhere (the *required* discipline — instances
-//!   never need the oblivious variant).
+//! * **Freeze.** Each labelled null becomes an NDV, in ascending
+//!   [`NullId`] order, and each tuple a conjunct.
+//! * **Chase.** The FD rule unifies right-hand values: a constant wins,
+//!   of two symbols the lexicographically first (so the lower null)
+//!   wins, and two distinct constants fail the chase. The IND rule
+//!   inserts a witness only when none exists (the *required* discipline;
+//!   instances never need the oblivious one).
+//! * **Thaw.** Surviving input nulls keep their ids; every symbol the
+//!   chase created becomes a fresh null minted past the input's counter.
 //!
 //! IND chases need not terminate (e.g. `R[2] ⊆ R[1]` over a tuple with
 //! distinct values), so every run carries a [`DataChaseBudget`].
 
-use cqchase_index::{FxHashMap, Sym};
-use cqchase_ir::{Dependency, DependencySet, Fd, Ind};
+use cqchase_ir::{Atom, ConjunctiveQuery, DependencySet, Term, VarId, VarKind, VarTable};
+use cqchase_storage::{satisfies, Database, NullId, Value};
 
-use crate::database::{Database, Tuple};
-use crate::indexed::DbIndex;
-use crate::value::Value;
+use super::driver::{Chase, ChaseBudget, ChaseMode, ChaseStatus};
+use super::state::{CTerm, ChaseState};
 
 /// Resource limits for one instance-chase run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DataChaseBudget {
-    /// Maximum number of chase steps (FD unifications + IND insertions).
+    /// Maximum number of R-chase scheduling steps (IND applications and
+    /// witness skips; FD unifications are free).
     pub max_steps: usize,
-    /// Maximum total number of tuples the database may grow to.
+    /// Maximum number of tuples ever created, the input's included, so
+    /// a repair never grows past it.
     pub max_tuples: usize,
 }
 
@@ -64,148 +67,100 @@ impl DataChaseOutcome {
     }
 }
 
-/// Unifies two values through the whole database. A value rewrite can
-/// collapse tuples arbitrarily, so the caller must rebuild its index.
-fn unify(db: &mut Database, a: &Value, b: &Value) -> Result<(), ()> {
-    let (from, to) = match (a, b) {
-        (Value::Const(x), Value::Const(y)) => {
-            return if x == y { Ok(()) } else { Err(()) };
-        }
-        (Value::Null(_), Value::Const(_)) => (a.clone(), b.clone()),
-        (Value::Const(_), Value::Null(_)) => (b.clone(), a.clone()),
-        (Value::Null(x), Value::Null(y)) => {
-            if x == y {
-                return Ok(());
-            } else if x < y {
-                (b.clone(), a.clone())
-            } else {
-                (a.clone(), b.clone())
-            }
-        }
-    };
-    db.map_values(|v| if *v == from { to.clone() } else { v.clone() });
-    Ok(())
-}
-
-/// One pass: find the first FD violation (hash-grouped over the indexed
-/// rows). Returns the two right-hand-side values to unify, or `None` if
-/// no FD is applicable.
-fn find_fd_violation(idx: &DbIndex, fds: &[&Fd]) -> Option<(Value, Value)> {
-    for fd in fds {
-        let mut seen: FxHashMap<Vec<Sym>, Sym> = FxHashMap::default();
-        for row in idx.live_rows(fd.relation) {
-            let syms = cqchase_index::FactSource::row_syms(idx, fd.relation, row);
-            let key: Vec<Sym> = fd.lhs.iter().map(|&c| syms[c]).collect();
-            let rhs = syms[fd.rhs];
-            match seen.get(&key) {
-                None => {
-                    seen.insert(key, rhs);
-                }
-                Some(&prev) => {
-                    if prev != rhs {
-                        return Some((idx.value_of(prev).clone(), idx.value_of(rhs).clone()));
-                    }
-                }
-            }
-        }
-    }
-    None
-}
-
-/// One pass: find the first IND violation, probing for witnesses
-/// through the column index instead of materializing projection sets.
-/// Returns the violated IND's index and the witness-less projection, or
-/// `None` when every IND is satisfied.
-fn find_ind_violation(idx: &DbIndex, inds: &[&Ind]) -> Option<(usize, Vec<Sym>)> {
-    for (i, ind) in inds.iter().enumerate() {
-        let missing: Option<Vec<Sym>> = idx
-            .live_rows(ind.lhs_rel)
-            .map(|row| {
-                let syms = cqchase_index::FactSource::row_syms(idx, ind.lhs_rel, row);
-                ind.lhs_cols.iter().map(|&c| syms[c]).collect::<Vec<Sym>>()
-            })
-            .find(|proj| !idx.has_row_with(ind.rhs_rel, &ind.rhs_cols, proj));
-        if let Some(proj) = missing {
-            return Some((i, proj));
-        }
-    }
-    None
-}
-
-/// Repairs one found IND violation: inserts the missing witness tuple
-/// (projection values in the right-hand columns, fresh nulls elsewhere).
-fn apply_ind_step(db: &mut Database, idx: &mut DbIndex, ind: &Ind, proj: &[Sym]) {
-    let arity = db.catalog().arity(ind.rhs_rel);
-    let mut new_tuple: Tuple = Vec::with_capacity(arity);
-    for col in 0..arity {
-        match ind.rhs_cols.iter().position(|&c| c == col) {
-            Some(k) => new_tuple.push(idx.value_of(proj[k]).clone()),
-            None => new_tuple.push(db.fresh_null()),
-        }
-    }
-    let inserted = db
-        .insert(ind.rhs_rel, new_tuple.clone())
-        .expect("arity is correct by construction");
-    debug_assert!(inserted, "a missing witness cannot already exist");
-    idx.note_insert(ind.rhs_rel, &new_tuple);
-}
-
 /// Chases `db` with respect to `deps` under `budget`.
 ///
-/// FD steps are exhausted before each IND step, mirroring the query
-/// chase's schedule; the result (when `Satisfied`) obeys every dependency.
+/// An instance that already satisfies Σ comes back as itself, whatever
+/// its size; otherwise the result (when `Satisfied`) obeys every
+/// dependency.
 pub fn chase_instance(
     db: &Database,
     deps: &DependencySet,
     budget: DataChaseBudget,
 ) -> DataChaseOutcome {
-    let mut db = db.clone();
-    let fds: Vec<&Fd> = deps.fds().collect();
-    let inds: Vec<&Ind> = deps
-        .iter()
-        .filter_map(Dependency::as_ind)
-        .filter(|i| !i.is_trivial())
-        .collect();
-    let mut idx = DbIndex::build(&db);
-    let mut steps = 0usize;
-    loop {
-        // Exhaust FDs. Each unification rewrites values wholesale, so
-        // the index is rebuilt; IND insertions below keep it incremental.
-        while let Some((x, y)) = find_fd_violation(&idx, &fds) {
-            if unify(&mut db, &x, &y).is_err() {
-                return DataChaseOutcome::Inconsistent;
-            }
-            idx = DbIndex::build(&db);
-            steps += 1;
-            if steps >= budget.max_steps {
-                return DataChaseOutcome::BudgetExhausted(db);
-            }
-        }
-        // One IND repair, then re-check FDs. The tuple budget is
-        // enforced *before* inserting: a repair at the boundary must not
-        // push the database past `max_tuples` (the old post-check let
-        // the final step overshoot the budget — by one tuple normally,
-        // and without bound relative to an already-over-budget input).
-        // An instance that needs no repair is `Satisfied` regardless of
-        // its size.
-        let Some((i, proj)) = find_ind_violation(&idx, &inds) else {
-            return DataChaseOutcome::Satisfied(db);
-        };
-        if db.total_tuples() >= budget.max_tuples {
-            return DataChaseOutcome::BudgetExhausted(db);
-        }
-        apply_ind_step(&mut db, &mut idx, inds[i], &proj);
-        steps += 1;
-        if steps >= budget.max_steps {
-            return DataChaseOutcome::BudgetExhausted(db);
-        }
+    if satisfies(db, deps) {
+        return DataChaseOutcome::Satisfied(db.clone());
     }
+    let (q, nulls) = freeze(db);
+    let mut chase = Chase::new(&q, deps, db.catalog(), ChaseMode::Required);
+    let status = chase.run_to_completion(ChaseBudget {
+        max_steps: budget.max_steps,
+        max_conjuncts: budget.max_tuples,
+    });
+    match status {
+        ChaseStatus::Failed => DataChaseOutcome::Inconsistent,
+        ChaseStatus::Complete => {
+            DataChaseOutcome::Satisfied(thaw(chase.state(), db.cleared(), &nulls))
+        }
+        // With no level target and no cancel token, only the budget is
+        // left to stop the run.
+        _ => DataChaseOutcome::BudgetExhausted(thaw(chase.state(), db.cleared(), &nulls)),
+    }
+}
+
+/// `db` as a Boolean query: one conjunct per tuple, one NDV per distinct
+/// null. Returns the query and its nulls ascending, so NDV `i` (and chase
+/// symbol `i`) stands for `nulls[i]`.
+fn freeze(db: &Database) -> (ConjunctiveQuery, Vec<NullId>) {
+    let tuples = || {
+        db.iter()
+            .flat_map(|(rel, r)| r.tuples().map(move |t| (rel, t)))
+    };
+    let mut nulls: Vec<NullId> = tuples()
+        .flat_map(|(_, t)| t)
+        .filter_map(|v| match v {
+            Value::Null(n) => Some(*n),
+            Value::Const(_) => None,
+        })
+        .collect();
+    nulls.sort_unstable();
+    nulls.dedup();
+    let mut vars = VarTable::new();
+    for n in &nulls {
+        vars.push(Value::Null(*n).to_string(), VarKind::Existential);
+    }
+    let term = |v: &Value| match v {
+        Value::Const(c) => Term::Const(c.clone()),
+        Value::Null(n) => Term::Var(VarId(
+            nulls.binary_search(n).expect("every null was collected") as u32,
+        )),
+    };
+    let atoms = tuples()
+        .map(|(rel, t)| Atom::new(rel, t.iter().map(term).collect()))
+        .collect();
+    let q = ConjunctiveQuery {
+        name: "instance".to_owned(),
+        head: Vec::new(),
+        atoms,
+        vars,
+    };
+    (q, nulls)
+}
+
+/// The live conjuncts of `state` as tuples of `out`, in creation order.
+/// Chase symbol `i` becomes `frozen[i]`; every later symbol, dead or
+/// alive, mints one fresh null of `out`, in creation order, so the
+/// nulls are numbered as if each IND step had minted its own.
+pub(super) fn thaw(state: &ChaseState, mut out: Database, frozen: &[NullId]) -> Database {
+    let created: Vec<Value> = (frozen.len()..state.num_vars())
+        .map(|_| out.fresh_null())
+        .collect();
+    let value = |t: &CTerm| match t {
+        CTerm::Const(c) => Value::Const(c.clone()),
+        CTerm::Var(v) => match frozen.get(v.index()) {
+            Some(&n) => Value::Null(n),
+            None => created[v.index() - frozen.len()].clone(),
+        },
+    };
+    for (_, c) in state.alive_conjuncts() {
+        out.insert(c.rel, c.terms.iter().map(value).collect())
+            .expect("chase conjuncts have their relation's arity");
+    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::check::satisfies;
     use cqchase_ir::{Catalog, DependencySetBuilder};
 
     fn emp_dep() -> (Catalog, DependencySet) {

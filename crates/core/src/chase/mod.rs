@@ -11,18 +11,24 @@
 //! chase breadth-first by level, so potentially infinite chases can be
 //! explored up to the Theorem 2 bound ([`theorem2_bound`]) — which is
 //! exactly what the containment engine does.
+//!
+//! The same driver repairs database instances: [`chase_instance`] reads
+//! a database as a Boolean query whose NDVs are its labelled nulls and
+//! runs the R-chase to completion.
 
 pub mod bound;
 mod driver;
 mod fd;
 pub mod graph;
 mod ind;
+mod instance;
 mod state;
 
 pub use bound::{theorem2_bound, theorem2_bound_raw};
 pub use driver::{
     Chase, ChaseBudget, ChaseMode, ChaseStatus, DEFAULT_MAX_CONJUNCTS, DEFAULT_MAX_STEPS,
 };
+pub use instance::{chase_instance, DataChaseBudget, DataChaseOutcome};
 pub use state::{ArcKind, CTerm, CVar, CVarOrigin, ChaseArc, ChaseState, ConjId, Conjunct};
 
 use cqchase_ir::{Catalog, ConjunctiveQuery, DependencySet};
@@ -90,8 +96,7 @@ mod tests {
     /// stability observation) — verified via the storage layer.
     #[test]
     fn complete_chase_obeys_sigma() {
-        use cqchase_ir::Constant;
-        use cqchase_storage::{satisfies, Database, Value};
+        use cqchase_storage::{satisfies, Database};
 
         let p = parse_program(
             "relation R(a, b). relation S(a, b). relation T(a).
@@ -108,19 +113,9 @@ mod tests {
             ChaseBudget::default(),
         );
         assert_eq!(status, ChaseStatus::Complete);
-        // Interpret each chase symbol as a distinct constant.
-        let mut db = Database::new(&p.catalog);
-        for (_, c) in ch.state().alive_conjuncts() {
-            let tuple: Vec<Value> = c
-                .terms
-                .iter()
-                .map(|t| match t {
-                    CTerm::Const(k) => Value::Const(k.clone()),
-                    CTerm::Var(v) => Value::Const(Constant::str(ch.state().var_name(*v))),
-                })
-                .collect();
-            db.insert(c.rel, tuple).unwrap();
-        }
+        // Interpret each chase symbol as a distinct labelled null.
+        let db = instance::thaw(ch.state(), Database::new(&p.catalog), &[]);
+        assert_eq!(db.total_tuples(), ch.state().num_alive());
         assert!(satisfies(&db, &p.deps));
     }
 }

@@ -7,8 +7,10 @@
 //! **Theorem 2.** When Σ consists of INDs only, or is key-based, a
 //! witness homomorphism (if any) lands within chase level
 //! `|Q′| · |Σ| · (W+1)^W`. We therefore expand the chase level by level
-//! (iterative deepening — positive answers return as early as possible)
-//! and declare non-containment once the bound is fully explored.
+//! (iterative deepening: levels up to 32 are each checked, so a positive
+//! found there returns at the first level that holds it; past 32 only
+//! every 8th level and the bound are checked) and declare
+//! non-containment once the bound is fully explored.
 //!
 //! For Σ = ∅ this degenerates to the Chandra–Merlin homomorphism test;
 //! for FDs-only, to the classical finite chase of Aho–Sagiv–Ullman /

@@ -301,9 +301,11 @@ fn probe(
 /// A reusable homomorphism probe `source → target` over a **fixed**
 /// [`HomTarget`]: the source query is compiled once as a head-bound
 /// probe plan ([`compile_probe`]) and the join scratch is reused, so
-/// repeated probes pay only the search itself. This is the production
-/// shape of every hot containment loop — per-call [`find_hom`] spends a
-/// measurable fraction of short probes recompiling the plan.
+/// repeated probes pay only the search itself; per-call [`find_hom`]
+/// spends a measurable fraction of short probes recompiling the plan.
+/// Production containment probes a growing chase through
+/// [`ChaseHomFinder`] instead; this finder serves the benchmarks that
+/// time search over a fixed target.
 ///
 /// The target is frozen at construction, so the plan can never go stale
 /// (no drift check needed — contrast [`ChaseHomFinder`]).

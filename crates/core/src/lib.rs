@@ -5,7 +5,9 @@
 //! dependencies via (potentially infinite) chases, made effective by the
 //! Theorem 2 level bound.
 //!
-//! * [`chase`] — the O-chase and R-chase drivers, chase graph, bound;
+//! * [`chase`] — the O-chase and R-chase drivers, chase graph, bound,
+//!   and [`chase_instance`], the classical repair of a database with
+//!   labelled nulls run as the R-chase of that database read as a query;
 //! * [`hom`] — homomorphism search (queries → queries/chases), the
 //!   Chandra–Merlin primitive;
 //! * [`classify`](mod@classify) — Σ classification (empty / FDs-only / INDs-only /
@@ -32,7 +34,10 @@ pub mod inference;
 pub mod isomorphism;
 pub mod minimize;
 
-pub use chase::{chase_query, theorem2_bound, Chase, ChaseBudget, ChaseMode, ChaseStatus};
+pub use chase::{
+    chase_instance, chase_query, theorem2_bound, Chase, ChaseBudget, ChaseMode, ChaseStatus,
+    DataChaseBudget, DataChaseOutcome,
+};
 pub use classify::{classify, SigmaClass};
 pub use containment::{
     check_batch, contained, equivalent, BatchPair, ContainmentAnswer, ContainmentEngineError,

@@ -52,8 +52,12 @@ fn project(t: &Tuple, cols: &[usize]) -> Vec<Value> {
     cols.iter().map(|&c| t[c].clone()).collect()
 }
 
-/// All violations of `fd` in `db`, at most one per offending pair class
-/// (the first conflicting pair per left-hand-side value is reported).
+/// All violations of `fd` in `db`: one per tuple whose right-hand value
+/// differs from that of the first tuple (in insertion order) with the
+/// same left-hand-side value, reported as the pair (first, that tuple).
+/// So `R(1, a), R(1, b), R(1, c)` under `R: 1 → 2` gives two violations,
+/// `(0, 1)` and `(0, 2)`; a tuple that agrees with the first one is not
+/// reported, even when it disagrees with another.
 pub fn fd_violations(db: &Database, fd: &Fd) -> Vec<Violation> {
     let mut out = Vec::new();
     let mut seen: HashMap<Vec<Value>, (usize, &Value)> = HashMap::new();
@@ -164,6 +168,29 @@ mod tests {
             }
         ));
         assert!(!satisfies(&db, &deps));
+    }
+
+    #[test]
+    fn fd_violations_pair_each_disagreeing_tuple_with_the_first() {
+        let mut c = Catalog::new();
+        c.declare("R", ["k", "v"]).unwrap();
+        let r = c.resolve("R").unwrap();
+        let fd = Fd::new(r, vec![0], 1);
+        let mut db = Database::new(&c);
+        db.insert_named("R", [Value::int(1), Value::str("a")])
+            .unwrap();
+        db.insert_named("R", [Value::int(1), Value::str("b")])
+            .unwrap();
+        db.insert_named("R", [Value::int(1), Value::str("c")])
+            .unwrap();
+        let pairs: Vec<(usize, usize)> = fd_violations(&db, &fd)
+            .into_iter()
+            .map(|v| match v {
+                Violation::Fd { first, second, .. } => (first, second),
+                Violation::Ind { .. } => unreachable!("an FD check reports FD violations"),
+            })
+            .collect();
+        assert_eq!(pairs, vec![(0, 1), (0, 2)]);
     }
 
     #[test]

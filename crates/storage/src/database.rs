@@ -1,7 +1,7 @@
 //! Databases: finite sets of relation instances over a catalog.
 //!
 //! A [`Database`] is the plain value-level store that the naive
-//! engines, the data chase and the instance enumerator read. Service
+//! engines, the instance chase and the instance enumerator read. Service
 //! sessions keep their facts in a [`DbIndex`](crate::indexed::DbIndex)
 //! instead, so a [`RelationInstance`] only packs its own slots.
 
@@ -85,18 +85,6 @@ impl RelationInstance {
     /// The live tuples, in insertion order.
     pub fn tuples(&self) -> impl Iterator<Item = &Tuple> + '_ {
         self.slots.iter().flatten()
-    }
-
-    /// Rebuilds the instance applying `f` to every value (used by the data
-    /// chase when unifying nulls). Collapses tuples that become equal and
-    /// drops any holes.
-    pub fn map_values(&mut self, f: impl Fn(&Value) -> Value) {
-        let old = std::mem::take(&mut self.slots);
-        self.pos.clear();
-        self.holes = 0;
-        for t in old.into_iter().flatten() {
-            self.insert(t.iter().map(&f).collect());
-        }
     }
 }
 
@@ -194,6 +182,16 @@ impl Database {
         Ok(db)
     }
 
+    /// An empty database over the same catalog that keeps this one's
+    /// null counter, so nulls minted into it never collide with this
+    /// database's nulls.
+    pub fn cleared(&self) -> Database {
+        Database {
+            next_null: self.next_null,
+            ..Database::new(&self.catalog)
+        }
+    }
+
     /// Mints a fresh labelled null, unique within this database.
     pub fn fresh_null(&mut self) -> Value {
         let id = NullId(self.next_null);
@@ -213,14 +211,6 @@ impl Database {
             .flat_map(|r| r.tuples())
             .flatten()
             .any(Value::is_null)
-    }
-
-    /// Applies `f` to every value in every relation (collapsing duplicate
-    /// tuples that result).
-    pub fn map_values(&mut self, f: impl Fn(&Value) -> Value + Copy) {
-        for r in &mut self.relations {
-            r.map_values(f);
-        }
     }
 
     /// Iterator over `(rel, instance)` pairs.
@@ -405,24 +395,16 @@ mod tests {
     }
 
     #[test]
-    fn map_values_collapses() {
+    fn cleared_keeps_the_null_counter() {
         let c = cat();
         let mut db = Database::new(&c);
-        db.insert_named("R", [1i64, 7]).unwrap();
-        db.insert_named("R", [2i64, 7]).unwrap();
-        // Map both keys to 9 — the tuples become identical and collapse.
-        db.map_values(|v| {
-            if v.as_const().and_then(|c| match c {
-                cqchase_ir::Constant::Int(i) => Some(*i),
-                _ => None,
-            }) == Some(7)
-            {
-                v.clone()
-            } else {
-                Value::int(9)
-            }
-        });
-        assert_eq!(db.total_tuples(), 1);
+        let r = c.resolve("R").unwrap();
+        db.insert(r, vec![Value::Null(NullId(3)), Value::int(0)])
+            .unwrap();
+        let mut empty = db.cleared();
+        assert_eq!(empty.total_tuples(), 0);
+        assert_eq!(empty.catalog(), db.catalog());
+        assert_eq!(empty.fresh_null(), Value::Null(NullId(4)));
     }
 
     #[test]

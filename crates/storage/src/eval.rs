@@ -61,15 +61,11 @@ pub fn evaluate(q: &ConjunctiveQuery, db: &Database) -> Vec<Tuple> {
 /// This is the sequential reference engine; `cqchase-par` runs the same
 /// computation across worker threads.
 pub fn evaluate_batch(qs: &[ConjunctiveQuery], db: &Database) -> Vec<Vec<Tuple>> {
-    evaluate_batch_indexed(qs, &DbIndex::build(db))
-}
-
-/// [`evaluate_batch`] against a prebuilt index.
-pub fn evaluate_batch_indexed(qs: &[ConjunctiveQuery], idx: &DbIndex) -> Vec<Vec<Tuple>> {
+    let idx = DbIndex::build(db);
     let mut cache = PlanCache::new();
     let mut scratch = JoinScratch::new();
     qs.iter()
-        .map(|q| evaluate_indexed_with(q, idx, &mut cache, &mut scratch))
+        .map(|q| evaluate_indexed_with(q, &idx, &mut cache, &mut scratch))
         .collect()
 }
 
@@ -110,32 +106,27 @@ pub fn evaluate_plan(
     out.into_iter().collect()
 }
 
-/// [`evaluate_boolean`] against a prebuilt index — use when probing
-/// several queries over one instance (the index build dominates a
-/// single cheap existence check).
-pub fn evaluate_boolean_indexed(q: &ConjunctiveQuery, idx: &DbIndex) -> bool {
-    let Some(cq) = compile(q, idx) else {
+/// Evaluates a Boolean query (or any query) for mere satisfiability of
+/// the body — `true` iff `Q(B)` is nonempty.
+pub fn evaluate_boolean(q: &ConjunctiveQuery, db: &Database) -> bool {
+    let idx = DbIndex::build(db);
+    let Some(cq) = compile(q, &idx) else {
         return false;
     };
     // Distinct mode turns an acyclic existence check into pure semijoin
     // reduction: with no head variables, every subtree collapses.
-    join_unbound_distinct(idx, &cq, &mut JoinScratch::new(), |_, _| true)
+    join_unbound_distinct(&idx, &cq, &mut JoinScratch::new(), |_, _| true)
         == cqchase_index::JoinOutcome::Stopped
 }
 
-/// Evaluates a Boolean query (or any query) for mere satisfiability of
-/// the body — `true` iff `Q(B)` is nonempty.
-pub fn evaluate_boolean(q: &ConjunctiveQuery, db: &Database) -> bool {
-    evaluate_boolean_indexed(q, &DbIndex::build(db))
-}
-
-/// [`contains_tuple`] against a prebuilt index — use when probing many
-/// tuples over one instance.
-pub fn contains_tuple_indexed(q: &ConjunctiveQuery, idx: &DbIndex, t: &Tuple) -> bool {
+/// Whether `t ∈ Q(B)` — decided by pre-binding the head and searching,
+/// which avoids enumerating the whole answer.
+pub fn contains_tuple(q: &ConjunctiveQuery, db: &Database, t: &Tuple) -> bool {
     if t.len() != q.output_arity() {
         return false;
     }
-    let Some(cq) = compile_probe(q, idx) else {
+    let idx = DbIndex::build(db);
+    let Some(cq) = compile_probe(q, &idx) else {
         return false;
     };
     let mut pre: Vec<Option<Sym>> = vec![None; cq.num_vars];
@@ -159,14 +150,8 @@ pub fn contains_tuple_indexed(q: &ConjunctiveQuery, idx: &DbIndex, t: &Tuple) ->
             }
         }
     }
-    join_with(idx, &cq, &pre, &mut JoinScratch::new(), |_, _| true)
+    join_with(&idx, &cq, &pre, &mut JoinScratch::new(), |_, _| true)
         == cqchase_index::JoinOutcome::Stopped
-}
-
-/// Whether `t ∈ Q(B)` — decided by pre-binding the head and searching,
-/// which avoids enumerating the whole answer.
-pub fn contains_tuple(q: &ConjunctiveQuery, db: &Database, t: &Tuple) -> bool {
-    contains_tuple_indexed(q, &DbIndex::build(db), t)
 }
 
 /// The seed's scan-based evaluator, retained verbatim as the reference

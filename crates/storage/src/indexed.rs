@@ -1,5 +1,5 @@
-//! Interned, indexed fact storage, shared by query evaluation, the
-//! instance-level chase and the service's live sessions.
+//! Interned, indexed fact storage, shared by query evaluation and the
+//! service's live sessions.
 //!
 //! A [`DbIndex`] interns every [`Value`] of an instance into the
 //! [`Sym`] space of [`cqchase_index`] and maintains per-relation,
@@ -14,8 +14,8 @@
 //! and [`DbIndex::tuples`] answer set semantics without a [`Database`]
 //! beside it (the service's sessions keep no other copy of their facts).
 //! It can also mirror a database: [`DbIndex::build`] indexes one, and
-//! [`DbIndex::note_insert`] registers a tuple the database just accepted
-//! (the data chase does). Deletion **tombstones** the row: its slot
+//! [`DbIndex::note_insert`] registers a tuple the database just
+//! accepted. Deletion **tombstones** the row: its slot
 //! keeps its symbols but drops out of every posting list, the dedup map,
 //! and live-row enumeration, so in-flight plans never see it. Tombstones
 //! are reclaimed by amortized per-relation compaction (a size-tiered
@@ -27,8 +27,7 @@
 //! invalidation mutation can cause is an insert interning a *new*
 //! constant, which falsifies cached "unsatisfiable" plans — watch [`DbIndex::num_syms`] and call
 //! [`PlanCache::drop_unsatisfiable`](cqchase_index::PlanCache::drop_unsatisfiable)
-//! when it grows. Wholesale value rewrites ([`Database::map_values`])
-//! still invalidate everything; rebuild afterwards.
+//! when it grows.
 
 use cqchase_index::{ColumnIndex, DedupIndex, FactSource, Sym, SymPool};
 use cqchase_ir::{Catalog, Constant, RelId};
@@ -315,20 +314,6 @@ impl DbIndex {
         self.cols.distinct_count(rel, col)
     }
 
-    /// Whether some live row of `rel` carries exactly `syms` at `cols` —
-    /// the IND-witness probe of the data chase, via posting intersection.
-    pub fn has_row_with(&self, rel: RelId, cols: &[usize], syms: &[Sym]) -> bool {
-        debug_assert_eq!(cols.len(), syms.len());
-        let bound: Vec<(usize, Sym)> = cols.iter().copied().zip(syms.iter().copied()).collect();
-        if bound.is_empty() {
-            return self.num_rows(rel) > 0;
-        }
-        let mut out = Vec::new();
-        self.cols
-            .candidates(rel, &bound, |row| self.row(rel, row), &mut out);
-        !out.is_empty()
-    }
-
     #[inline]
     fn row(&self, rel: RelId, row: u32) -> &[Sym] {
         let a = self.arities[rel.index()];
@@ -373,6 +358,14 @@ mod tests {
     use super::*;
     use cqchase_ir::Catalog;
 
+    /// Whether some live row of `rel` carries every `(col, sym)` of
+    /// `bound`, through the join engine's candidate probe.
+    fn has_row(idx: &DbIndex, rel: RelId, bound: &[(usize, Sym)]) -> bool {
+        let mut out = Vec::new();
+        idx.candidates(rel, bound, &mut out);
+        !out.is_empty()
+    }
+
     fn db() -> (Catalog, Database) {
         let mut c = Catalog::new();
         c.declare("R", ["a", "b"]).unwrap();
@@ -395,9 +388,9 @@ mod tests {
         let two = idx.sym_of_value(&Value::int(2)).unwrap();
         assert_eq!(idx.posting_len(r, 1, two), 2);
         assert_eq!(idx.posting_len(r, 0, two), 1);
-        assert!(idx.has_row_with(s, &[0], &[two]));
+        assert!(has_row(&idx, s, &[(0, two)]));
         let one = idx.sym_of_value(&Value::int(1)).unwrap();
-        assert!(!idx.has_row_with(s, &[0], &[one]));
+        assert!(!has_row(&idx, s, &[(0, one)]));
     }
 
     #[test]
@@ -410,7 +403,7 @@ mod tests {
         idx.note_insert(s, &t);
         assert_eq!(idx.num_rows(s), 2);
         let nine = idx.sym_of_value(&Value::int(9)).unwrap();
-        assert!(idx.has_row_with(s, &[0], &[nine]));
+        assert!(has_row(&idx, s, &[(0, nine)]));
     }
 
     #[test]
@@ -426,7 +419,7 @@ mod tests {
         let two = idx.sym_of_value(&Value::int(2)).unwrap();
         assert_eq!(idx.posting_len(r, 0, one), 0);
         assert_eq!(idx.posting_len(r, 1, two), 1);
-        assert!(!idx.has_row_with(r, &[0], &[one]));
+        assert!(!has_row(&idx, r, &[(0, one)]));
         assert_eq!(idx.live_rows(r).collect::<Vec<_>>(), vec![1]);
         // Removing it again (or a never-seen tuple) is a no-op.
         assert!(!idx.note_remove(r, &t));
@@ -446,10 +439,10 @@ mod tests {
         assert_eq!(idx.num_rows(r), 2);
         let one = idx.sym_of_value(&Value::int(1)).unwrap();
         assert_eq!(idx.posting_len(r, 0, one), 1);
-        assert!(idx.has_row_with(
+        assert!(has_row(
+            &idx,
             r,
-            &[0, 1],
-            &[one, idx.sym_of_value(&Value::int(2)).unwrap()]
+            &[(0, one), (1, idx.sym_of_value(&Value::int(2)).unwrap())]
         ));
         // The reinserted tuple is removable again through the fresh
         // dedup entry (tombstone of the old slot does not shadow it).

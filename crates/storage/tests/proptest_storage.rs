@@ -1,12 +1,8 @@
-//! Property tests on the storage substrate: the data chase repairs into
-//! Σ-satisfying instances, evaluation is monotone, and the evaluation
-//! entry points agree.
+//! Property tests on the storage substrate: evaluation is monotone, and
+//! the evaluation entry points agree.
 
-use cqchase_ir::{parse_program, Catalog, DependencySet, Fd, Ind, RelId};
-use cqchase_storage::{
-    chase_instance, contains_tuple, evaluate, evaluate_boolean, satisfies, DataChaseBudget,
-    DataChaseOutcome, Database, Value,
-};
+use cqchase_ir::{parse_program, Catalog, RelId};
+use cqchase_storage::{contains_tuple, evaluate, evaluate_boolean, Database, Value};
 use proptest::prelude::*;
 
 fn catalog() -> Catalog {
@@ -35,59 +31,8 @@ fn instances() -> impl Strategy<Value = Database> {
         })
 }
 
-/// Random Σ: possibly an FD on R, possibly the acyclic IND R[b] ⊆ S[x].
-fn sigmas() -> impl Strategy<Value = DependencySet> {
-    (any::<bool>(), any::<bool>()).prop_map(|(fd, ind)| {
-        let c = catalog();
-        let r = c.resolve("R").unwrap();
-        let s = c.resolve("S").unwrap();
-        let mut out = DependencySet::new();
-        if fd {
-            out.push(Fd::new(r, vec![0], 1));
-        }
-        if ind {
-            out.push(Ind::new(r, vec![1], s, vec![0]));
-        }
-        out
-    })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// A successful data chase yields an instance satisfying Σ, and never
-    /// loses the answer tuples of queries over the *original* data
-    /// (homomorphic repairs only merge and add).
-    #[test]
-    fn data_chase_repairs(db in instances(), sigma in sigmas()) {
-        match chase_instance(&db, &sigma, DataChaseBudget::default()) {
-            DataChaseOutcome::Satisfied(repaired) => {
-                prop_assert!(satisfies(&repaired, &sigma));
-            }
-            DataChaseOutcome::Inconsistent => {
-                // Only FDs over constants can be inconsistent.
-                prop_assert!(sigma.num_fds() > 0);
-            }
-            DataChaseOutcome::BudgetExhausted(_) => {
-                // The acyclic Σ here always terminates.
-                prop_assert!(false, "acyclic data chase must terminate");
-            }
-        }
-    }
-
-    /// Already-satisfying instances pass through the chase unchanged.
-    #[test]
-    fn chase_is_identity_on_satisfying(db in instances(), sigma in sigmas()) {
-        if satisfies(&db, &sigma) {
-            let out = chase_instance(&db, &sigma, DataChaseBudget::default());
-            match out {
-                DataChaseOutcome::Satisfied(repaired) => {
-                    prop_assert_eq!(repaired, db);
-                }
-                _ => prop_assert!(false, "satisfying instance must stay satisfied"),
-            }
-        }
-    }
 
     /// CQ answers are monotone under tuple insertion.
     #[test]

@@ -1,7 +1,8 @@
 //! Random database-instance generation.
 
+use cqchase_core::{chase_instance, DataChaseBudget, DataChaseOutcome};
 use cqchase_ir::{Catalog, DependencySet};
-use cqchase_storage::{chase_instance, DataChaseBudget, DataChaseOutcome, Database, Value};
+use cqchase_storage::{Database, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -43,9 +44,9 @@ impl DatabaseGen {
     }
 
     /// Generates a random instance and repairs it into a Σ-satisfying one
-    /// via the data chase. Returns `None` when the instance is
-    /// inconsistent with Σ or the chase does not terminate in budget
-    /// (callers typically retry with the next seed).
+    /// via the instance chase ([`chase_instance`]). Returns `None` when
+    /// the instance is inconsistent with Σ or the chase does not
+    /// terminate in budget (callers typically retry with the next seed).
     pub fn generate_satisfying(
         &self,
         catalog: &Catalog,

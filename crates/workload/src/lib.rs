@@ -11,7 +11,7 @@
 //!   controlled), random FD sets, and random **key-based** schemas
 //!   (FDs + INDs satisfying the paper's conditions (a) and (b));
 //! * [`databases`] — random instances, optionally repaired into
-//!   Σ-satisfying ones through the storage-layer data chase;
+//!   Σ-satisfying ones through `cqchase_core::chase_instance`;
 //! * [`families`] — the named workloads the experiments reference
 //!   (the Figure 1 Σ, the Section 4 Σ, the intro's EMP/DEP schema);
 //! * [`batches`] — batch workloads (query pools + containment pairs)

@@ -6,9 +6,9 @@
 
 use cqchase::core::chase::ChaseBudget;
 use cqchase::core::containment::ChaseBudgetOpt;
-use cqchase::core::{contained, ContainmentOptions};
+use cqchase::core::{contained, ContainmentOptions, DataChaseBudget};
 use cqchase::ir::{Catalog, DependencySet};
-use cqchase::storage::{evaluate, DataChaseBudget};
+use cqchase::storage::evaluate;
 
 /// Small budgets: cyclic dependency sets make both the query chase and
 /// the data chase unbounded, and debug-mode tests must cut off early.
