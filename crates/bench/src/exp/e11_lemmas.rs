@@ -20,8 +20,8 @@ use crate::table::Table;
 /// Max level span of any symbol in the chase.
 fn max_symbol_span(state: &cqchase_core::chase::ChaseState) -> u32 {
     let mut range: HashMap<u32, (u32, u32)> = HashMap::new();
-    for (_, c) in state.alive_conjuncts() {
-        for t in &c.terms {
+    for (id, c) in state.alive_conjuncts() {
+        for t in state.terms(id) {
             if let CTerm::Var(v) = t {
                 let e = range.entry(v.0).or_insert((c.level, c.level));
                 e.0 = e.0.min(c.level);

@@ -29,21 +29,19 @@ pub fn query_from_conjuncts(state: &ChaseState, ids: &[ConjId], name: &str) -> C
     }
     let mut atoms = Vec::with_capacity(ids.len());
     for &cid in ids {
-        let c = state.conjunct(cid);
-        let terms = c
-            .terms
-            .iter()
+        let terms = state
+            .terms(cid)
             .map(|t| match t {
-                CTerm::Const(k) => Term::Const(k.clone()),
+                CTerm::Const(k) => Term::Const(k),
                 CTerm::Var(v) => {
                     let id = *map.entry(v.0).or_insert_with(|| {
-                        vars.push(state.var_name(*v).into_owned(), VarKind::Existential)
+                        vars.push(state.var_name(v).into_owned(), VarKind::Existential)
                     });
                     Term::Var(id)
                 }
             })
             .collect();
-        atoms.push(Atom::new(c.rel, terms));
+        atoms.push(Atom::new(state.conjunct(cid).rel, terms));
     }
     ConjunctiveQuery {
         name: name.to_owned(),

@@ -18,12 +18,19 @@
 //! convention (Maier, Mendelzon & Sagiv show the result is unique up to
 //! variable renaming regardless).
 //!
-//! The choice is a min-heap of `(level, id)` entries with lazy deletion:
-//! a `ConjId`-indexed table holds each conjunct's current key, a key
-//! change pushes a new entry, and stale entries are popped whenever they
-//! reach the top. A conjunct therefore costs one heap push and one pop
-//! instead of an ordered-set insert and remove, and the top is always
-//! the paper's choice, including after an FD merge lowers a level.
+//! The choice is made in creation order. A conjunct's level is fixed
+//! when it is created (0, or its parent's level + 1), and the parent is
+//! always the smallest pending `(level, id)`, so conjuncts are created
+//! in nondecreasing level order and the paper's choice is simply the
+//! first conjunct, by id, that still has work. A cursor walks the ids
+//! to find it. Only an FD merge changes a level after creation, by
+//! giving the survivor the smaller of the two. When that happens to a
+//! conjunct ahead of the cursor (or, with FDs, a child is created below
+//! the cursor's levels), every pending conjunct ahead of the cursor
+//! moves to a small min-heap of `(level, id)` entries with lazy
+//! deletion, and the cursor restarts after the last conjunct. Each step
+//! takes the smaller of the cursor's conjunct and the heap's top. An
+//! FD-free chase never touches the heap.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -72,14 +79,15 @@ pub const DEFAULT_MAX_STEPS: usize = 1_000_000;
 /// Default cap on conjuncts ever created
 /// ([`ChaseBudget::max_conjuncts`]).
 ///
-/// Conjuncts dominate chase memory: terms, interned rows, posting
-/// entries, symbol provenance and scheduler state. Measured with a
-/// counting allocator (requested bytes, x86-64) over the 216 chases of
-/// the perfbench `check_deep` pool (INDs only) at level 56, a conjunct
-/// holds 395 B; it held 567 B while every created symbol stored a
-/// formatted name and every chase kept the FD rule's dedup and
+/// Conjuncts dominate chase memory: interned rows, posting entries,
+/// symbol provenance and scheduler state. Measured with a counting
+/// allocator (requested bytes, x86-64) over the 216 O-chases of the
+/// perfbench `check_deep` pool (INDs only) at level 56, a conjunct
+/// holds 253 B. It held 343 B while each conjunct also kept its terms
+/// as a vector of its own, and 567 B while every created symbol stored
+/// a formatted name and every chase kept the FD rule's dedup and
 /// occurrence indexes. So a quarter million caps a single chase at
-/// about 100 MB (a chase whose Σ has FDs keeps those indexes and costs
+/// about 65 MB (a chase whose Σ has FDs keeps those indexes and costs
 /// more). Override per call site, or from the experiments CLI via
 /// `--max-conjuncts`.
 pub const DEFAULT_MAX_CONJUNCTS: usize = 250_000;
@@ -125,17 +133,28 @@ pub struct Chase {
     /// Indices of the INDs whose left-hand side is each relation
     /// (`RelId`-indexed), in Σ order.
     inds_by_rel: Vec<Vec<usize>>,
-    /// Min-heap of `(level, id)` entries for conjuncts with unprocessed
-    /// applicable INDs, so its top is the paper's choice. Deletion is
+    /// Creation-order cursor. Every pending conjunct with id ≥ `cursor`
+    /// is scheduled by the cursor: their keys are nondecreasing in id,
+    /// so the first of them is their smallest `(level, id)`. The cursor
+    /// skips conjuncts without work, so it rests on a pending conjunct
+    /// or past the last keyed one.
+    cursor: usize,
+    /// The largest key given to a conjunct at or past `cursor` since the
+    /// last [`Chase::spill`]: a new conjunct below it would break the
+    /// cursor's order.
+    cursor_level: u32,
+    /// Min-heap of `(level, id)` entries for the pending conjuncts below
+    /// `cursor`: those a [`Chase::spill`] handed over when a level
+    /// changed after creation (or a new conjunct sorted below the
+    /// cursor's levels), and any of them re-keyed since. Deletion is
     /// lazy: an entry is live while it matches `pending_key`, a key
-    /// change pushes a new entry rather than moving the old one (so an
-    /// FD merge that lowers a level costs one push), and stale entries
-    /// are popped as soon as they reach the top. The top is therefore
-    /// always live, or the heap is empty.
+    /// change pushes a new entry rather than moving the old one, and
+    /// stale entries are popped as soon as they reach the top. The top
+    /// is therefore always live, or the heap is empty.
     pending: BinaryHeap<Reverse<(u32, ConjId)>>,
     /// The level each conjunct is pending under (`ConjId`-indexed;
     /// [`NOT_PENDING`] when it has no work left) — the source of truth
-    /// `pending`'s entries are checked against.
+    /// the cursor reads and `pending`'s entries are checked against.
     pending_key: Vec<u32>,
     /// Number of conjuncts whose `pending_key` is a level.
     live_pending: usize,
@@ -188,6 +207,8 @@ impl Chase {
             fds,
             inds,
             inds_by_rel,
+            cursor: 0,
+            cursor_level: 0,
             pending: BinaryHeap::new(),
             pending_key: Vec::new(),
             live_pending: 0,
@@ -198,9 +219,8 @@ impl Chase {
             cancel: None,
         };
         if !chase.state.failed {
-            let ids: Vec<ConjId> = chase.state.alive_conjuncts().map(|(id, _)| id).collect();
-            for id in ids {
-                chase.refresh_pending(id);
+            for id in 0..chase.state.all_conjuncts().len() {
+                chase.refresh_pending(ConjId(id as u32));
             }
         }
         chase
@@ -247,11 +267,25 @@ impl Chase {
         self.state.failed || self.live_pending == 0
     }
 
-    /// The minimum level with unprocessed conjuncts. All conjuncts with
-    /// level ≤ `frontier_level()` already exist; `None` means the chase
-    /// is complete (every level of the finite chase is built).
+    /// The minimum level with unprocessed conjuncts: the level of the
+    /// smaller of the cursor's conjunct and the heap's top. All
+    /// conjuncts with level ≤ `frontier_level()` already exist; `None`
+    /// means the chase is complete (every level of the finite chase is
+    /// built).
     pub fn frontier_level(&self) -> Option<u32> {
-        self.pending.peek().map(|&Reverse((l, _))| l)
+        self.next_conjunct().map(|(l, _)| l)
+    }
+
+    /// The paper's next choice, as `(level, id)`: the smaller of the
+    /// cursor's conjunct and the heap's top.
+    fn next_conjunct(&self) -> Option<(u32, ConjId)> {
+        let at_cursor = self
+            .pending_key
+            .get(self.cursor)
+            .filter(|&&l| l != NOT_PENDING)
+            .map(|&l| (l, ConjId(self.cursor as u32)));
+        let top = self.pending.peek().map(|&Reverse(entry)| entry);
+        at_cursor.into_iter().chain(top).min()
     }
 
     /// The words of `id`'s applied-IND bitset (empty if none is set yet).
@@ -292,18 +326,51 @@ impl Chase {
         if old == new {
             return;
         }
-        if self.pending_key.len() <= id.index() {
-            self.pending_key.resize(id.index() + 1, NOT_PENDING);
+        let i = id.index();
+        if self.pending_key.len() <= i {
+            self.pending_key.resize(i + 1, NOT_PENDING);
         }
-        self.pending_key[id.index()] = new;
+        if i >= self.cursor && new != NOT_PENDING && (old != NOT_PENDING || new < self.cursor_level)
+        {
+            // A level changed after creation, or a new conjunct sorts
+            // below the cursor's levels: the cursor's order no longer
+            // holds, so its conjuncts move to the heap.
+            debug_assert!(old != NOT_PENDING || i + 1 == self.pending_key.len());
+            self.spill();
+        }
+        self.pending_key[i] = new;
         if old != NOT_PENDING {
             self.live_pending -= 1;
         }
         if new != NOT_PENDING {
             self.live_pending += 1;
-            self.pending.push(Reverse((new, id)));
+            if i >= self.cursor {
+                self.cursor_level = new;
+            } else {
+                self.pending.push(Reverse((new, id)));
+            }
+        }
+        while self
+            .pending_key
+            .get(self.cursor)
+            .is_some_and(|&l| l == NOT_PENDING)
+        {
+            self.cursor += 1;
         }
         self.pop_stale();
+    }
+
+    /// Hands every pending conjunct at or past the cursor to the heap,
+    /// under its current key, and moves the cursor past the last
+    /// conjunct created so far.
+    fn spill(&mut self) {
+        for (i, &l) in self.pending_key.iter().enumerate().skip(self.cursor) {
+            if l != NOT_PENDING {
+                self.pending.push(Reverse((l, ConjId(i as u32))));
+            }
+        }
+        self.cursor = self.state.all_conjuncts().len();
+        self.cursor_level = 0;
     }
 
     /// Pops stale entries (those no longer matching their conjunct's
@@ -315,7 +382,7 @@ impl Chase {
             }
             self.pending.pop();
         }
-        debug_assert_eq!(self.pending.is_empty(), self.live_pending == 0);
+        debug_assert_eq!(self.next_conjunct().is_none(), self.live_pending == 0);
     }
 
     fn absorb_merges(&mut self, merges: &[Merge]) {
@@ -332,7 +399,8 @@ impl Chase {
             }
             // A merge is the only thing that changes a level (the
             // survivor takes the minimum), so re-keying each merge's pair
-            // re-keys every entry whose level moved.
+            // re-keys every conjunct whose level moved, which sends it to
+            // the heap.
             self.refresh_pending(m.dead);
             self.refresh_pending(m.survivor);
         }
@@ -345,7 +413,7 @@ impl Chase {
         if self.state.failed {
             return false;
         }
-        let Some(&Reverse((_, id))) = self.pending.peek() else {
+        let Some((_, id)) = self.next_conjunct() else {
             return false;
         };
         let Some(ind_idx) = self.unprocessed_inds(id).next() else {
@@ -802,6 +870,43 @@ mod tests {
                             plant_level(&mut ch, ConjId(id % n), level);
                         }
                         if !step_checked(&mut ch) {
+                            break;
+                        }
+                    }
+                }
+            }
+        }
+
+        /// Without FDs nothing changes a level after creation: after
+        /// every step the levels are nondecreasing in `ConjId` order,
+        /// `frontier_level` equals a rescan, and the heap has never held
+        /// an entry (it has allocated nothing).
+        #[test]
+        fn fd_free_chase_runs_in_creation_order(body in random_body()) {
+            for sigma in [
+                "ind R[2] <= S[1]. ind S[2] <= R[1]. ind R[1] <= R[2].",
+                "ind R[1, 2] <= S[2, 1]. ind S[1] <= R[2].",
+            ] {
+                let p = parse_program(&format!(
+                    "relation R(a, b). relation S(a, b). {sigma} Q(v0) :- {body}."
+                ))
+                .unwrap();
+                for mode in [ChaseMode::Required, ChaseMode::Oblivious] {
+                    let mut ch = Chase::new(&p.queries[0], &p.deps, &p.catalog, mode);
+                    for _ in 0..60 {
+                        let more = step_checked(&mut ch);
+                        let levels: Vec<u32> =
+                            ch.state().all_conjuncts().iter().map(|c| c.level).collect();
+                        proptest::prop_assert!(
+                            levels.windows(2).all(|w| w[0] <= w[1]),
+                            "levels out of creation order: {levels:?}"
+                        );
+                        proptest::prop_assert_eq!(
+                            ch.frontier_level(),
+                            paper_choice(&ch).map(|(l, _)| l)
+                        );
+                        proptest::prop_assert_eq!(ch.pending.capacity(), 0);
+                        if !more {
                             break;
                         }
                     }

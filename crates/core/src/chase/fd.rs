@@ -35,8 +35,8 @@ pub(crate) fn apply(
     c2: ConjId,
     fd: &Fd,
 ) -> Result<Vec<Merge>, FdFailure> {
-    let u = state.conjunct(c1).terms[fd.rhs].clone();
-    let v = state.conjunct(c2).terms[fd.rhs].clone();
+    let u = state.term(c1, fd.rhs);
+    let v = state.term(c2, fd.rhs);
     debug_assert_ne!(u, v, "the FD must be applicable");
     let (from, to) = match (&u, &v) {
         (CTerm::Const(_), CTerm::Const(_)) => {
@@ -111,8 +111,8 @@ mod tests {
         assert_eq!(merges.len(), 1);
         assert_eq!(st.num_alive(), 1);
         // Surviving term is `y` (created before `z`, so lex-first).
-        let (_, c) = st.alive_conjuncts().next().unwrap();
-        let v = c.terms[1].as_var().unwrap();
+        let (id, _) = st.alive_conjuncts().next().unwrap();
+        let v = st.term(id, 1).as_var().unwrap();
         assert_eq!(st.var_name(v), "y");
     }
 
@@ -124,8 +124,8 @@ mod tests {
         let (_, mut st, fds) =
             state_of("relation R(a, b). fd R: a -> b. Q(x, w) :- R(x, y), R(x, w).");
         fd_phase(&mut st, &fds, None).unwrap();
-        let (_, c) = st.alive_conjuncts().next().unwrap();
-        let v = c.terms[1].as_var().unwrap();
+        let (id, _) = st.alive_conjuncts().next().unwrap();
+        let v = st.term(id, 1).as_var().unwrap();
         assert_eq!(st.var_name(v), "w");
         // Summary row untouched (it already held w).
         assert_eq!(st.summary()[1], CTerm::Var(v));
@@ -137,8 +137,8 @@ mod tests {
             state_of("relation R(a, b). fd R: a -> b. Q(x) :- R(x, y), R(x, 7).");
         fd_phase(&mut st, &fds, None).unwrap();
         assert_eq!(st.num_alive(), 1);
-        let (_, c) = st.alive_conjuncts().next().unwrap();
-        assert!(c.terms[1].is_const());
+        let (id, _) = st.alive_conjuncts().next().unwrap();
+        assert!(st.term(id, 1).is_const());
     }
 
     #[test]
@@ -184,8 +184,8 @@ mod tests {
         fd_phase(&mut st, &fds, None).unwrap();
         // w (DV) survives; summary unchanged and both conjuncts merged.
         assert_eq!(st.num_alive(), 1);
-        let (_, c) = st.alive_conjuncts().next().unwrap();
-        assert_eq!(st.summary()[1], c.terms[1]);
+        let (id, _) = st.alive_conjuncts().next().unwrap();
+        assert_eq!(st.summary()[1], st.term(id, 1));
     }
 
     #[test]
@@ -207,12 +207,14 @@ mod tests {
 
     #[test]
     fn hinted_scan_matches_full_scan() {
-        // After pushing a fresh conjunct into a quiescent state, the
-        // hinted scan must find exactly what the full scan finds.
-        let (_, mut st, fds) = state_of("relation R(a, b). fd R: a -> b. Q(x) :- R(x, y).");
-        let x = st.summary()[0].clone();
-        let n = st.fresh_var(1, ConjId(0), 0, 1);
-        let new = st.push_conjunct(cqchase_ir::RelId(0), vec![x, CTerm::Var(n)], 1);
+        // After pushing a fresh conjunct R(x, n) into a quiescent state,
+        // the hinted scan must find exactly what the full scan finds.
+        let (p, mut st, fds) = state_of("relation R(a, b). fd R: a -> b. Q(x) :- R(x, y).");
+        let r = p.catalog.resolve("R").unwrap();
+        let copy_a = cqchase_ir::Ind::new(r, vec![0], r, vec![0]);
+        let new = super::super::ind::apply_ind(&mut st, ConjId(0), &copy_a, 0);
+        assert_eq!(st.term(new, 0), st.summary()[0]);
+        assert!(st.term(new, 1).as_var().is_some());
         let hinted = st.find_applicable_fd(&fds, Some(new));
         let full = st.find_applicable_fd(&fds, None);
         assert_eq!(hinted, full);

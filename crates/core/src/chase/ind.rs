@@ -14,7 +14,7 @@
 
 use cqchase_ir::Ind;
 
-use super::state::{ArcKind, CTerm, ChaseArc, ChaseState, ConjId};
+use super::state::{ArcKind, ChaseArc, ChaseState, ConjId};
 
 /// Applies the IND rule: creates the new conjunct at `level(c) + 1` with
 /// fresh NDVs outside `Y`, records the ordinary arc, and returns the new
@@ -26,15 +26,7 @@ pub(crate) fn apply_ind(
     ind_idx: usize,
 ) -> ConjId {
     let level = state.conjunct(parent).level + 1;
-    let arity = state.catalog().arity(ind.rhs_rel);
-    let mut terms = Vec::with_capacity(arity);
-    for col in 0..arity {
-        terms.push(match ind.rhs_cols.iter().position(|&y| y == col) {
-            Some(k) => state.conjunct(parent).terms[ind.lhs_cols[k]].clone(),
-            None => CTerm::Var(state.fresh_var(col, parent, ind_idx, level)),
-        });
-    }
-    let child = state.push_conjunct(ind.rhs_rel, terms, level);
+    let child = state.push_ind_child(parent, ind, ind_idx, level);
     state.arcs.push(ChaseArc {
         from: parent,
         to: child,
@@ -80,9 +72,8 @@ mod tests {
         assert_eq!(c.level, 1);
         assert_eq!(st.catalog().name(c.rel), "S");
         // S(x, y) receives (R.a, R.c) = (u, z).
-        let parent = st.conjunct(ConjId(0));
-        assert_eq!(c.terms[0], parent.terms[0]);
-        assert_eq!(c.terms[1], parent.terms[2]);
+        assert_eq!(st.term(child, 0), st.term(ConjId(0), 0));
+        assert_eq!(st.term(child, 1), st.term(ConjId(0), 2));
         assert_eq!(st.arcs().len(), 1);
         assert_eq!(st.arcs()[0].kind, ArcKind::Ordinary);
     }
@@ -99,12 +90,11 @@ mod tests {
         let ind = p.deps.inds().next().unwrap().clone();
         let before_vars = st.num_vars();
         let child = apply_ind(&mut st, ConjId(0), &ind, 0);
-        let c = st.conjunct(child).clone();
         // Column 1 (0-based) carries u; columns 0 and 2 are fresh.
-        assert_eq!(c.terms[1], st.conjunct(ConjId(0)).terms[0]);
+        assert_eq!(st.term(child, 1), st.term(ConjId(0), 0));
         assert_eq!(st.num_vars(), before_vars + 2);
-        let v0 = c.terms[0].as_var().unwrap();
-        let v2 = c.terms[2].as_var().unwrap();
+        let v0 = st.term(child, 0).as_var().unwrap();
+        let v2 = st.term(child, 2).as_var().unwrap();
         assert_ne!(v0, v2);
         // Fresh symbols follow all earlier ones in the order.
         assert!(v0.index() >= before_vars && v2.index() >= before_vars);

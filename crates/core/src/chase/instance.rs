@@ -144,15 +144,15 @@ pub(super) fn thaw(state: &ChaseState, mut out: Database, frozen: &[NullId]) -> 
     let created: Vec<Value> = (frozen.len()..state.num_vars())
         .map(|_| out.fresh_null())
         .collect();
-    let value = |t: &CTerm| match t {
-        CTerm::Const(c) => Value::Const(c.clone()),
+    let value = |t: CTerm| match t {
+        CTerm::Const(c) => Value::Const(c),
         CTerm::Var(v) => match frozen.get(v.index()) {
             Some(&n) => Value::Null(n),
             None => created[v.index() - frozen.len()].clone(),
         },
     };
-    for (_, c) in state.alive_conjuncts() {
-        out.insert(c.rel, c.terms.iter().map(value).collect())
+    for (id, c) in state.alive_conjuncts() {
+        out.insert(c.rel, state.terms(id).map(value).collect())
             .expect("chase conjuncts have their relation's arity");
     }
     out

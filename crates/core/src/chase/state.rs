@@ -3,17 +3,20 @@
 //! the incrementally maintained indexes every chase-rule application and
 //! homomorphism search runs against.
 //!
-//! The index side (constant pool, per-column posting lists, whole-row
-//! dedup, per-variable occurrence lists) is derived data: every mutation
-//! goes through [`ChaseState::push_conjunct`] /
-//! [`ChaseState::substitute`] so the two views never diverge. This is
-//! what lets the FD rule, the R-chase's witness checks, and
+//! A conjunct's terms are stored once, as its interned row: conjuncts
+//! live back to back in one flat symbol buffer with a start offset per
+//! conjunct, and [`ChaseState::terms`] decodes a row on demand. Adding a
+//! conjunct appends to that buffer rather than allocating a row, and the
+//! FD rule rewrites rows in place.
+//!
+//! The rest of the index side (constant pool, per-column posting lists,
+//! whole-row dedup, per-variable occurrence lists) is derived from the
+//! rows: every mutation goes through `ChaseState::seal_row` /
+//! [`ChaseState::substitute`] so the two never diverge. This is what
+//! lets the FD rule, the R-chase's witness checks, and
 //! [`find_chase_hom`](crate::hom::find_chase_hom) run without rescanning
 //! the conjunct vector. Whole-row dedup and occurrence lists serve only
-//! the FD rule, so they are kept only when Σ has FDs. Interned rows live
-//! back to back in one flat buffer with a start offset per conjunct, so
-//! adding a conjunct appends to it rather than allocating a row; the FD
-//! rule rewrites rows in place.
+//! the FD rule, so they are kept only when Σ has FDs.
 //!
 //! Symbols store their provenance, not their names: an IND step creates
 //! a symbol with one append, and [`ChaseState::var_name`] renders the
@@ -106,13 +109,13 @@ impl ConjId {
     }
 }
 
-/// One conjunct (tuple) of the chase.
+/// One conjunct (tuple) of the chase: its relation and bookkeeping.
+/// Its terms live in the chase's interned rows; read them with
+/// [`ChaseState::terms`] or [`ChaseState::term`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Conjunct {
     /// The relation this conjunct belongs to.
     pub rel: RelId,
-    /// One term per column.
-    pub terms: Vec<CTerm>,
     /// The paper's *level*: 0 for original conjuncts, parent's level + 1
     /// for IND-created ones, minimum on FD merges.
     pub level: u32,
@@ -202,6 +205,14 @@ impl ChaseIndex {
         (sym.0 & 1 == 1).then_some(CVar(sym.0 >> 1))
     }
 
+    /// The term behind an interned symbol.
+    fn sym_term(&self, sym: Sym) -> CTerm {
+        match ChaseIndex::sym_var(sym) {
+            Some(v) => CTerm::Var(v),
+            None => CTerm::Const(self.consts.resolve(Sym(sym.0 >> 1)).clone()),
+        }
+    }
+
     /// The span of `id`'s row in `sym_flat`.
     #[inline]
     fn span(&self, id: ConjId) -> std::ops::Range<usize> {
@@ -285,16 +296,19 @@ impl ChaseState {
             });
             query_names.push(q.vars.name(v).to_owned());
         }
-        let conv = |t: &Term| match t {
-            Term::Const(c) => CTerm::Const(c.clone()),
-            Term::Var(v) => CTerm::Var(to_cvar[v]),
-        };
         let mut state = ChaseState {
             catalog: catalog.clone(),
             vars,
             query_names,
             conjuncts: Vec::new(),
-            summary: q.head.iter().map(conv).collect(),
+            summary: q
+                .head
+                .iter()
+                .map(|t| match t {
+                    Term::Const(c) => CTerm::Const(c.clone()),
+                    Term::Var(v) => CTerm::Var(to_cvar[v]),
+                })
+                .collect(),
             arcs: Vec::new(),
             failed: false,
             index: ChaseIndex {
@@ -308,8 +322,14 @@ impl ChaseState {
         let mut seen = FxHashSet::default();
         for a in &q.atoms {
             if seen.insert(a) {
-                let terms: Vec<CTerm> = a.terms.iter().map(conv).collect();
-                state.push_conjunct(a.relation, terms, 0);
+                for t in &a.terms {
+                    let sym = match t {
+                        Term::Const(c) => state.index.const_sym(c),
+                        Term::Var(v) => ChaseIndex::var_sym(to_cvar[v]),
+                    };
+                    state.index.sym_flat.push(sym);
+                }
+                state.seal_row(a.relation, 0);
             }
         }
         // Intern summary constants (head constants need not occur in any
@@ -345,6 +365,20 @@ impl ChaseState {
     /// The conjunct at `id`.
     pub fn conjunct(&self, id: ConjId) -> &Conjunct {
         &self.conjuncts[id.index()]
+    }
+
+    /// Conjunct `id`'s term in column `col`, read from its interned row.
+    pub fn term(&self, id: ConjId, col: usize) -> CTerm {
+        self.index.sym_term(self.index.row(id)[col])
+    }
+
+    /// Conjunct `id`'s terms, one per column, read from its interned row.
+    /// Dead conjuncts keep the row they had when they were merged.
+    pub fn terms(&self, id: ConjId) -> impl ExactSizeIterator<Item = CTerm> + '_ {
+        self.index
+            .row(id)
+            .iter()
+            .map(|&sym| self.index.sym_term(sym))
     }
 
     /// Live conjuncts with their ids, in creation order.
@@ -446,16 +480,37 @@ impl ChaseState {
         cv
     }
 
-    /// Appends a conjunct unconditionally, registering it in every index.
-    /// The caller guarantees it is not a duplicate of a live conjunct
-    /// (IND children carry fresh NDVs or were witness-checked first).
-    pub(crate) fn push_conjunct(&mut self, rel: RelId, terms: Vec<CTerm>, level: u32) -> ConjId {
+    /// Applies the IND rule's construction: appends `parent`'s child over
+    /// `ind`'s right-hand relation at `level`, copying `parent[X]` into
+    /// the columns `Y` and minting a fresh NDV for every other column.
+    /// The row is written straight into the flat buffer, so the step
+    /// allocates nothing of its own.
+    pub(crate) fn push_ind_child(
+        &mut self,
+        parent: ConjId,
+        ind: &Ind,
+        ind_idx: usize,
+        level: u32,
+    ) -> ConjId {
+        let from = self.index.row_start[parent.index()];
+        for col in 0..self.catalog.arity(ind.rhs_rel) {
+            let sym = match ind.rhs_cols.iter().position(|&y| y == col) {
+                Some(k) => self.index.sym_flat[from + ind.lhs_cols[k]],
+                None => ChaseIndex::var_sym(self.fresh_var(col, parent, ind_idx, level)),
+            };
+            self.index.sym_flat.push(sym);
+        }
+        self.seal_row(ind.rhs_rel, level)
+    }
+
+    /// Turns the symbols appended to the flat buffer since the last row
+    /// into a new conjunct of `rel` at `level`, registering it in every
+    /// index. The caller guarantees it is not a duplicate of a live
+    /// conjunct (IND children carry fresh NDVs or were witness-checked
+    /// first).
+    fn seal_row(&mut self, rel: RelId, level: u32) -> ConjId {
         let id = ConjId(self.conjuncts.len() as u32);
         let index = &mut self.index;
-        for t in &terms {
-            let sym = index.term_sym(t);
-            index.sym_flat.push(sym);
-        }
         index.row_start.push(index.sym_flat.len());
         let span = index.span(id);
         index
@@ -463,7 +518,7 @@ impl ChaseState {
             .insert_row(rel, id.0, &index.sym_flat[span.clone()]);
         if index.fd_indexes {
             let prev = index.dedup.insert(rel, &index.sym_flat[span.clone()], id.0);
-            debug_assert!(prev.is_none(), "push_conjunct must not duplicate a row");
+            debug_assert!(prev.is_none(), "seal_row must not duplicate a row");
             for k in span {
                 let sym = index.sym_flat[k];
                 index.occ_insert(sym, id.0);
@@ -474,7 +529,6 @@ impl ChaseState {
         list.push(id.0);
         self.conjuncts.push(Conjunct {
             rel,
-            terms,
             level,
             alive: true,
             merged_into: None,
@@ -546,14 +600,13 @@ impl ChaseState {
             // Un-register the old row shape.
             let mut syms = self.index.row(id).to_vec();
             self.index.dedup.remove(rel, &syms, row);
-            // Rewrite terms + syms + postings in the affected columns.
+            // Rewrite syms + postings in the affected columns.
             for (col, sym) in syms.iter_mut().enumerate() {
                 if *sym == from_sym {
                     self.index
                         .cols
                         .replace_in_col(rel, col, row, from_sym, to_sym);
                     *sym = to_sym;
-                    self.conjuncts[id.index()].terms[col] = to.clone();
                 }
             }
             self.index.row_mut(id).copy_from_slice(&syms);
@@ -590,13 +643,7 @@ impl ChaseState {
     /// witness, matching creation order).
     pub(crate) fn find_witness(&self, ind: &Ind, parent: ConjId) -> Option<ConjId> {
         let parent_syms = self.index.row(parent);
-        let bound: Vec<(usize, Sym)> = ind
-            .rhs_cols
-            .iter()
-            .zip(ind.lhs_cols.iter())
-            .map(|(&y, &x)| (y, parent_syms[x]))
-            .collect();
-        if bound.is_empty() {
+        if ind.rhs_cols.is_empty() {
             // Width-0 IND (degenerate but constructible): any live row
             // of the right-hand relation witnesses it.
             return self.index.rel_rows[ind.rhs_rel.index()]
@@ -607,7 +654,10 @@ impl ChaseState {
             .cols
             .first_candidate(
                 ind.rhs_rel,
-                &bound,
+                ind.rhs_cols
+                    .iter()
+                    .zip(&ind.lhs_cols)
+                    .map(|(&y, &x)| (y, parent_syms[x])),
                 |row| self.index.row(ConjId(row)),
                 |_| true,
             )
@@ -649,8 +699,7 @@ impl ChaseState {
                     let accept = |other: u32| {
                         other != c.0 && self.index.row(ConjId(other))[fd.rhs] != c_syms[fd.rhs]
                     };
-                    let bound: Vec<(usize, Sym)> = fd.lhs.iter().map(|&z| (z, c_syms[z])).collect();
-                    let first = if bound.is_empty() {
+                    let first = if fd.lhs.is_empty() {
                         self.index.rel_rows[rel.index()]
                             .iter()
                             .copied()
@@ -658,7 +707,7 @@ impl ChaseState {
                     } else {
                         self.index.cols.first_candidate(
                             rel,
-                            &bound,
+                            fd.lhs.iter().map(|&z| (z, c_syms[z])),
                             |row| self.index.row(ConjId(row)),
                             accept,
                         )
@@ -732,15 +781,14 @@ impl ChaseState {
 
     /// Renders a conjunct as `R(a, b, n3_c0i1a2L1)`.
     pub fn render_conjunct(&self, id: ConjId) -> String {
-        let c = &self.conjuncts[id.index()];
-        let mut s = format!("{}(", self.catalog.name(c.rel));
-        for (i, t) in c.terms.iter().enumerate() {
+        let mut s = format!("{}(", self.catalog.name(self.conjuncts[id.index()].rel));
+        for (i, t) in self.terms(id).enumerate() {
             if i > 0 {
                 s.push_str(", ");
             }
             match t {
                 CTerm::Const(k) => s.push_str(&k.to_string()),
-                CTerm::Var(v) => s.push_str(&self.var_name(*v)),
+                CTerm::Var(v) => s.push_str(&self.var_name(v)),
             }
         }
         s.push(')');
@@ -891,12 +939,11 @@ mod tests {
     fn shared_variables_share_symbols() {
         let p = prog();
         let st = ChaseState::from_query(&p.queries[0], &p.catalog, true);
-        let c0 = &st.conjuncts[0];
-        let c1 = &st.conjuncts[1];
+        let (c0, c1) = (ConjId(0), ConjId(1));
         // Q(z) :- R(x, y, z), R(z, y, x): position 2 of c0 == position 0 of c1.
-        assert_eq!(c0.terms[2], c1.terms[0]);
-        assert_eq!(c0.terms[1], c1.terms[1]);
-        assert_eq!(st.summary(), &[c0.terms[2].clone()]);
+        assert_eq!(st.term(c0, 2), st.term(c1, 0));
+        assert_eq!(st.term(c0, 1), st.term(c1, 1));
+        assert_eq!(st.summary(), &[st.term(c0, 2)]);
     }
 
     #[test]
@@ -933,9 +980,7 @@ mod tests {
         // two conjuncts identical; the earlier one survives.
         let p = prog();
         let mut st = ChaseState::from_query(&p.queries[0], &p.catalog, true);
-        let x = st.alive_conjuncts().next().unwrap().1.terms[0]
-            .as_var()
-            .unwrap();
+        let x = st.term(ConjId(0), 0).as_var().unwrap();
         let z = st.summary()[0].clone();
         let merges = st.substitute(x, &z);
         assert_eq!(merges.len(), 1);
@@ -944,9 +989,9 @@ mod tests {
         assert_eq!(st.num_alive(), 1);
         assert_eq!(st.resolve_conjunct(ConjId(1)), ConjId(0));
         // The live conjunct's first and third columns now both hold z.
-        let (_, c) = st.alive_conjuncts().next().unwrap();
-        assert_eq!(c.terms[0], z);
-        assert_eq!(c.terms[2], z);
+        let (id, _) = st.alive_conjuncts().next().unwrap();
+        assert_eq!(st.term(id, 0), z);
+        assert_eq!(st.term(id, 2), z);
         assert_indexes_match_rebuild(&st, true);
     }
 
@@ -1002,10 +1047,11 @@ mod tests {
         assert_eq!(st.find_witness(ind, ConjId(1)), None);
     }
 
-    /// Asserts that every index equals a rebuild from
-    /// [`ChaseState::alive_conjuncts`]: interned rows, posting lists and
-    /// `rel_rows` always; whole-row dedup and occurrence lists when Σ has
-    /// FDs (and that they stay empty when it has none).
+    /// Asserts that every index equals a rebuild from the interned rows
+    /// of [`ChaseState::alive_conjuncts`]: posting lists and `rel_rows`
+    /// always; whole-row dedup and occurrence lists when Σ has FDs (and
+    /// that they stay empty when it has none). Every row's symbols decode
+    /// to terms and re-intern to the same symbols.
     fn assert_indexes_match_rebuild(st: &ChaseState, has_fds: bool) {
         let cat = &st.catalog;
         let mut cols = ColumnIndex::new(cat.rel_ids().map(|r| cat.arity(r)));
@@ -1014,12 +1060,11 @@ mod tests {
         let mut alive = 0;
         for (id, c) in st.alive_conjuncts() {
             alive += 1;
-            let syms: Vec<Sym> = c
-                .terms
-                .iter()
+            let syms: Vec<Sym> = st
+                .terms(id)
                 .map(|t| match t {
-                    CTerm::Var(v) => ChaseIndex::var_sym(*v),
-                    CTerm::Const(k) => Sym(st.index.consts.get(k).expect("interned").0 << 1),
+                    CTerm::Var(v) => ChaseIndex::var_sym(v),
+                    CTerm::Const(k) => Sym(st.index.consts.get(&k).expect("interned").0 << 1),
                 })
                 .collect();
             assert_eq!(st.index.row(id), &syms[..], "row {id:?}");

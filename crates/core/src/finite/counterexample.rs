@@ -98,9 +98,9 @@ mod tests {
         let st = ch.state();
         assert_eq!(st.var_name(crate::chase::CVar(0)), "x");
         let _ = x;
-        for (_, c) in st.alive_conjuncts() {
+        for (id, _) in st.alive_conjuncts() {
             assert_ne!(
-                c.terms[1],
+                st.term(id, 1),
                 CTerm::Var(crate::chase::CVar(0)),
                 "x must never appear in column 2"
             );

@@ -121,9 +121,9 @@ pub fn query_graph_diameter(q: &ConjunctiveQuery) -> u32 {
     diameter
 }
 
-fn cterm_to_qs(t: &CTerm) -> QsTerm {
+fn cterm_to_qs(t: CTerm) -> QsTerm {
     match t {
-        CTerm::Const(c) => QsTerm::Const(c.clone()),
+        CTerm::Const(c) => QsTerm::Const(c),
         CTerm::Var(v) => QsTerm::Sym(v.0),
     }
 }
@@ -154,14 +154,14 @@ pub fn build_qstar(
     let state = chase.state();
     let mut conjuncts: Vec<(RelId, Vec<QsTerm>)> = Vec::new();
     let mut seen: FxHashSet<(RelId, Vec<QsTerm>)> = FxHashSet::default();
-    for (_, c) in state.alive_conjuncts() {
-        let row = (c.rel, c.terms.iter().map(cterm_to_qs).collect::<Vec<_>>());
+    for (id, c) in state.alive_conjuncts() {
+        let row = (c.rel, state.terms(id).map(cterm_to_qs).collect::<Vec<_>>());
         if seen.insert(row.clone()) {
             conjuncts.push(row);
         }
     }
     let prefix_len = conjuncts.len();
-    let summary: Vec<QsTerm> = state.summary().iter().map(cterm_to_qs).collect();
+    let summary: Vec<QsTerm> = state.summary().iter().cloned().map(cterm_to_qs).collect();
 
     if status == ChaseStatus::Complete {
         // The real chase is finite: Q* is simply the whole chase.

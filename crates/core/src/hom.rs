@@ -127,21 +127,21 @@ impl HomTarget {
     /// [`find_chase_hom`], which reuses the chase's own incremental
     /// indexes instead of flattening the state per call.
     pub fn from_chase(state: &ChaseState, max_level: u32) -> HomTarget {
-        let conv = |t: &CTerm| match t {
-            CTerm::Const(c) => TSym::Const(c.clone()),
+        let conv = |t: CTerm| match t {
+            CTerm::Const(c) => TSym::Const(c),
             CTerm::Var(v) => TSym::Node(u64::from(v.0)),
         };
         let mut rows = vec![Vec::new(); state.catalog().len()];
         for (id, c) in state.alive_conjuncts() {
             if c.level <= max_level {
                 rows[c.rel.index()].push(TargetRow {
-                    syms: c.terms.iter().map(conv).collect(),
+                    syms: state.terms(id).map(conv).collect(),
                     tag: id.0,
                     level: c.level,
                 });
             }
         }
-        HomTarget::build(rows, state.summary().iter().map(conv).collect())
+        HomTarget::build(rows, state.summary().iter().cloned().map(conv).collect())
     }
 
     /// Assembles a target from pre-built rows (indexed by relation id)

@@ -108,7 +108,7 @@ pub fn implies_fd_via_chase(
     let identified = || {
         let c0 = chase.state().resolve_conjunct(ConjId(0));
         let c1 = chase.state().resolve_conjunct(ConjId(1));
-        chase.state().conjunct(c0).terms[goal.rhs] == chase.state().conjunct(c1).terms[goal.rhs]
+        chase.state().term(c0, goal.rhs) == chase.state().term(c1, goal.rhs)
     };
     match status {
         ChaseStatus::Failed => Some(true), // tableau inconsistent ⇒ vacuous

@@ -54,13 +54,13 @@ fn sigmas() -> impl Strategy<Value = DependencySet> {
 /// Interprets a (partial) chase as a database over string symbols.
 fn chase_as_database(ch: &Chase, cat: &Catalog) -> Database {
     let mut db = Database::new(cat);
-    for (_, c) in ch.state().alive_conjuncts() {
-        let t: Vec<Value> = c
-            .terms
-            .iter()
+    for (id, c) in ch.state().alive_conjuncts() {
+        let t: Vec<Value> = ch
+            .state()
+            .terms(id)
             .map(|t| match t {
-                CTerm::Const(k) => Value::Const(k.clone()),
-                CTerm::Var(v) => Value::str(ch.state().var_name(*v)),
+                CTerm::Const(k) => Value::Const(k),
+                CTerm::Var(v) => Value::str(ch.state().var_name(v)),
             })
             .collect();
         db.insert(c.rel, t).unwrap();

@@ -268,31 +268,23 @@ impl ColumnIndex {
     /// intersection row `accept` returns `true` for and returns it —
     /// the early-exit probe for existence checks (witness lookups, FD
     /// applicability). Rows are visited in ascending id order, so the
-    /// returned row is the minimal accepted match.
+    /// returned row is the minimal accepted match. `bound` is walked
+    /// again for every row rather than collected, so a probe allocates
+    /// nothing; an empty `bound` matches nothing.
     pub fn first_candidate<'a>(
         &self,
         rel: RelId,
-        bound: &[(usize, Sym)],
+        bound: impl Iterator<Item = (usize, Sym)> + Clone,
         syms_of: impl Fn(u32) -> &'a [Sym],
         mut accept: impl FnMut(u32) -> bool,
     ) -> Option<u32> {
-        debug_assert!(!bound.is_empty());
-        let probe = (0..bound.len())
-            .min_by_key(|&i| self.posting_len(rel, bound[i].0, bound[i].1))
-            .expect("bound is nonempty");
-        let (c0, s0) = bound[probe];
-        'rows: for &row in self.posting(rel, c0, s0) {
+        let (c0, s0) = bound
+            .clone()
+            .min_by_key(|&(c, s)| self.posting_len(rel, c, s))?;
+        self.posting(rel, c0, s0).iter().copied().find(|&row| {
             let syms = syms_of(row);
-            for &(c, s) in bound {
-                if syms[c] != s {
-                    continue 'rows;
-                }
-            }
-            if accept(row) {
-                return Some(row);
-            }
-        }
-        None
+            bound.clone().all(|(c, s)| syms[c] == s) && accept(row)
+        })
     }
 }
 
