@@ -1,8 +1,9 @@
 //! Homomorphism search cost vs target size: map a k-atom chain query
-//! into chases of growing depth.
+//! into chases of growing depth, with a fresh finder (so a plan compile)
+//! per search.
 
 use cqchase_core::chase::{Chase, ChaseBudget, ChaseMode};
-use cqchase_core::hom::{find_hom, HomTarget};
+use cqchase_core::ChaseHomFinder;
 use cqchase_workload::chain_query;
 use cqchase_workload::families::successor_cycle;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -17,7 +18,6 @@ fn bench_hom(c: &mut Criterion) {
     for depth in [8u32, 32, 128] {
         let mut ch = Chase::new(q, &program.deps, &program.catalog, ChaseMode::Required);
         ch.expand_to_level(depth, ChaseBudget::default());
-        let target = HomTarget::from_chase(ch.state(), u32::MAX);
         for k in [2usize, 4] {
             let qp = chain_query("Qp", &program.catalog, "R", k).unwrap();
             group.bench_with_input(
@@ -25,7 +25,7 @@ fn bench_hom(c: &mut Criterion) {
                 &depth,
                 |b, _| {
                     b.iter(|| {
-                        let h = find_hom(&qp, &target);
+                        let h = ChaseHomFinder::new(&qp).find(ch.state(), u32::MAX);
                         assert!(h.is_some());
                         std::hint::black_box(h.map(|h| h.max_level))
                     });

@@ -4,11 +4,12 @@
 //! instances — chains (cost-based ordering), wide stars and snowflakes
 //! (the Yannakakis acyclic fast path's home turf).
 //!
-//! Hom search is measured through [`HomFinder`] — compile once, probe
-//! many — because that is the production path: the containment engine's
-//! `ChaseHomFinder` caches its plan the same way, so a per-probe
-//! recompile would charge the indexed side a cost it never pays in
-//! production.
+//! Hom search is measured through one warm [`ChaseHomFinder`] on the
+//! live chase — compile once, probe many — because that is the
+//! production path: the containment engine probes its chase the same
+//! way, so a per-probe recompile would charge the indexed side a cost it
+//! never pays in production. The naive side scans a [`naive::Rows`]
+//! snapshot of the same chase, built outside the timed loop.
 //!
 //! Besides the criterion groups, the run records a JSON baseline at
 //! `crates/bench/baselines/bench_index.json` (naive/indexed medians and
@@ -18,7 +19,8 @@
 use std::time::{Duration, Instant};
 
 use cqchase_core::chase::{Chase, ChaseBudget, ChaseMode};
-use cqchase_core::hom::{naive, HomFinder, HomTarget};
+use cqchase_core::hom::naive;
+use cqchase_core::ChaseHomFinder;
 use cqchase_storage::eval;
 use cqchase_storage::Database;
 use cqchase_workload::families::successor_cycle;
@@ -26,12 +28,12 @@ use cqchase_workload::{chain_query, cycle_query, snowflake_query, star_query, Da
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use serde_json::{json, Map, Value};
 
-fn chase_target(depth: u32) -> HomTarget {
+fn chase_target(depth: u32) -> Chase {
     let program = successor_cycle();
     let q = program.query("Q").unwrap();
     let mut ch = Chase::new(q, &program.deps, &program.catalog, ChaseMode::Required);
     ch.expand_to_level(depth, ChaseBudget::default());
-    HomTarget::from_chase(ch.state(), u32::MAX)
+    ch
 }
 
 fn eval_db(tuples: usize) -> Database {
@@ -51,33 +53,34 @@ fn bench_hom_naive_vs_indexed(c: &mut Criterion) {
     group.warm_up_time(Duration::from_millis(200));
     group.measurement_time(Duration::from_millis(600));
     for depth in [64u32, 256, 1024] {
-        let target = chase_target(depth);
+        let ch = chase_target(depth);
+        let rows = naive::Rows::from_state(ch.state(), u32::MAX);
         // Positive case: the chain maps along the chase path.
         let chain = chain_query("Qp", &program.catalog, "R", 3).unwrap();
         // Negative case: no cycle embeds into a path — the search must
         // certify exhaustion, the containment engine's dominant cost.
         let cycle = cycle_query("Qc", &program.catalog, "R", 3).unwrap();
-        let mut chain_finder = HomFinder::new(&chain, &target);
+        let mut chain_finder = ChaseHomFinder::new(&chain);
         group.bench_with_input(BenchmarkId::new("indexed_chain", depth), &depth, |b, _| {
             b.iter(|| {
-                let h = chain_finder.find();
+                let h = chain_finder.find(ch.state(), u32::MAX);
                 assert!(h.is_some());
                 std::hint::black_box(h.map(|h| h.max_level))
             });
         });
         group.bench_with_input(BenchmarkId::new("naive_chain", depth), &depth, |b, _| {
             b.iter(|| {
-                let h = naive::find_hom(&chain, &target);
+                let h = naive::find_hom(&chain, &rows);
                 assert!(h.is_some());
                 std::hint::black_box(h.map(|h| h.max_level))
             });
         });
-        let mut cycle_finder = HomFinder::new(&cycle, &target);
+        let mut cycle_finder = ChaseHomFinder::new(&cycle);
         group.bench_with_input(BenchmarkId::new("indexed_cycle", depth), &depth, |b, _| {
-            b.iter(|| std::hint::black_box(cycle_finder.find().is_some()));
+            b.iter(|| std::hint::black_box(cycle_finder.find(ch.state(), u32::MAX).is_some()));
         });
         group.bench_with_input(BenchmarkId::new("naive_cycle", depth), &depth, |b, _| {
-            b.iter(|| std::hint::black_box(naive::find_hom(&cycle, &target).is_some()));
+            b.iter(|| std::hint::black_box(naive::find_hom(&cycle, &rows).is_some()));
         });
     }
     group.finish();
@@ -137,7 +140,8 @@ fn record_baseline(_c: &mut Criterion) {
     let mut entries = Vec::new();
     let mut largest_speedup = 0.0f64;
     for depth in [64u32, 256, 1024] {
-        let target = chase_target(depth);
+        let ch = chase_target(depth);
+        let rows = naive::Rows::from_state(ch.state(), u32::MAX);
         for (name, k, expect) in [
             ("hom_chain3_into_chase", 3usize, true),
             ("hom_cycle3_into_chase", 0, false),
@@ -148,11 +152,11 @@ fn record_baseline(_c: &mut Criterion) {
                 cycle_query("Qc", &program.catalog, "R", 3).unwrap()
             };
             let naive_t = median_time(9, || {
-                assert_eq!(naive::find_hom(&q, &target).is_some(), expect);
+                assert_eq!(naive::find_hom(&q, &rows).is_some(), expect);
             });
-            let mut finder = HomFinder::new(&q, &target);
+            let mut finder = ChaseHomFinder::new(&q);
             let indexed_t = median_time(9, || {
-                assert_eq!(finder.find().is_some(), expect);
+                assert_eq!(finder.find(ch.state(), u32::MAX).is_some(), expect);
             });
             let speedup = naive_t.as_secs_f64() / indexed_t.as_secs_f64().max(1e-12);
             if depth == 1024 && !expect {

@@ -44,8 +44,8 @@ use cqchase_bench::service_workload::service_workload;
 use cqchase_bench::update_workload::{measure_update, update_workload, ROUNDS};
 use cqchase_bench::util::time_median;
 use cqchase_core::chase::{Chase, ChaseBudget, ChaseMode};
-use cqchase_core::hom::{naive, HomFinder, HomTarget};
-use cqchase_core::{ContainmentOptions, ContainmentPair};
+use cqchase_core::hom::naive;
+use cqchase_core::{ChaseHomFinder, ContainmentOptions, ContainmentPair};
 use cqchase_par::{check_batch, default_threads, evaluate_batch, BatchOptions};
 use cqchase_service::{Client, ServeOptions, Server};
 use cqchase_storage::{eval, Database};
@@ -90,23 +90,24 @@ fn index_speedup(doc: &Value, bench: &str, key: &str, val: u64) -> Option<f64> {
 
 /// Re-measures the `bench_index` ratios (naive vs indexed) on a reduced
 /// iteration count: hom search into a depth-1024 chase — the chain
-/// (positive) probe through the cached-plan production path and the
-/// cycle (negative, headline) probe — plus 1000-tuple chain evaluation
+/// (positive) and cycle (negative, headline) probes, each through one
+/// warm `ChaseHomFinder` on the live chase, the production path, against
+/// the naive scan of a row snapshot — plus 1000-tuple chain evaluation
 /// and the 100-tuple star family (the acyclic fast path).
 fn measure_index_metrics(doc: &Value, out: &mut Vec<Metric>) {
     let program = successor_cycle();
     let q = program.query("Q").unwrap();
     let mut ch = Chase::new(q, &program.deps, &program.catalog, ChaseMode::Required);
     ch.expand_to_level(1024, ChaseBudget::default());
-    let target = HomTarget::from_chase(ch.state(), u32::MAX);
+    let rows = naive::Rows::from_state(ch.state(), u32::MAX);
 
     let chain3 = chain_query("Qp", &program.catalog, "R", 3).unwrap();
     let naive_t = time_median(5, || {
-        assert!(naive::find_hom(&chain3, &target).is_some());
+        assert!(naive::find_hom(&chain3, &rows).is_some());
     });
-    let mut finder = HomFinder::new(&chain3, &target);
+    let mut finder = ChaseHomFinder::new(&chain3);
     let indexed_t = time_median(5, || {
-        assert!(finder.find().is_some());
+        assert!(finder.find(ch.state(), u32::MAX).is_some());
     });
     if let Some(b) = index_speedup(doc, "hom_chain3_into_chase", "depth", 1024) {
         out.push(Metric {
@@ -123,11 +124,11 @@ fn measure_index_metrics(doc: &Value, out: &mut Vec<Metric>) {
 
     let cycle = cycle_query("Qc", &program.catalog, "R", 3).unwrap();
     let naive_t = time_median(5, || {
-        assert!(naive::find_hom(&cycle, &target).is_none());
+        assert!(naive::find_hom(&cycle, &rows).is_none());
     });
-    let mut finder = HomFinder::new(&cycle, &target);
+    let mut finder = ChaseHomFinder::new(&cycle);
     let indexed_t = time_median(5, || {
-        assert!(finder.find().is_none());
+        assert!(finder.find(ch.state(), u32::MAX).is_none());
     });
     if let Some(b) = index_speedup(doc, "hom_cycle3_into_chase", "depth", 1024) {
         out.push(Metric {

@@ -43,10 +43,10 @@ pub fn run() -> ExperimentOutput {
     // A generous budget so dense cyclic IND sets still decide their
     // (bound-gated) negative goals instead of skipping them.
     let opts = ContainmentOptions {
-        budget: cqchase_core::containment::ChaseBudgetOpt(cqchase_core::ChaseBudget {
+        budget: cqchase_core::ChaseBudget {
             max_steps: 50_000,
             max_conjuncts: 100_000,
-        }),
+        },
         ..Default::default()
     };
     let mut table = Table::new(&["seed", "|Σ|", "goals", "implied", "agree", "disagreements"]);

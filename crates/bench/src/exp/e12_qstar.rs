@@ -5,8 +5,7 @@
 
 use cqchase_core::chase::ChaseBudget;
 use cqchase_core::finite::qstar::{build_qstar, query_graph_diameter};
-use cqchase_core::hom::find_hom;
-use cqchase_core::{contained, ContainmentOptions};
+use cqchase_core::{contained, find_query_hom, ContainmentOptions};
 use cqchase_ir::parse_program;
 use cqchase_storage::satisfies;
 use serde_json::json;
@@ -74,7 +73,7 @@ pub fn run(budget: ChaseBudget) -> ExperimentOutput {
             let inf = contained(q, qp, &p.deps, &p.catalog, &opts)
                 .unwrap()
                 .contained;
-            let hom = find_hom(qp, &qs.hom_target(&p.catalog)).is_some();
+            let hom = find_query_hom(qp, &qs.to_query(), &p.catalog).is_some();
             let agree = inf == hom && sat;
             all_agree &= agree;
             table.rowd(&[

@@ -10,7 +10,6 @@
 //! speedup column measures executor overhead (~1.0x).
 
 use cqchase_core::chase::ChaseBudget;
-use cqchase_core::containment::ChaseBudgetOpt;
 use cqchase_core::{ContainmentOptions, ContainmentPair};
 use cqchase_par::{check_batch, default_threads, evaluate_batch, BatchOptions};
 use cqchase_workload::{chain_eval_batch, successor_containment_batch, DatabaseGen};
@@ -42,7 +41,7 @@ pub fn run(budget: ChaseBudget, threads: Option<usize>) -> ExperimentOutput {
         .map(|&(q, q_prime)| ContainmentPair { q, q_prime })
         .collect();
     let opts = ContainmentOptions {
-        budget: ChaseBudgetOpt(budget),
+        budget,
         ..Default::default()
     };
     let qs = chain_eval_batch(&batch.program, EVAL_QUERIES);

@@ -107,7 +107,7 @@ pub fn time_median_us<F: FnMut()>(runs: usize, f: F) -> f64 {
 mod tests {
     use super::*;
     use cqchase_core::chase::{Chase, ChaseBudget, ChaseMode};
-    use cqchase_core::hom::{find_hom, HomTarget};
+    use cqchase_core::ChaseHomFinder;
     use cqchase_ir::{parse_program, validate::validate_query};
 
     #[test]
@@ -133,7 +133,7 @@ mod tests {
         assert_eq!(q.num_atoms(), ids.len());
         // Identity homomorphism exists: the subquery maps into the chase
         // with witness level = the deepest conjunct's level.
-        let h = find_hom(&q, &HomTarget::from_chase(ch.state(), u32::MAX)).unwrap();
+        let h = ChaseHomFinder::new(&q).find(ch.state(), u32::MAX).unwrap();
         assert_eq!(h.max_level, ch.state().conjunct(deepest).level);
     }
 

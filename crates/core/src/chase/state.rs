@@ -14,7 +14,7 @@
 //! rows: every mutation goes through `ChaseState::seal_row` /
 //! [`ChaseState::substitute`] so the two never diverge. This is what
 //! lets the FD rule, the R-chase's witness checks, and
-//! [`find_chase_hom`](crate::hom::find_chase_hom) run without rescanning
+//! [`ChaseHomFinder`](crate::hom::ChaseHomFinder) run without rescanning
 //! the conjunct vector. Whole-row dedup and occurrence lists serve only
 //! the FD rule, so they are kept only when Σ has FDs.
 //!
@@ -26,8 +26,6 @@ use std::borrow::Cow;
 
 use cqchase_index::{ColumnIndex, DedupIndex, FactSource, FxHashMap, FxHashSet, Sym, SymPool};
 use cqchase_ir::{Catalog, ConjunctiveQuery, Constant, Ind, RelId, Term, VarId, VarKind};
-
-use crate::hom::TSym;
 
 /// A chase symbol (variable) identified by its **ordinal**: the position
 /// in the chase's symbol table.
@@ -188,6 +186,11 @@ struct ChaseIndex {
 impl ChaseIndex {
     fn const_sym(&mut self, c: &Constant) -> Sym {
         Sym(self.consts.intern(c).0 << 1)
+    }
+
+    /// The symbol of an already-interned constant.
+    fn lookup_const(&self, c: &Constant) -> Option<Sym> {
+        self.consts.get(c).map(|s| Sym(s.0 << 1))
     }
 
     fn var_sym(v: CVar) -> Sym {
@@ -779,6 +782,20 @@ impl ChaseState {
         }
     }
 
+    /// The interned symbol of `t`, without interning: `None` for a
+    /// constant the chase has never seen.
+    pub(crate) fn sym_of(&self, t: &CTerm) -> Option<Sym> {
+        match t {
+            CTerm::Const(c) => self.index.lookup_const(c),
+            CTerm::Var(v) => Some(ChaseIndex::var_sym(*v)),
+        }
+    }
+
+    /// The term behind an interned symbol.
+    pub(crate) fn term_of(&self, sym: Sym) -> CTerm {
+        self.index.sym_term(sym)
+    }
+
     /// Renders a conjunct as `R(a, b, n3_c0i1a2L1)`.
     pub fn render_conjunct(&self, id: ConjId) -> String {
         let mut s = format!("{}(", self.catalog.name(self.conjuncts[id.index()].rel));
@@ -808,34 +825,6 @@ impl ChaseHomSource<'_> {
     #[inline]
     fn level_ok(&self, row: u32) -> bool {
         self.state.conjuncts[row as usize].level <= self.max_level
-    }
-
-    /// The summary row as target symbols.
-    pub fn summary_tsyms(&self) -> Vec<TSym> {
-        self.state
-            .summary
-            .iter()
-            .map(|t| match t {
-                CTerm::Const(c) => TSym::Const(c.clone()),
-                CTerm::Var(v) => TSym::Node(u64::from(v.0)),
-            })
-            .collect()
-    }
-
-    /// Resolves a target symbol into the chase's interned space.
-    pub fn sym_of_tsym(&self, s: &TSym) -> Option<Sym> {
-        match s {
-            TSym::Const(c) => self.state.index.consts.get(c).map(|s| Sym(s.0 << 1)),
-            TSym::Node(n) => Some(ChaseIndex::var_sym(CVar(*n as u32))),
-        }
-    }
-
-    /// The target symbol behind an interned chase symbol.
-    pub fn tsym_of(&self, sym: Sym) -> TSym {
-        match ChaseIndex::sym_var(sym) {
-            Some(v) => TSym::Node(u64::from(v.0)),
-            None => TSym::Const(self.state.index.consts.resolve(Sym(sym.0 >> 1)).clone()),
-        }
     }
 }
 
@@ -881,7 +870,7 @@ impl FactSource for ChaseHomSource<'_> {
     }
 
     fn sym_of_const(&self, c: &Constant) -> Option<Sym> {
-        self.state.index.consts.get(c).map(|s| Sym(s.0 << 1))
+        self.state.index.lookup_const(c)
     }
 
     fn distinct_count(&self, rel: RelId, col: usize) -> usize {
@@ -1064,7 +1053,7 @@ mod tests {
                 .terms(id)
                 .map(|t| match t {
                     CTerm::Var(v) => ChaseIndex::var_sym(v),
-                    CTerm::Const(k) => Sym(st.index.consts.get(&k).expect("interned").0 << 1),
+                    CTerm::Const(k) => st.index.lookup_const(&k).expect("interned"),
                 })
                 .collect();
             assert_eq!(st.index.row(id), &syms[..], "row {id:?}");

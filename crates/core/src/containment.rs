@@ -27,7 +27,7 @@ use crate::classify::{classify, SigmaClass};
 use crate::hom::{ChaseHomFinder, Homomorphism};
 
 /// Options for one containment test.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 pub struct ContainmentOptions {
     /// Chase discipline override (`None`: the paper's choice for the
     /// class, [`SigmaClass::preferred_mode`] — O-chase for INDs-only,
@@ -45,18 +45,14 @@ pub struct ContainmentOptions {
     /// far fewer conjuncts.
     pub mode: Option<ChaseMode>,
     /// Chase resource limits.
-    pub budget: ChaseBudgetOpt,
+    ///
+    /// The default is deliberately smaller than [`ChaseBudget::default`]:
+    /// the containment loop performs a homomorphism search per chase
+    /// level, so unbounded Mixed-class chases (which grow forever) must
+    /// cut off after a few thousand steps rather than a million. Raise it
+    /// explicitly for deep certified instances.
+    pub budget: ChaseBudget,
 }
-
-/// Budget wrapper so `ContainmentOptions` can derive `Default`.
-///
-/// The default is deliberately smaller than [`ChaseBudget::default`]:
-/// the containment loop performs a homomorphism search per chase level,
-/// so unbounded Mixed-class chases (which grow forever) must cut off
-/// after a few thousand steps rather than a million. Raise it explicitly
-/// for deep certified instances.
-#[derive(Debug, Clone, Copy)]
-pub struct ChaseBudgetOpt(pub ChaseBudget);
 
 /// Default step cap for containment-driven chases. Each level of an
 /// unbounded Mixed-class chase triggers a homomorphism search, so this
@@ -68,12 +64,15 @@ pub const CONTAINMENT_MAX_STEPS: usize = 4_000;
 /// target's size; see [`CONTAINMENT_MAX_STEPS`]).
 pub const CONTAINMENT_MAX_CONJUNCTS: usize = 20_000;
 
-impl Default for ChaseBudgetOpt {
+impl Default for ContainmentOptions {
     fn default() -> Self {
-        ChaseBudgetOpt(ChaseBudget {
-            max_steps: CONTAINMENT_MAX_STEPS,
-            max_conjuncts: CONTAINMENT_MAX_CONJUNCTS,
-        })
+        ContainmentOptions {
+            mode: None,
+            budget: ChaseBudget {
+                max_steps: CONTAINMENT_MAX_STEPS,
+                max_conjuncts: CONTAINMENT_MAX_CONJUNCTS,
+            },
+        }
     }
 }
 
@@ -242,7 +241,7 @@ fn contained_against(
     opts: &ContainmentOptions,
     cancel: &CancelToken,
 ) -> Result<ContainmentAnswer, ContainmentEngineError> {
-    let budget = opts.budget.0;
+    let budget = opts.budget;
     let certified = class.bound_is_certified();
     let bound = if certified {
         match class {
@@ -712,10 +711,10 @@ mod tests {
         )
         .unwrap();
         let opts = ContainmentOptions {
-            budget: ChaseBudgetOpt(ChaseBudget {
+            budget: ChaseBudget {
                 max_steps: 500,
                 max_conjuncts: 500,
-            }),
+            },
             ..Default::default()
         };
         let a = contained(
@@ -742,10 +741,10 @@ mod tests {
         )
         .unwrap();
         let opts = ContainmentOptions {
-            budget: ChaseBudgetOpt(ChaseBudget {
+            budget: ChaseBudget {
                 max_steps: 5,
                 max_conjuncts: 5,
-            }),
+            },
             ..Default::default()
         };
         let r = contained(
@@ -846,10 +845,10 @@ mod tests {
         src.push('.');
         let p = parse_program(&src).unwrap();
         let opts = ContainmentOptions {
-            budget: ChaseBudgetOpt(ChaseBudget {
+            budget: ChaseBudget {
                 max_steps: 10_000,
                 max_conjuncts: 10_000,
-            }),
+            },
             ..Default::default()
         };
         let a = contained(

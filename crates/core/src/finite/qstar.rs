@@ -25,12 +25,14 @@ use std::collections::VecDeque;
 
 use cqchase_index::{FxHashMap, FxHashSet};
 
-use cqchase_ir::{Catalog, ConjunctiveQuery, Constant, DependencySet, Ind, RelId};
+use cqchase_ir::{
+    Atom, Catalog, ConjunctiveQuery, Constant, DependencySet, Ind, RelId, Term, VarId, VarKind,
+    VarTable,
+};
 use cqchase_storage::{Database, Value};
 
 use crate::chase::{CTerm, Chase, ChaseBudget, ChaseMode, ChaseStatus};
 use crate::finite::ksigma::k_sigma;
-use crate::hom::{HomTarget, TSym, TargetRow};
 
 /// A term of `Q*`: an original chase symbol, a per-(relation, column)
 /// special symbol, or a constant.
@@ -260,37 +262,49 @@ impl QStar {
         db
     }
 
-    /// Views `Q*` as a homomorphism target (so `find_hom(Q′, target)`
-    /// decides whether `Q′` maps into `Q*` preserving the summary).
-    pub fn hom_target(&self, catalog: &Catalog) -> HomTarget {
-        // Node encoding: chase symbols keep their ordinal; specials get
-        // offset ids above every chase symbol.
-        let mut special_ids: FxHashMap<(RelId, u32), u64> = FxHashMap::default();
-        let mut next_special = 1u64 << 32;
-        let mut conv = |t: &QsTerm| -> TSym {
-            match t {
-                QsTerm::Const(c) => TSym::Const(c.clone()),
-                QsTerm::Sym(v) => TSym::Node(u64::from(*v)),
-                QsTerm::Special(r, c) => {
-                    let id = *special_ids.entry((*r, *c)).or_insert_with(|| {
-                        let id = next_special;
-                        next_special += 1;
-                        id
-                    });
-                    TSym::Node(id)
-                }
-            }
+    /// Views `Q*` as a finite query: chase symbols become variables
+    /// `s{ordinal}`, special symbols `z_{rel}_{col}` (the names
+    /// [`QStar::to_database`] gives them), and the summary row is the
+    /// head. A summary-preserving homomorphism `Q′ → Q*` is then
+    /// [`find_query_hom`](crate::hom::find_query_hom)`(Q′, &qs.to_query(), catalog)`.
+    pub fn to_query(&self) -> ConjunctiveQuery {
+        let mut vars = VarTable::new();
+        let mut ids: FxHashMap<String, VarId> = FxHashMap::default();
+        let mut term = |t: &QsTerm, kind: VarKind| -> Term {
+            let name = match t {
+                QsTerm::Const(c) => return Term::Const(c.clone()),
+                QsTerm::Sym(v) => format!("s{v}"),
+                QsTerm::Special(r, c) => format!("z_{}_{}", r.0, c),
+            };
+            Term::Var(
+                *ids.entry(name)
+                    .or_insert_with_key(|name| vars.push(name.clone(), kind)),
+            )
         };
-        let mut rows: Vec<Vec<TargetRow>> = vec![Vec::new(); catalog.len()];
-        for (i, (rel, terms)) in self.conjuncts.iter().enumerate() {
-            rows[rel.index()].push(TargetRow {
-                syms: terms.iter().map(&mut conv).collect(),
-                tag: i as u32,
-                level: if i < self.prefix_len { 0 } else { 1 },
-            });
+        let head = self
+            .summary
+            .iter()
+            .map(|t| term(t, VarKind::Distinguished))
+            .collect();
+        let atoms = self
+            .conjuncts
+            .iter()
+            .map(|(rel, terms)| {
+                Atom::new(
+                    *rel,
+                    terms
+                        .iter()
+                        .map(|t| term(t, VarKind::Existential))
+                        .collect(),
+                )
+            })
+            .collect();
+        ConjunctiveQuery {
+            name: "Qstar".to_owned(),
+            head,
+            atoms,
+            vars,
         }
-        let summary = self.summary.iter().map(&mut conv).collect();
-        HomTarget::from_parts(rows, summary)
     }
 
     /// Total number of conjuncts.
@@ -308,7 +322,7 @@ impl QStar {
 mod tests {
     use super::*;
     use crate::containment::{contained, ContainmentOptions};
-    use crate::hom::find_hom;
+    use crate::hom::find_query_hom;
     use cqchase_ir::parse_program;
     use cqchase_storage::satisfies;
 
@@ -415,7 +429,7 @@ mod tests {
             let qp = p.query(name).unwrap();
             let d = query_graph_diameter(qp);
             let qs = build_qstar(q, &p.deps, &p.catalog, d, ChaseBudget::default()).unwrap();
-            let hom = find_hom(qp, &qs.hom_target(&p.catalog)).is_some();
+            let hom = find_query_hom(qp, &qs.to_query(), &p.catalog).is_some();
             let inf = contained(q, qp, &p.deps, &p.catalog, &opts)
                 .unwrap()
                 .contained;

@@ -43,6 +43,6 @@ pub use containment::{
     check_batch, contained, equivalent, BatchPair, ContainmentAnswer, ContainmentEngineError,
     ContainmentOptions, ContainmentPair,
 };
-pub use hom::{find_query_hom, render_chase_witness, ChaseHomFinder, HomFinder, Homomorphism};
+pub use hom::{find_query_hom, render_chase_witness, ChaseHomFinder, Homomorphism};
 pub use isomorphism::{cm_core, is_isomorphic, iso_key};
 pub use minimize::{is_minimal, minimize};

@@ -6,8 +6,7 @@
 
 use cqchase_core::chase::graph::{render_dot, render_levels};
 use cqchase_core::chase::{Chase, ChaseBudget, ChaseMode};
-use cqchase_core::hom::find_chase_hom;
-use cqchase_core::render_chase_witness;
+use cqchase_core::{render_chase_witness, ChaseHomFinder};
 use cqchase_ir::parse_program;
 
 struct Rendered {
@@ -31,7 +30,9 @@ fn render(src: &str, levels: u32, witness_query: &str) -> Rendered {
         .map(|i| st.render_conjunct(cqchase_core::chase::ConjId(i as u32)) + "\n")
         .collect();
     let qp = p.query(witness_query).unwrap();
-    let h = find_chase_hom(qp, st, levels).expect("witness exists");
+    let h = ChaseHomFinder::new(qp)
+        .find(st, levels)
+        .expect("witness exists");
     Rendered {
         conjuncts,
         witness: render_chase_witness(&h, qp, st),

@@ -4,7 +4,7 @@
 use cqchase_core::chase::{CTerm, Chase, ChaseBudget, ChaseMode, ChaseStatus};
 use cqchase_core::classify::{classify, SigmaClass};
 use cqchase_core::contained;
-use cqchase_core::containment::{ChaseBudgetOpt, ContainmentOptions};
+use cqchase_core::containment::ContainmentOptions;
 use cqchase_core::inference::{implies_fd, implies_fd_via_chase};
 use cqchase_ir::{parse_program, Catalog, ConjunctiveQuery, DependencySet, Fd, Ind, QueryBuilder};
 use cqchase_storage::{satisfies, Database, Value};
@@ -120,7 +120,7 @@ proptest! {
             return Ok(());
         }
         let opts = ContainmentOptions {
-            budget: ChaseBudgetOpt(ChaseBudget { max_steps: 1_000, max_conjuncts: 4_000 }),
+            budget: ChaseBudget { max_steps: 1_000, max_conjuncts: 4_000 },
             ..Default::default()
         };
         if let Ok(ans) = contained(&q, &qp, &sigma, &cat, &opts) {

@@ -1,13 +1,21 @@
 //! Differential property tests: the indexed join engine and the
 //! retained naive scan-based search must agree on homomorphism
-//! existence — against query targets and against (partial) chases.
+//! existence — against query targets (level-0 chases) and against
+//! (partial) chases, level for level — and every witness either returns
+//! must be a real homomorphism into the state it came from.
 
-use cqchase_core::chase::{Chase, ChaseBudget, ChaseMode};
-use cqchase_core::hom::{find_chase_hom, find_hom, naive, HomTarget};
-use cqchase_core::{check_batch, contained, ContainmentOptions, ContainmentPair};
+use cqchase_core::chase::{CTerm, Chase, ChaseBudget, ChaseMode, ChaseState};
+use cqchase_core::hom::naive;
+use cqchase_core::{
+    check_batch, contained, find_query_hom, ChaseHomFinder, ContainmentOptions, ContainmentPair,
+    Homomorphism,
+};
 use cqchase_ir::builder::TermSpec;
-use cqchase_ir::{Catalog, ConjunctiveQuery, DependencySet, Fd, Ind, QueryBuilder};
+use cqchase_ir::{
+    Atom, Catalog, ConjunctiveQuery, DependencySet, Fd, Ind, QueryBuilder, Term, VarKind, VarTable,
+};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 fn catalog() -> Catalog {
     let mut c = Catalog::new();
@@ -61,44 +69,123 @@ fn sigmas() -> impl Strategy<Value = DependencySet> {
     })
 }
 
+/// A query over the first live conjunct of each of `state`'s levels 0–3,
+/// with the summary row as head. It maps into the state by the identity,
+/// so unlike two random queries it has witnesses above level 0.
+fn deep_query(state: &ChaseState) -> ConjunctiveQuery {
+    let mut vars = VarTable::new();
+    let mut ids = std::collections::HashMap::new();
+    let mut term = |t: CTerm, kind: VarKind| match t {
+        CTerm::Const(c) => Term::Const(c),
+        CTerm::Var(v) => Term::Var(
+            *ids.entry(v)
+                .or_insert_with(|| vars.push(format!("v{}", v.0), kind)),
+        ),
+    };
+    let head = state
+        .summary()
+        .iter()
+        .map(|t| term(t.clone(), VarKind::Distinguished))
+        .collect();
+    let atoms = (0..=3)
+        .filter_map(|level| state.alive_conjuncts().find(|(_, c)| c.level == level))
+        .map(|(id, c)| {
+            let terms = state.terms(id).map(|t| term(t, VarKind::Existential));
+            Atom::new(c.rel, terms.collect())
+        })
+        .collect();
+    ConjunctiveQuery {
+        name: "Deep".to_owned(),
+        head,
+        atoms,
+        vars,
+    }
+}
+
+/// Checks that `h` is a summary-preserving homomorphism from `source`
+/// into the live conjuncts of `state` with level ≤ `cut`: every atom
+/// image is a live conjunct of the atom's relation within the cut whose
+/// terms are the atom's terms under `var_images` (constants map to
+/// themselves), the head maps onto the summary row, and `max_level` is
+/// the largest image level.
+fn check_witness(
+    h: &Homomorphism,
+    source: &ConjunctiveQuery,
+    state: &ChaseState,
+    cut: u32,
+) -> Result<(), TestCaseError> {
+    let image = |t: &Term| match t {
+        Term::Const(c) => Some(CTerm::Const(c.clone())),
+        Term::Var(v) => h.var_images[v.index()].clone(),
+    };
+    prop_assert_eq!(h.atom_images.len(), source.atoms.len());
+    let mut max_level = 0;
+    for (atom, &id) in source.atoms.iter().zip(&h.atom_images) {
+        let c = state.conjunct(id);
+        prop_assert!(c.alive, "image {:?} is dead", id);
+        prop_assert_eq!(
+            c.rel,
+            atom.relation,
+            "image {:?} has the wrong relation",
+            id
+        );
+        prop_assert!(
+            c.level <= cut,
+            "image {:?} at level {} above the cut {}",
+            id,
+            c.level,
+            cut
+        );
+        max_level = max_level.max(c.level);
+        let want: Vec<Option<CTerm>> = atom.terms.iter().map(image).collect();
+        let got: Vec<Option<CTerm>> = state.terms(id).map(Some).collect();
+        prop_assert_eq!(got, want, "terms of image {:?}", id);
+    }
+    let head: Vec<Option<CTerm>> = source.head.iter().map(image).collect();
+    let summary: Vec<Option<CTerm>> = state.summary().iter().cloned().map(Some).collect();
+    prop_assert_eq!(head, summary, "head image");
+    prop_assert_eq!(h.max_level, max_level);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Indexed and naive searches agree on hom existence into query
-    /// targets (the Chandra–Merlin primitive).
+    /// targets (the Chandra–Merlin primitive), and both witnesses are
+    /// homomorphisms into the target's level-0 state.
     #[test]
     fn query_targets_agree(q in small_query(), t in small_query()) {
         let cat = catalog();
-        let target = HomTarget::from_query(&t, &cat);
-        let fast = find_hom(&q, &target);
-        let slow = naive::find_hom(&q, &target);
+        let ch = Chase::new(&t, &DependencySet::new(), &cat, ChaseMode::Required);
+        let fast = find_query_hom(&q, &t, &cat);
+        let slow = naive::find_hom(&q, &naive::Rows::from_state(ch.state(), 0));
         prop_assert_eq!(fast.is_some(), slow.is_some());
-        // Any witness the indexed engine returns must be valid at some
-        // level the naive engine can also certify: both targets are
-        // level 0 throughout, so levels agree trivially.
-        if let (Some(f), Some(s)) = (&fast, &slow) {
-            prop_assert_eq!(f.max_level, 0);
-            prop_assert_eq!(s.max_level, 0);
+        for h in fast.iter().chain(&slow) {
+            check_witness(h, &q, ch.state(), 0)?;
         }
     }
 
     /// Indexed search straight off the chase's incremental indexes
-    /// agrees with both flattened-target searches, level for level.
+    /// agrees with the naive scan of a row snapshot, level for level,
+    /// and both witnesses are homomorphisms into the state within the
+    /// level cut. Sources are a random query and the chase's own
+    /// [`deep_query`].
     #[test]
     fn chase_targets_agree(q in small_query(), qp in small_query(), sigma in sigmas()) {
         let cat = catalog();
         let mut ch = Chase::new(&q, &sigma, &cat, ChaseMode::Required);
         ch.expand_to_level(3, ChaseBudget { max_steps: 500, max_conjuncts: 1_000 });
-        for level in [0u32, 1, 3, u32::MAX] {
-            let target = HomTarget::from_chase(ch.state(), level);
-            let flat_fast = find_hom(&qp, &target);
-            let flat_slow = naive::find_hom(&qp, &target);
-            let live = find_chase_hom(&qp, ch.state(), level);
-            prop_assert_eq!(flat_fast.is_some(), flat_slow.is_some(), "level {}", level);
-            prop_assert_eq!(live.is_some(), flat_slow.is_some(), "level {}", level);
-            // A witness never uses rows above the level cut.
-            if let Some(h) = &live {
-                prop_assert!(h.max_level <= level);
+        let state = ch.state();
+        for source in [qp, deep_query(state)] {
+            let mut finder = ChaseHomFinder::new(&source);
+            for level in [0u32, 1, 2, 3, u32::MAX] {
+                let live = finder.find(state, level);
+                let slow = naive::find_hom(&source, &naive::Rows::from_state(state, level));
+                prop_assert_eq!(live.is_some(), slow.is_some(), "{} at level {}", source.name, level);
+                for h in live.iter().chain(&slow) {
+                    check_witness(h, &source, state, level)?;
+                }
             }
         }
     }

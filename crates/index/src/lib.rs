@@ -28,8 +28,10 @@
 //!   [`JoinScratch`], so steady-state batch search allocates nothing per
 //!   join.
 //!
-//! Consumers implement [`FactSource`] over their own storage
-//! (`HomTarget`, `ChaseState`, `DbIndex`) and share one search.
+//! Consumers implement [`FactSource`] over their own storage and share
+//! one search: `cqchase-core`'s `ChaseHomSource` (a level-truncated view
+//! of a chase state, which also serves query targets as level-0 chases)
+//! and `cqchase-storage`'s `DbIndex`.
 //!
 //! The batch/parallel layer builds on two further pieces:
 //!
@@ -61,4 +63,4 @@ pub use engine::{
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use plan::{query_key, PlanCache, PlanLookup, QueryKey};
 pub use store::{ColumnIndex, DedupIndex};
-pub use sym::{FrozenSymPool, Sym, SymPool};
+pub use sym::{Sym, SymPool};

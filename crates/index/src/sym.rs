@@ -25,9 +25,6 @@ impl Sym {
 
 /// An interning pool mapping source-level symbols to dense [`Sym`]s and
 /// back.
-///
-/// Once interning is over, [`SymPool::freeze`] converts the pool into a
-/// read-only [`FrozenSymPool`] that can be shared across threads.
 #[derive(Debug, Clone)]
 pub struct SymPool<T> {
     ids: FxHashMap<T, Sym>,
@@ -88,50 +85,6 @@ impl<T: Eq + Hash + Clone> SymPool<T> {
         let item = std::mem::size_of::<T>();
         self.items.capacity() * item + self.ids.capacity() * (item + std::mem::size_of::<Sym>() + 8)
     }
-
-    /// Consumes the pool into an immutable snapshot.
-    ///
-    /// Freezing is free (no copies) and marks, in the type system, the
-    /// point after which no new symbols appear — a [`FrozenSymPool`] is
-    /// `Send + Sync` whenever `T` is, so sources built once and queried
-    /// many times (hom targets, database indexes) can be shared across
-    /// the batch executor's worker threads without locks.
-    pub fn freeze(self) -> FrozenSymPool<T> {
-        FrozenSymPool {
-            ids: self.ids,
-            items: self.items,
-        }
-    }
-}
-
-/// A read-only snapshot of a [`SymPool`]: lookups and reverse lookups
-/// only, shareable by reference across threads.
-#[derive(Debug, Clone)]
-pub struct FrozenSymPool<T> {
-    ids: FxHashMap<T, Sym>,
-    items: Vec<T>,
-}
-
-impl<T: Eq + Hash> FrozenSymPool<T> {
-    /// Looks up an interned item.
-    pub fn get(&self, item: &T) -> Option<Sym> {
-        self.ids.get(item).copied()
-    }
-
-    /// The item behind a symbol.
-    pub fn resolve(&self, sym: Sym) -> &T {
-        &self.items[sym.index()]
-    }
-
-    /// Number of interned symbols.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Whether the pool is empty.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -152,21 +105,8 @@ mod tests {
     }
 
     #[test]
-    fn freeze_preserves_contents() {
-        let mut p: SymPool<String> = SymPool::new();
-        let a = p.intern(&"x".to_string());
-        let b = p.intern(&"y".to_string());
-        let f = p.freeze();
-        assert_eq!(f.get(&"x".to_string()), Some(a));
-        assert_eq!(f.resolve(b), "y");
-        assert_eq!(f.len(), 2);
-        assert!(!f.is_empty());
-    }
-
-    #[test]
-    fn frozen_pool_is_send_sync() {
+    fn pool_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<FrozenSymPool<String>>();
         assert_send_sync::<SymPool<String>>();
     }
 }

@@ -2,9 +2,8 @@
 //!
 //! A thousand sessions registered over the same schema used to cost a
 //! thousand symbol pools, posting-list indexes, and plan caches. A
-//! [`FrozenCatalog`] extends the `SymPool::freeze` idea one level up:
-//! it freezes everything a registration builds that does not depend on
-//! the facts — the parsed [`Program`], Σ's classification and
+//! [`FrozenCatalog`] freezes everything a registration builds that does
+//! not depend on the facts — the parsed [`Program`], Σ's classification and
 //! fingerprint. Everything that does depend on them lives in one
 //! [`Facts`] value: the [`DbIndex`] holding them and the [`PlanCache`]
 //! compiled against it. The [`CatalogRegistry`] builds one

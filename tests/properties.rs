@@ -1,7 +1,6 @@
 //! Property-based tests (proptest) on the core invariants.
 
 use cqchase::core::chase::{Chase, ChaseBudget, ChaseMode};
-use cqchase::core::containment::ChaseBudgetOpt;
 use cqchase::core::{contained, minimize, ContainmentOptions};
 use cqchase::ir::{Catalog, ConjunctiveQuery, DependencySet, Ind, QueryBuilder};
 use cqchase::workload::{IndSetGen, QueryGen};
@@ -18,10 +17,10 @@ fn catalog() -> Catalog {
 /// proptest cases in debug builds).
 fn opts() -> ContainmentOptions {
     ContainmentOptions {
-        budget: ChaseBudgetOpt(ChaseBudget {
+        budget: ChaseBudget {
             max_steps: 200,
             max_conjuncts: 2_000,
-        }),
+        },
         ..Default::default()
     }
 }
@@ -200,10 +199,10 @@ fn mix(mut x: u64) -> u64 {
 #[test]
 fn r_chase_decides_inds_only_like_o_chase() {
     const CASES: u64 = 256;
-    let budget = ChaseBudgetOpt(ChaseBudget {
+    let budget = ChaseBudget {
         max_steps: 3_000,
         max_conjuncts: 3_000,
-    });
+    };
     let (mut compared, mut negatives) = (0, 0);
     for case in 0..CASES {
         let seed = mix(case);

@@ -5,7 +5,6 @@
 //! evaluation → containment engine.
 
 use cqchase::core::chase::ChaseBudget;
-use cqchase::core::containment::ChaseBudgetOpt;
 use cqchase::core::{contained, ContainmentOptions, DataChaseBudget};
 use cqchase::ir::{Catalog, DependencySet};
 use cqchase::storage::evaluate;
@@ -14,10 +13,10 @@ use cqchase::storage::evaluate;
 /// the data chase unbounded, and debug-mode tests must cut off early.
 fn small_opts() -> ContainmentOptions {
     ContainmentOptions {
-        budget: ChaseBudgetOpt(ChaseBudget {
+        budget: ChaseBudget {
             max_steps: 300,
             max_conjuncts: 2_000,
-        }),
+        },
         ..Default::default()
     }
 }
