@@ -1,7 +1,7 @@
 //! Instance repair cost: the data chase on random instances under
 //! foreign-key dependencies.
 
-use cqchase_core::{chase_instance, DataChaseBudget};
+use cqchase_core::{chase_instance, INSTANCE_CHASE_BUDGET};
 use cqchase_ir::parse_program;
 use cqchase_workload::DatabaseGen;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -28,7 +28,7 @@ fn bench_datachase(c: &mut Criterion) {
         .generate(&p.catalog);
         group.bench_with_input(BenchmarkId::from_parameter(tuples), &tuples, |b, _| {
             b.iter(|| {
-                let out = chase_instance(&db, &p.deps, DataChaseBudget::default());
+                let out = chase_instance(&db, &p.deps, INSTANCE_CHASE_BUDGET);
                 std::hint::black_box(matches!(out, cqchase_core::DataChaseOutcome::Satisfied(_)))
             });
         });

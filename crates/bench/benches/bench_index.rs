@@ -11,6 +11,10 @@
 //! never pays in production. The naive side scans a [`naive::Rows`]
 //! snapshot of the same chase, built outside the timed loop.
 //!
+//! Evaluation is measured from a [`Database`]: each indexed sample
+//! builds the [`DbIndex`] and then evaluates, and each naive sample
+//! scans the database.
+//!
 //! Besides the criterion groups, the run records a JSON baseline at
 //! `crates/bench/baselines/bench_index.json` (naive/indexed medians and
 //! speedups per configuration) so future PRs can compare against this
@@ -22,7 +26,7 @@ use cqchase_core::chase::{Chase, ChaseBudget, ChaseMode};
 use cqchase_core::hom::naive;
 use cqchase_core::ChaseHomFinder;
 use cqchase_storage::eval;
-use cqchase_storage::Database;
+use cqchase_storage::{Database, DbIndex};
 use cqchase_workload::families::successor_cycle;
 use cqchase_workload::{chain_query, cycle_query, snowflake_query, star_query, DatabaseGen};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -96,7 +100,7 @@ fn bench_eval_naive_vs_indexed(c: &mut Criterion) {
         let db = eval_db(tuples);
         let q = program.query("Chain3").unwrap();
         group.bench_with_input(BenchmarkId::new("indexed", tuples), &tuples, |b, _| {
-            b.iter(|| std::hint::black_box(eval::evaluate(q, &db).len()));
+            b.iter(|| std::hint::black_box(eval::evaluate(q, &DbIndex::build(&db)).len()));
         });
         group.bench_with_input(BenchmarkId::new("naive", tuples), &tuples, |b, _| {
             b.iter(|| std::hint::black_box(eval::naive::evaluate(q, &db).len()));
@@ -111,7 +115,7 @@ fn bench_eval_naive_vs_indexed(c: &mut Criterion) {
     let snow = snowflake_query("Snow4x2", &program.catalog, "R", 4, 2).unwrap();
     for (name, q) in [("star8", &star), ("snowflake4x2", &snow)] {
         group.bench_with_input(BenchmarkId::new("indexed", name), &name, |b, _| {
-            b.iter(|| std::hint::black_box(eval::evaluate(q, &db).len()));
+            b.iter(|| std::hint::black_box(eval::evaluate(q, &DbIndex::build(&db)).len()));
         });
         group.bench_with_input(BenchmarkId::new("naive", name), &name, |b, _| {
             b.iter(|| std::hint::black_box(eval::naive::evaluate(q, &db).len()));
@@ -184,7 +188,7 @@ fn record_baseline(_c: &mut Criterion) {
             std::hint::black_box(eval::naive::evaluate(q, &db).len());
         });
         let indexed_t = median_time(9, || {
-            std::hint::black_box(eval::evaluate(q, &db).len());
+            std::hint::black_box(eval::evaluate(q, &DbIndex::build(&db)).len());
         });
         let speedup = naive_t.as_secs_f64() / indexed_t.as_secs_f64().max(1e-12);
         let mut e = Map::new();
@@ -211,7 +215,7 @@ fn record_baseline(_c: &mut Criterion) {
             std::hint::black_box(eval::naive::evaluate(q, &db).len());
         });
         let indexed_t = median_time(9, || {
-            std::hint::black_box(eval::evaluate(q, &db).len());
+            std::hint::black_box(eval::evaluate(q, &DbIndex::build(&db)).len());
         });
         let speedup = naive_t.as_secs_f64() / indexed_t.as_secs_f64().max(1e-12);
         let mut e = Map::new();

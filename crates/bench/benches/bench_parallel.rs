@@ -16,7 +16,7 @@ use std::time::Duration;
 use cqchase_bench::util::time_median;
 use cqchase_core::{check_batch as check_batch_seq, ContainmentOptions, ContainmentPair};
 use cqchase_par::{check_batch, default_threads, evaluate_batch, BatchOptions};
-use cqchase_storage::evaluate_batch as evaluate_batch_seq;
+use cqchase_storage::{evaluate, DbIndex};
 use cqchase_workload::{chain_eval_batch, successor_containment_batch, DatabaseGen};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use serde_json::{json, Map, Value};
@@ -94,7 +94,8 @@ fn bench_batch_eval(c: &mut Criterion) {
             &threads,
             |b, &t| {
                 b.iter(|| {
-                    let r = evaluate_batch(&qs, &db, BatchOptions::with_threads(t));
+                    let idx = DbIndex::build(&db);
+                    let r = evaluate_batch(&qs, &idx, BatchOptions::with_threads(t));
                     std::hint::black_box(r.iter().map(Vec::len).sum::<usize>())
                 });
             },
@@ -113,7 +114,8 @@ fn record_baseline(_c: &mut Criterion) {
     let (qs, db) = eval_workload();
 
     let seq_answers = check_batch_seq(&queries, &pairs, &program.deps, &program.catalog, &opts);
-    let seq_evals = evaluate_batch_seq(&qs, &db);
+    let idx = DbIndex::build(&db);
+    let seq_evals: Vec<_> = qs.iter().map(|q| evaluate(q, &idx)).collect();
 
     let mut entries = Vec::new();
     let mut speedups = Map::new();
@@ -137,7 +139,7 @@ fn record_baseline(_c: &mut Criterion) {
                     assert_eq!(a.as_ref().unwrap().contained, b.as_ref().unwrap().contained);
                 }
             } else {
-                assert_eq!(evaluate_batch(&qs, &db, batch_opts), seq_evals);
+                assert_eq!(evaluate_batch(&qs, &idx, batch_opts), seq_evals);
             }
             let t = if bench == "batch_containment" {
                 time_median(7, || {
@@ -153,7 +155,8 @@ fn record_baseline(_c: &mut Criterion) {
                 })
             } else {
                 time_median(7, || {
-                    std::hint::black_box(evaluate_batch(&qs, &db, batch_opts).len());
+                    let idx = DbIndex::build(&db);
+                    std::hint::black_box(evaluate_batch(&qs, &idx, batch_opts).len());
                 })
             };
             let ns = t.as_nanos() as u64;

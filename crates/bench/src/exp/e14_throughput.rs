@@ -12,6 +12,7 @@
 use cqchase_core::chase::ChaseBudget;
 use cqchase_core::{ContainmentOptions, ContainmentPair};
 use cqchase_par::{check_batch, default_threads, evaluate_batch, BatchOptions};
+use cqchase_storage::DbIndex;
 use cqchase_workload::{chain_eval_batch, successor_containment_batch, DatabaseGen};
 use serde_json::{json, Map, Value};
 
@@ -79,7 +80,8 @@ pub fn run(budget: ChaseBudget, threads: Option<usize>) -> ExperimentOutput {
                 })
             } else {
                 time_median_us(5, || {
-                    std::hint::black_box(evaluate_batch(&qs, &db, bopts).len());
+                    let idx = DbIndex::build(&db);
+                    std::hint::black_box(evaluate_batch(&qs, &idx, bopts).len());
                 })
             };
             if threads == 1 {

@@ -32,9 +32,9 @@
 use std::time::Instant;
 
 use cqchase_core::{check_batch, BatchPair, ContainmentOptions, ContainmentPair};
-use cqchase_index::{CancelToken, JoinScratch, PlanCache};
+use cqchase_index::{compile, CancelToken, JoinScratch};
 use cqchase_ir::QueryBuilder;
-use cqchase_storage::{evaluate_indexed_with, Database, DbIndex};
+use cqchase_storage::{evaluate_plan, Database, DbIndex};
 use cqchase_workload::families::successor_cycle;
 
 use crate::service_workload::ServiceWorkload;
@@ -216,10 +216,10 @@ pub fn deadline_workload() -> DeadlineWorkload {
 /// Runs the dense join under `token` until it fires; panics if the join
 /// completes first (the instance is sized so it cannot).
 fn run_until_cancelled(w: &DeadlineWorkload, token: &CancelToken) {
-    let mut cache = PlanCache::new();
+    let plan = compile(&w.query, &w.idx);
     let mut scratch = JoinScratch::new();
     scratch.set_cancel(token.clone());
-    let rows = evaluate_indexed_with(&w.query, &w.idx, &mut cache, &mut scratch);
+    let rows = evaluate_plan(&w.query, &w.idx, plan.as_ref(), &mut scratch);
     assert!(
         scratch.cancelled(),
         "the dense join must never outrun its token ({} rows)",

@@ -17,7 +17,8 @@
 //!   chase created becomes a fresh null minted past the input's counter.
 //!
 //! IND chases need not terminate (e.g. `R[2] ⊆ R[1]` over a tuple with
-//! distinct values), so every run carries a [`DataChaseBudget`].
+//! distinct values), so every run carries a [`ChaseBudget`]; its
+//! `max_conjuncts` caps the tuples ever created, the input's included.
 
 use cqchase_ir::{Atom, ConjunctiveQuery, DependencySet, Term, VarId, VarKind, VarTable};
 use cqchase_storage::{satisfies, Database, NullId, Value};
@@ -25,25 +26,13 @@ use cqchase_storage::{satisfies, Database, NullId, Value};
 use super::driver::{Chase, ChaseBudget, ChaseMode, ChaseStatus};
 use super::state::{CTerm, ChaseState};
 
-/// Resource limits for one instance-chase run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DataChaseBudget {
-    /// Maximum number of R-chase scheduling steps (IND applications and
-    /// witness skips; FD unifications are free).
-    pub max_steps: usize,
-    /// Maximum number of tuples ever created, the input's included, so
-    /// a repair never grows past it.
-    pub max_tuples: usize,
-}
-
-impl Default for DataChaseBudget {
-    fn default() -> Self {
-        DataChaseBudget {
-            max_steps: 100_000,
-            max_tuples: 100_000,
-        }
-    }
-}
+/// The budget that generated and test instances are repaired under:
+/// 100,000 R-chase steps and 100,000 tuples, below the containment
+/// limits of [`ChaseBudget::default`].
+pub const INSTANCE_CHASE_BUDGET: ChaseBudget = ChaseBudget {
+    max_steps: 100_000,
+    max_conjuncts: 100_000,
+};
 
 /// The result of chasing an instance.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,7 +56,10 @@ impl DataChaseOutcome {
     }
 }
 
-/// Chases `db` with respect to `deps` under `budget`.
+/// Chases `db` with respect to `deps` under `budget`: `max_steps` caps
+/// the R-chase scheduling steps (FD unifications are free) and
+/// `max_conjuncts` the tuples ever created, the input's included, so a
+/// repair never grows past it.
 ///
 /// An instance that already satisfies Σ comes back as itself, whatever
 /// its size; otherwise the result (when `Satisfied`) obeys every
@@ -75,17 +67,14 @@ impl DataChaseOutcome {
 pub fn chase_instance(
     db: &Database,
     deps: &DependencySet,
-    budget: DataChaseBudget,
+    budget: ChaseBudget,
 ) -> DataChaseOutcome {
     if satisfies(db, deps) {
         return DataChaseOutcome::Satisfied(db.clone());
     }
     let (q, nulls) = freeze(db);
     let mut chase = Chase::new(&q, deps, db.catalog(), ChaseMode::Required);
-    let status = chase.run_to_completion(ChaseBudget {
-        max_steps: budget.max_steps,
-        max_conjuncts: budget.max_tuples,
-    });
+    let status = chase.run_to_completion(budget);
     match status {
         ChaseStatus::Failed => DataChaseOutcome::Inconsistent,
         ChaseStatus::Complete => {
@@ -181,7 +170,7 @@ mod tests {
         let (c, deps) = emp_dep();
         let mut db = Database::new(&c);
         db.insert_named("EMP", [1i64, 100, 10]).unwrap();
-        let out = chase_instance(&db, &deps, DataChaseBudget::default());
+        let out = chase_instance(&db, &deps, INSTANCE_CHASE_BUDGET);
         let repaired = out.into_satisfied().expect("chase terminates");
         assert!(satisfies(&repaired, &deps));
         let dep = c.resolve("DEP").unwrap();
@@ -204,7 +193,7 @@ mod tests {
         db.insert(emp, vec![Value::int(1), n2, Value::int(10)])
             .unwrap();
         db.insert_named("DEP", [10i64, 0]).unwrap();
-        let repaired = chase_instance(&db, &deps, DataChaseBudget::default())
+        let repaired = chase_instance(&db, &deps, INSTANCE_CHASE_BUDGET)
             .into_satisfied()
             .unwrap();
         assert!(satisfies(&repaired, &deps));
@@ -220,7 +209,7 @@ mod tests {
         db.insert_named("EMP", [1i64, 200, 10]).unwrap();
         db.insert_named("DEP", [10i64, 0]).unwrap();
         assert_eq!(
-            chase_instance(&db, &deps, DataChaseBudget::default()),
+            chase_instance(&db, &deps, INSTANCE_CHASE_BUDGET),
             DataChaseOutcome::Inconsistent
         );
     }
@@ -241,9 +230,9 @@ mod tests {
         let out = chase_instance(
             &db,
             &deps,
-            DataChaseBudget {
+            ChaseBudget {
                 max_steps: 50,
-                max_tuples: 50,
+                max_conjuncts: 50,
             },
         );
         assert!(matches!(out, DataChaseOutcome::BudgetExhausted(_)));
@@ -253,7 +242,7 @@ mod tests {
     fn tuple_budget_never_overshoots() {
         // Pure IND cycle: the chase on R(0, 1) is infinite. Whatever
         // budget we set, the returned database must respect it exactly —
-        // the regression was a final IND step landing past `max_tuples`.
+        // the regression was a final IND step landing past `max_conjuncts`.
         let mut c = Catalog::new();
         c.declare("R", ["a", "b"]).unwrap();
         let deps = DependencySetBuilder::new(&c)
@@ -262,21 +251,21 @@ mod tests {
             .build();
         let mut db = Database::new(&c);
         db.insert_named("R", [0i64, 1]).unwrap();
-        for max_tuples in 1..6usize {
+        for max_conjuncts in 1..6usize {
             let out = chase_instance(
                 &db,
                 &deps,
-                DataChaseBudget {
+                ChaseBudget {
                     max_steps: 1000,
-                    max_tuples,
+                    max_conjuncts,
                 },
             );
             let DataChaseOutcome::BudgetExhausted(result) = out else {
                 panic!("infinite chase must exhaust the budget");
             };
             assert!(
-                result.total_tuples() <= max_tuples,
-                "budget {max_tuples} overshot: {} tuples",
+                result.total_tuples() <= max_conjuncts,
+                "budget {max_conjuncts} overshot: {} tuples",
                 result.total_tuples()
             );
         }
@@ -299,9 +288,9 @@ mod tests {
         let out = chase_instance(
             &db,
             &deps,
-            DataChaseBudget {
+            ChaseBudget {
                 max_steps: 1000,
-                max_tuples: 2,
+                max_conjuncts: 2,
             },
         );
         let DataChaseOutcome::BudgetExhausted(result) = out else {
@@ -321,9 +310,9 @@ mod tests {
         let out = chase_instance(
             &db,
             &deps,
-            DataChaseBudget {
+            ChaseBudget {
                 max_steps: 1000,
-                max_tuples: 1,
+                max_conjuncts: 1,
             },
         );
         assert_eq!(out, DataChaseOutcome::Satisfied(db));
@@ -348,7 +337,7 @@ mod tests {
         // A 2-cycle: R(0,1), R(1,0) — satisfies both dependencies.
         db.insert_named("R", [0i64, 1]).unwrap();
         db.insert_named("R", [1i64, 0]).unwrap();
-        let out = chase_instance(&db, &deps, DataChaseBudget::default());
+        let out = chase_instance(&db, &deps, INSTANCE_CHASE_BUDGET);
         let repaired = out.into_satisfied().unwrap();
         assert_eq!(repaired.total_tuples(), 2);
     }
@@ -359,7 +348,7 @@ mod tests {
         let mut db = Database::new(&c);
         db.insert_named("EMP", [1i64, 100, 10]).unwrap();
         db.insert_named("DEP", [10i64, 0]).unwrap();
-        let repaired = chase_instance(&db, &deps, DataChaseBudget::default())
+        let repaired = chase_instance(&db, &deps, INSTANCE_CHASE_BUDGET)
             .into_satisfied()
             .unwrap();
         assert_eq!(repaired.total_tuples(), db.total_tuples());

@@ -28,7 +28,7 @@ pub use bound::{theorem2_bound, theorem2_bound_raw};
 pub use driver::{
     Chase, ChaseBudget, ChaseMode, ChaseStatus, DEFAULT_MAX_CONJUNCTS, DEFAULT_MAX_STEPS,
 };
-pub use instance::{chase_instance, DataChaseBudget, DataChaseOutcome};
+pub use instance::{chase_instance, DataChaseOutcome, INSTANCE_CHASE_BUDGET};
 pub use state::{ArcKind, CTerm, CVar, CVarOrigin, ChaseArc, ChaseState, ConjId, Conjunct};
 
 use cqchase_ir::{Catalog, ConjunctiveQuery, DependencySet};

@@ -8,7 +8,7 @@
 //! unrestricted containment.
 
 use cqchase_ir::{Catalog, ConjunctiveQuery, DependencySet};
-use cqchase_storage::{enumerate, evaluate, satisfies, Database};
+use cqchase_storage::{enumerate, evaluate, satisfies, Database, DbIndex};
 
 /// Outcome of an exhaustive finite-containment sweep.
 #[derive(Debug, Clone)]
@@ -51,8 +51,9 @@ pub fn finite_contained_exhaustive(
         }
         instances_satisfying += 1;
         if counterexample.is_none() {
-            let a = evaluate(q, &db);
-            let b = evaluate(q_prime, &db);
+            let idx = DbIndex::build(&db);
+            let a = evaluate(q, &idx);
+            let b = evaluate(q_prime, &idx);
             let b_set: cqchase_index::FxHashSet<_> = b.into_iter().collect();
             if !a.iter().all(|t| b_set.contains(t)) {
                 counterexample = Some(db);

@@ -36,7 +36,7 @@ pub mod minimize;
 
 pub use chase::{
     chase_instance, chase_query, theorem2_bound, Chase, ChaseBudget, ChaseMode, ChaseStatus,
-    DataChaseBudget, DataChaseOutcome,
+    DataChaseOutcome, INSTANCE_CHASE_BUDGET,
 };
 pub use classify::{classify, SigmaClass};
 pub use containment::{

@@ -1,7 +1,7 @@
 //! Property tests on the instance chase: it repairs into Σ-satisfying
 //! instances and leaves satisfying ones untouched.
 
-use cqchase_core::{chase_instance, DataChaseBudget, DataChaseOutcome};
+use cqchase_core::{chase_instance, DataChaseOutcome, INSTANCE_CHASE_BUDGET};
 use cqchase_ir::{Catalog, DependencySet, Fd, Ind};
 use cqchase_storage::{satisfies, Database};
 use proptest::prelude::*;
@@ -57,7 +57,7 @@ proptest! {
     /// (homomorphic repairs only merge and add).
     #[test]
     fn data_chase_repairs(db in instances(), sigma in sigmas()) {
-        match chase_instance(&db, &sigma, DataChaseBudget::default()) {
+        match chase_instance(&db, &sigma, INSTANCE_CHASE_BUDGET) {
             DataChaseOutcome::Satisfied(repaired) => {
                 prop_assert!(satisfies(&repaired, &sigma));
             }
@@ -76,7 +76,7 @@ proptest! {
     #[test]
     fn chase_is_identity_on_satisfying(db in instances(), sigma in sigmas()) {
         if satisfies(&db, &sigma) {
-            let out = chase_instance(&db, &sigma, DataChaseBudget::default());
+            let out = chase_instance(&db, &sigma, INSTANCE_CHASE_BUDGET);
             match out {
                 DataChaseOutcome::Satisfied(repaired) => {
                     prop_assert_eq!(repaired, db);

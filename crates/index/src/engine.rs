@@ -18,7 +18,7 @@
 //!   [`crate::acyclic`]); cyclic bodies keep the backtracking search;
 //! * a **probe plan** ([`compile_probe`]) runs with the head variables
 //!   pre-bound — the shape of every summary-preserving homomorphism
-//!   probe and tuple-membership test. Its order is the same cost model
+//!   probe. Its order is the same cost model
 //!   with the head variables counted as bound, and it carries no join
 //!   forest, because pre-bound searches always backtrack. A query with
 //!   no head variables runs unbound, so its probe plan is the eval plan;

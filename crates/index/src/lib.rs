@@ -22,7 +22,8 @@
 //!   counts), a Yannakakis semijoin fast path for α-acyclic bodies
 //!   ([`acyclic`]), backtracking with index-intersection candidate
 //!   generation for cyclic ones. It has two doors: [`join_with`] runs
-//!   any pre-binding and enumerates every solution, and
+//!   any pre-binding and enumerates every solution (outside tests, only
+//!   `cqchase-core`'s homomorphism probes call it), and
 //!   [`join_unbound_distinct`] is the evaluator's all-unbound,
 //!   distinct-head-witness mode. Both take a caller-owned
 //!   [`JoinScratch`], so steady-state batch search allocates nothing per

@@ -1,29 +1,21 @@
 //! Parallel batch evaluation `Q(B)`.
 //!
-//! One [`DbIndex`] is built (or borrowed) per batch and shared read-only
-//! across the worker threads; each worker carries its own plan cache and
-//! join scratch, so the steady state takes no locks and performs no
-//! allocation beyond result tuples.
+//! One [`DbIndex`] is shared read-only across the worker threads; each
+//! worker carries its own plan cache and join scratch, so the steady
+//! state takes no locks and performs no allocation beyond result tuples.
 
 use cqchase_index::{JoinScratch, PlanCache};
 use cqchase_ir::ConjunctiveQuery;
-use cqchase_storage::{evaluate_indexed_with, Database, DbIndex, Tuple};
+use cqchase_storage::{evaluate_plan, DbIndex, Tuple};
 
 use crate::pool::{map_with, BatchOptions};
 
-/// Evaluates a batch of queries over one instance across worker
-/// threads. Results are in query order and identical to
-/// [`cqchase_storage::evaluate_batch`] (which is the 1-thread case).
+/// Evaluates a batch of queries over one index across worker threads.
+/// Results are in query order and equal to
+/// `qs.map(|q| cqchase_storage::evaluate(q, idx))` for every thread
+/// count; one thread is the sequential engine, which shares one plan
+/// cache across the whole batch so repeated queries skip compilation.
 pub fn evaluate_batch(
-    qs: &[ConjunctiveQuery],
-    db: &Database,
-    batch: BatchOptions,
-) -> Vec<Vec<Tuple>> {
-    evaluate_batch_indexed(qs, &DbIndex::build(db), batch)
-}
-
-/// [`evaluate_batch`] against a prebuilt (shared, read-only) index.
-pub fn evaluate_batch_indexed(
     qs: &[ConjunctiveQuery],
     idx: &DbIndex,
     batch: BatchOptions,
@@ -32,7 +24,10 @@ pub fn evaluate_batch_indexed(
         qs.len(),
         batch,
         || (PlanCache::new(), JoinScratch::new()),
-        |(cache, scratch), i| evaluate_indexed_with(&qs[i], idx, cache, scratch),
+        |(cache, scratch), i| {
+            let q = &qs[i];
+            evaluate_plan(q, idx, cache.get_or_compile(q, idx).0, scratch)
+        },
     )
 }
 
@@ -40,9 +35,10 @@ pub fn evaluate_batch_indexed(
 mod tests {
     use super::*;
     use cqchase_ir::parse_program;
+    use cqchase_storage::{eval::naive, Database};
 
     #[test]
-    fn agrees_with_sequential_across_thread_counts() {
+    fn agrees_with_naive_across_thread_counts() {
         let p = parse_program(
             "relation R(a, b). relation S(b, c).
              Q1(x, z) :- R(x, y), S(y, z).
@@ -58,10 +54,11 @@ mod tests {
         for (a, b) in [(2i64, 3), (3, 3), (6, 1)] {
             db.insert_named("S", [a, b]).unwrap();
         }
-        let seq = cqchase_storage::evaluate_batch(&p.queries, &db);
+        let want: Vec<_> = p.queries.iter().map(|q| naive::evaluate(q, &db)).collect();
+        let idx = DbIndex::build(&db);
         for threads in [1usize, 2, 4] {
-            let par = evaluate_batch(&p.queries, &db, BatchOptions::with_threads(threads));
-            assert_eq!(par, seq, "{threads} threads");
+            let got = evaluate_batch(&p.queries, &idx, BatchOptions::with_threads(threads));
+            assert_eq!(got, want, "{threads} threads");
         }
     }
 }

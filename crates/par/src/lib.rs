@@ -17,14 +17,16 @@
 //! * [`containment::check_batch`] — parallel
 //!   [`cqchase_core::check_batch`], parallelized over chase groups so
 //!   the sequential engine's chase sharing is preserved;
-//! * [`eval::evaluate_batch`] — parallel
-//!   [`cqchase_storage::evaluate_batch`] over one shared read-only
-//!   [`DbIndex`](cqchase_storage::DbIndex), one plan cache and join
-//!   scratch per worker.
+//! * [`eval::evaluate_batch`] — [`cqchase_storage::evaluate_plan`] over
+//!   one shared read-only [`DbIndex`](cqchase_storage::DbIndex), one
+//!   plan cache and join scratch per worker. At one thread it is the
+//!   sequential batch engine.
 //!
 //! Determinism is the contract: for every thread count, both batch entry
-//! points return exactly what their sequential counterparts return
-//! (differential property tests in `tests/proptest_par.rs` enforce it).
+//! points return exactly what their sequential counterparts return —
+//! [`cqchase_core::check_batch`] and per-query
+//! [`cqchase_storage::evaluate`] (differential property tests in
+//! `tests/proptest_par.rs` enforce it).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,5 +36,5 @@ pub mod eval;
 pub mod pool;
 
 pub use containment::check_batch;
-pub use eval::{evaluate_batch, evaluate_batch_indexed};
-pub use pool::{default_threads, map_with, parallel_map, BatchOptions, ThreadPool};
+pub use eval::evaluate_batch;
+pub use pool::{default_threads, map_with, BatchOptions, ThreadPool};

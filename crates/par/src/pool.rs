@@ -4,8 +4,9 @@
 //! `rayon`/`crossbeam`; everything here is `std::thread` plus channels
 //! and one atomic:
 //!
-//! * [`parallel_map`] — the batch primitive. Worker threads are scoped
-//!   (they may borrow the batch), and they *self-schedule*: a shared
+//! * [`map_with`] — the batch primitive. Worker threads are scoped
+//!   (they may borrow the batch), each builds its own state once (scratch
+//!   buffers, plan caches), and they *self-schedule*: a shared
 //!   atomic cursor acts as the injector queue and each idle worker
 //!   steals the next chunk of indices from it. That is the
 //!   work-stealing discipline collapsed to its useful core — with one
@@ -29,7 +30,7 @@ pub fn default_threads() -> usize {
     thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Executor configuration for [`parallel_map`]-style batch runs.
+/// Executor configuration for [`map_with`] batch runs.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchOptions {
     /// Worker thread count. `1` runs inline on the caller's thread (no
@@ -69,22 +70,11 @@ impl BatchOptions {
 /// Applies `f` to every index of `0..len` across worker threads and
 /// returns the results in index order.
 ///
-/// `f` is called as `f(index)` and must be `Sync` (it runs concurrently
-/// on several threads; per-thread mutable state belongs inside the
-/// worker closure you build it from — see [`map_with`] for the
-/// scratch-carrying variant). With `opts.threads == 1` no thread is
-/// spawned and results are computed inline in order.
-pub fn parallel_map<R, F>(len: usize, opts: BatchOptions, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    map_with(len, opts, || (), move |(), i| f(i))
-}
-
-/// [`parallel_map`] with per-worker state: `init` runs once on each
-/// worker thread (build scratch buffers, plan caches, …) and `f` is
-/// called as `f(&mut state, index)`.
+/// `init` runs once on each worker thread (build scratch buffers, plan
+/// caches, …) and `f` is called as `f(&mut state, index)`; both must be
+/// `Sync`, since they run concurrently on several threads. With
+/// `opts.threads == 1` no thread is spawned and results are computed
+/// inline in order, with one state.
 ///
 /// Results arrive over an `mpsc` channel tagged with their index and are
 /// reassembled in order, so the output is identical to
@@ -234,7 +224,8 @@ mod tests {
     #[test]
     fn map_preserves_order() {
         for threads in [1usize, 2, 4, 7] {
-            let got = parallel_map(100, BatchOptions::with_threads(threads), |i| i * i);
+            let opts = BatchOptions::with_threads(threads);
+            let got = map_with(100, opts, || (), |(), i| i * i);
             let want: Vec<usize> = (0..100).map(|i| i * i).collect();
             assert_eq!(got, want, "{threads} threads");
         }
@@ -262,8 +253,9 @@ mod tests {
 
     #[test]
     fn empty_and_tiny_batches() {
-        assert!(parallel_map(0, BatchOptions::with_threads(4), |i| i).is_empty());
-        assert_eq!(parallel_map(1, BatchOptions::with_threads(4), |i| i), [0]);
+        let opts = BatchOptions::with_threads(4);
+        assert!(map_with(0, opts, || (), |(), i| i).is_empty());
+        assert_eq!(map_with(1, opts, || (), |(), i| i), [0]);
     }
 
     #[test]

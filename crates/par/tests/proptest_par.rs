@@ -1,8 +1,8 @@
 //! Differential property tests for the parallel batch engines: for
-//! every thread count (1, 2, and N > cores), `check_batch` and
-//! `evaluate_batch` must agree *exactly* with the sequential engines on
-//! random workloads — same decisions, same witnesses, same answer sets,
-//! same errors, in the same order.
+//! every thread count (1, 2, and N > cores), `check_batch` must agree
+//! *exactly* with the sequential engine and `evaluate_batch` with
+//! per-query evaluation on random workloads — same decisions, same
+//! witnesses, same answer sets, same errors, in the same order.
 
 use cqchase_core::{
     check_batch as check_batch_seq, ContainmentAnswer, ContainmentEngineError, ContainmentOptions,
@@ -10,8 +10,9 @@ use cqchase_core::{
 };
 use cqchase_ir::builder::TermSpec;
 use cqchase_ir::{Catalog, ConjunctiveQuery, DependencySet, Fd, Ind, QueryBuilder};
-use cqchase_par::{check_batch, evaluate_batch, evaluate_batch_indexed, BatchOptions};
-use cqchase_storage::{evaluate_batch as evaluate_batch_seq, Database, DbIndex, Value};
+use cqchase_par::{check_batch, evaluate_batch, BatchOptions};
+use cqchase_storage::eval::naive;
+use cqchase_storage::{evaluate, Database, DbIndex, Value};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -143,16 +144,17 @@ proptest! {
         }
     }
 
-    /// `evaluate_batch` under 1, 2, and N threads ≡ the sequential
-    /// engine, element for element.
+    /// `evaluate_batch` under 1, 2, and N threads ≡ the naive scan
+    /// reference per query, element for element.
     #[test]
     fn parallel_eval_agrees(
         qs in proptest::collection::vec(small_query(), 1..8),
         db in instances(),
     ) {
-        let seq = evaluate_batch_seq(&qs, &db);
+        let seq: Vec<_> = qs.iter().map(|q| naive::evaluate(q, &db)).collect();
+        let idx = DbIndex::build(&db);
         for threads in THREAD_COUNTS {
-            let par = evaluate_batch(&qs, &db, BatchOptions::with_threads(threads));
+            let par = evaluate_batch(&qs, &idx, BatchOptions::with_threads(threads));
             prop_assert_eq!(&par, &seq, "{} threads", threads);
         }
     }
@@ -206,9 +208,9 @@ proptest! {
             }
         }
         let fresh = DbIndex::build(&db);
-        let seq = evaluate_batch_indexed(&qs, &fresh, BatchOptions::with_threads(1));
+        let seq: Vec<_> = qs.iter().map(|q| evaluate(q, &fresh)).collect();
         for threads in THREAD_COUNTS {
-            let par = evaluate_batch_indexed(&qs, &idx, BatchOptions::with_threads(threads));
+            let par = evaluate_batch(&qs, &idx, BatchOptions::with_threads(threads));
             prop_assert_eq!(&par, &seq, "{} threads over the mutated index", threads);
         }
     }

@@ -41,7 +41,7 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use cqchase_core::{ContainmentEngineError, ContainmentPair};
+use cqchase_core::{ContainmentEngineError, ContainmentOptions, ContainmentPair};
 use cqchase_index::{CancelToken, FxHashMap};
 use cqchase_obs::{SpanKind, Tracer};
 use cqchase_par::BatchOptions;
@@ -811,7 +811,7 @@ impl Batcher {
             &unique,
             &program.deps,
             &program.catalog,
-            &session.opts,
+            &ContainmentOptions::default(),
             BatchOptions::with_threads(self.threads),
         );
 
@@ -903,7 +903,7 @@ pub fn rows_to_value(rows: &[Tuple]) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::tests::facts_db;
+    use crate::session::tests::fresh_index;
 
     fn test_session() -> Arc<Session> {
         Arc::new(
@@ -940,7 +940,7 @@ mod tests {
             s.query(1),
             &s.program().deps,
             &s.program().catalog,
-            &s.opts,
+            &ContainmentOptions::default(),
         )
         .unwrap();
         match out {
@@ -1016,7 +1016,7 @@ mod tests {
             panic!("expected eval outcome");
         };
         assert!(!coalesced);
-        let direct = cqchase_storage::evaluate(s.query(0), &facts_db(&s));
+        let direct = cqchase_storage::evaluate(s.query(0), &fresh_index(&s));
         assert_eq!(rows, direct);
         let rendered = rows_to_value(&rows);
         assert_eq!(rendered[0][0], "1");
@@ -1107,7 +1107,7 @@ mod tests {
             Outcome::Eval { rows, .. } => rows,
             other => panic!("unexpected outcome {other:?}"),
         };
-        let direct = cqchase_storage::evaluate(s.query(0), &facts_db(&s));
+        let direct = cqchase_storage::evaluate(s.query(0), &fresh_index(&s));
         assert_eq!(rows, direct);
         // A bad update reports its error without wedging the queue.
         let out = batcher

@@ -43,7 +43,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-use cqchase_core::{ContainmentOptions, SigmaClass};
+use cqchase_core::SigmaClass;
 use cqchase_index::{CancelToken, CompiledQuery, ExecStats, FxHashMap, JoinScratch, PlanLookup};
 use cqchase_ir::{parse_program, ConjunctiveQuery, Program, RelId};
 use cqchase_obs::{SpanKind, Tracer};
@@ -165,9 +165,6 @@ pub struct Session {
     pub catalog: Arc<FrozenCatalog>,
     /// The live facts (database + index + plans, and the epoch).
     pub facts: RwLock<FactsState>,
-    /// Containment options every check in this session runs under
-    /// (fixed at registration, so cached answers are deterministic).
-    pub opts: ContainmentOptions,
     /// Warm evaluation state (scratch + result rows + counters).
     pub eval_state: Mutex<EvalState>,
     /// The semantic containment cache.
@@ -248,7 +245,6 @@ impl Session {
                 live: facts,
                 epoch: 0,
             }),
-            opts: ContainmentOptions::default(),
             eval_state: Mutex::new(EvalState {
                 scratch: JoinScratch::new(),
                 results: FxHashMap::default(),
@@ -838,9 +834,9 @@ pub(crate) mod tests {
     use cqchase_ir::Constant;
     use cqchase_storage::Database;
 
-    /// The session's facts rebuilt as a [`Database`], so the oracle
-    /// evaluates them through an index built from scratch.
-    pub(crate) fn facts_db(s: &Session) -> Database {
+    /// The session's facts rebuilt as a [`Database`] and indexed from
+    /// scratch, so the oracle shares no index state with the session.
+    pub(crate) fn fresh_index(s: &Session) -> DbIndex {
         let facts = s.facts.read().unwrap();
         let catalog = &s.program().catalog;
         let mut db = Database::new(catalog);
@@ -849,7 +845,7 @@ pub(crate) mod tests {
                 db.insert(rel, t).unwrap();
             }
         }
-        db
+        DbIndex::build(&db)
     }
 
     #[test]
@@ -870,7 +866,7 @@ pub(crate) mod tests {
         assert!(s.query_index("Nope").is_err());
         // Evaluation answers match the one-shot evaluator and both the
         // plan cache and the result cache warm across calls.
-        let direct = cqchase_storage::evaluate(s.query(1), &facts_db(&s));
+        let direct = cqchase_storage::evaluate(s.query(1), &fresh_index(&s));
         assert_eq!(s.eval_cached(1), (direct.clone(), false));
         assert_eq!(s.eval_cached(1), (direct, true));
         let st = s.eval_state.lock().unwrap();

@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use cqchase_core::contained;
+use cqchase_core::{contained, ContainmentOptions};
 use cqchase_ir::parse_program;
 use cqchase_service::{Batcher, Metrics, Outcome, Session, Work};
 use cqchase_workload::{chain_query, cycle_query, star_query};
@@ -88,7 +88,7 @@ proptest! {
                 &program.queries[qp],
                 &program.deps,
                 &program.catalog,
-                &cached.opts,
+                &ContainmentOptions::default(),
             )
             .expect("workload pairs decide under default options");
             let on_fields = decision_fields(&on);

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use cqchase_index::CancelToken;
 use cqchase_ir::Constant;
 use cqchase_service::{Batcher, Metrics, Outcome, Session, Work};
-use cqchase_storage::{evaluate, Database};
+use cqchase_storage::{evaluate, Database, DbIndex};
 use proptest::prelude::*;
 
 /// Fixed schema, Σ, and query pool (Q0 ⊆ Q1 under the cyclic IND).
@@ -125,9 +125,9 @@ fn program_with_facts(facts: &std::collections::BTreeSet<(i64, i64)>) -> String 
     src
 }
 
-/// The session's facts rebuilt as a [`Database`], so the oracle
-/// evaluates them through an index built from scratch.
-fn facts_db(s: &Session) -> Database {
+/// The session's facts rebuilt as a [`Database`] and indexed from
+/// scratch, so the oracle shares no index state with the session.
+fn fresh_index(s: &Session) -> DbIndex {
     let facts = s.facts.read().unwrap();
     let catalog = &s.program().catalog;
     let mut db = Database::new(catalog);
@@ -136,7 +136,7 @@ fn facts_db(s: &Session) -> Database {
             db.insert(rel, t).unwrap();
         }
     }
-    db
+    DbIndex::build(&db)
 }
 
 proptest! {
@@ -246,7 +246,7 @@ proptest! {
         prop_assert_eq!(live_epoch, ref_epoch, "epochs agree");
         let fresh = Session::new("fresh", &program_with_facts(&mirror), 64, 64).unwrap();
         for q in 0..NUM_QUERIES {
-            let fresh_rows = evaluate(fresh.query(q), &facts_db(&fresh));
+            let fresh_rows = evaluate(fresh.query(q), &fresh_index(&fresh));
             prop_assert_eq!(live.eval(q), fresh_rows.clone(), "live Q{}", q);
             prop_assert_eq!(reference.eval(q), fresh_rows, "reference Q{}", q);
         }

@@ -18,7 +18,7 @@ use cqchase_ir::Constant;
 use cqchase_service::{
     lane_of, Batcher, CatalogRegistry, LaneSet, Metrics, Outcome, Session, Work,
 };
-use cqchase_storage::{evaluate, Database};
+use cqchase_storage::{evaluate, Database, DbIndex};
 use proptest::prelude::*;
 
 const BASE: &str = "relation R(a, b).
@@ -134,9 +134,9 @@ fn run_script(script: &[Step], count: usize) -> LaneRun {
     }
 }
 
-/// The session's facts rebuilt as a [`Database`], so the oracle
-/// evaluates them through an index built from scratch.
-fn facts_db(s: &Session) -> Database {
+/// The session's facts rebuilt as a [`Database`] and indexed from
+/// scratch, so the oracle shares no index state with the session.
+fn fresh_index(s: &Session) -> DbIndex {
     let facts = s.facts.read().unwrap();
     let catalog = &s.program().catalog;
     let mut db = Database::new(catalog);
@@ -145,7 +145,7 @@ fn facts_db(s: &Session) -> Database {
             db.insert(rel, t).unwrap();
         }
     }
-    db
+    DbIndex::build(&db)
 }
 
 proptest! {
@@ -214,7 +214,7 @@ proptest! {
             for (s, mirror) in mirrors.iter().enumerate() {
                 let fresh = Session::new("fresh", &program_with_facts(mirror), 64, 64).unwrap();
                 for q in 0..NUM_QUERIES {
-                    let fresh_rows = evaluate(fresh.query(q), &facts_db(&fresh));
+                    let fresh_rows = evaluate(fresh.query(q), &fresh_index(&fresh));
                     prop_assert_eq!(
                         run.sessions[s].eval(q), fresh_rows,
                         "final {} Q{}", NAMES[s], q

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use cqchase_core::{contained, ContainmentOptions};
 use cqchase_ir::display;
 use cqchase_service::{Client, ClientError, ServeOptions, Server, MAX_QUERY_ATOMS};
-use cqchase_storage::{evaluate, Database};
+use cqchase_storage::{evaluate, Database, DbIndex};
 use cqchase_workload::successor_containment_batch;
 use serde_json::Value;
 
@@ -82,11 +82,12 @@ fn concurrent_clients_bit_identical_to_library() {
         .collect();
     let reparsed = cqchase_ir::parse_program(&program_src).expect("rendered program parses");
     let db = Database::from_facts(&reparsed.catalog, &reparsed.facts).unwrap();
+    let idx = DbIndex::build(&db);
     let direct_rows: Vec<Vec<Vec<String>>> = batch
         .queries
         .iter()
         .map(|q| {
-            evaluate(q, &db)
+            evaluate(q, &idx)
                 .iter()
                 .map(|row| row.iter().map(|v| v.to_string()).collect())
                 .collect()

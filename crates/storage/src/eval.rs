@@ -9,18 +9,24 @@
 //! homomorphism searches in `cqchase-core`, with per-atom candidates
 //! produced by posting-list intersection instead of relation scans.
 //!
+//! Evaluation reads a [`DbIndex`], never a
+//! [`Database`](crate::Database): a caller that holds a database builds
+//! the index once with [`DbIndex::build`] and evaluates every query
+//! against it. There are two doors: [`evaluate`] compiles and runs one
+//! query, and [`evaluate_plan`] runs a plan the caller looked up in its
+//! own [`PlanCache`](cqchase_index::PlanCache) (the service's sessions
+//! and `cqchase-par`'s batch engine).
+//!
 //! The seed's scan-based evaluator is retained in [`naive`] as the
-//! differential-testing and benchmarking reference.
+//! differential-testing and benchmarking reference; it is the one
+//! evaluator that reads a database.
 
 use std::collections::BTreeSet;
 
-use cqchase_index::{
-    compile, compile_probe, join_unbound_distinct, join_with, CompiledQuery, JoinScratch,
-    PlanCache, Sym,
-};
+use cqchase_index::{compile, join_unbound_distinct, CompiledQuery, JoinScratch, Sym};
 use cqchase_ir::{ConjunctiveQuery, Term};
 
-use crate::database::{Database, Tuple};
+use crate::database::Tuple;
 use crate::indexed::DbIndex;
 use crate::value::Value;
 
@@ -36,56 +42,19 @@ fn summary_image(q: &ConjunctiveQuery, idx: &DbIndex, bind: &[Option<Sym>]) -> T
         .collect()
 }
 
-/// Evaluates `Q(B)` against a prebuilt index: the set of distinct
-/// summary-row images, sorted for deterministic output. Use this entry
-/// point when evaluating several queries over one instance.
-pub fn evaluate_indexed(q: &ConjunctiveQuery, idx: &DbIndex) -> Vec<Tuple> {
+/// Evaluates `Q(B)` over the index of `B`: the set of distinct
+/// summary-row images, sorted for deterministic output.
+pub fn evaluate(q: &ConjunctiveQuery, idx: &DbIndex) -> Vec<Tuple> {
     // One-shot path: compile directly — a throwaway plan cache would
     // only add key hashing and structure clones.
     evaluate_plan(q, idx, compile(q, idx).as_ref(), &mut JoinScratch::new())
 }
 
-/// Evaluates `Q(B)`: the set of distinct summary-row images, sorted for
-/// deterministic output.
-pub fn evaluate(q: &ConjunctiveQuery, db: &Database) -> Vec<Tuple> {
-    evaluate_indexed(q, &DbIndex::build(db))
-}
-
-/// Evaluates a batch of queries over one instance: the index is built
-/// once and one plan cache plus one join scratch are shared across the
-/// whole batch, so repeated queries skip compilation and the steady
-/// state allocates only result tuples. Answers are exactly
-/// `qs.map(|q| evaluate(q, db))` — the differential property tests hold
-/// the batch path to that.
-///
-/// This is the sequential reference engine; `cqchase-par` runs the same
-/// computation across worker threads.
-pub fn evaluate_batch(qs: &[ConjunctiveQuery], db: &Database) -> Vec<Vec<Tuple>> {
-    let idx = DbIndex::build(db);
-    let mut cache = PlanCache::new();
-    let mut scratch = JoinScratch::new();
-    qs.iter()
-        .map(|q| evaluate_indexed_with(q, &idx, &mut cache, &mut scratch))
-        .collect()
-}
-
-/// [`evaluate_indexed`] with a caller-owned plan cache and join scratch —
-/// the per-item primitive the batch engines (sequential above, parallel
-/// in `cqchase-par`) are built from. The cache must be dedicated to
-/// `idx` (plans embed index-resolved symbols).
-pub fn evaluate_indexed_with(
-    q: &ConjunctiveQuery,
-    idx: &DbIndex,
-    cache: &mut PlanCache,
-    scratch: &mut JoinScratch,
-) -> Vec<Tuple> {
-    evaluate_plan(q, idx, cache.get_or_compile(q, idx).0, scratch)
-}
-
-/// Runs an already looked-up plan for `q` over `idx`: the join half of
-/// [`evaluate_indexed_with`], for callers that look plans up themselves
-/// and want to see what the lookup did. `None` is the unsatisfiable
-/// plan (some body constant is absent from `idx`) and yields no rows.
+/// Runs an already looked-up plan for `q` over `idx`, for callers that
+/// keep a plan cache and a join scratch across queries. The plan must
+/// have been compiled over `idx` (plans embed its interned symbols).
+/// `None` is the unsatisfiable plan (some body constant is absent from
+/// `idx`) and yields no rows.
 pub fn evaluate_plan(
     q: &ConjunctiveQuery,
     idx: &DbIndex,
@@ -104,54 +73,6 @@ pub fn evaluate_plan(
         false
     });
     out.into_iter().collect()
-}
-
-/// Evaluates a Boolean query (or any query) for mere satisfiability of
-/// the body — `true` iff `Q(B)` is nonempty.
-pub fn evaluate_boolean(q: &ConjunctiveQuery, db: &Database) -> bool {
-    let idx = DbIndex::build(db);
-    let Some(cq) = compile(q, &idx) else {
-        return false;
-    };
-    // Distinct mode turns an acyclic existence check into pure semijoin
-    // reduction: with no head variables, every subtree collapses.
-    join_unbound_distinct(&idx, &cq, &mut JoinScratch::new(), |_, _| true)
-        == cqchase_index::JoinOutcome::Stopped
-}
-
-/// Whether `t ∈ Q(B)` — decided by pre-binding the head and searching,
-/// which avoids enumerating the whole answer.
-pub fn contains_tuple(q: &ConjunctiveQuery, db: &Database, t: &Tuple) -> bool {
-    if t.len() != q.output_arity() {
-        return false;
-    }
-    let idx = DbIndex::build(db);
-    let Some(cq) = compile_probe(q, &idx) else {
-        return false;
-    };
-    let mut pre: Vec<Option<Sym>> = vec![None; cq.num_vars];
-    for (ht, v) in q.head.iter().zip(t.iter()) {
-        match ht {
-            Term::Const(c) => {
-                if !matches!(v, Value::Const(vc) if vc == c) {
-                    return false;
-                }
-            }
-            Term::Var(var) => {
-                // A head variable is body-safe: binding it to a value
-                // absent from the instance can never satisfy the body.
-                let Some(sym) = idx.sym_of_value(v) else {
-                    return false;
-                };
-                match pre[var.index()] {
-                    Some(b) if b != sym => return false,
-                    _ => pre[var.index()] = Some(sym),
-                }
-            }
-        }
-    }
-    join_with(&idx, &cq, &pre, &mut JoinScratch::new(), |_, _| true)
-        == cqchase_index::JoinOutcome::Stopped
 }
 
 /// The seed's scan-based evaluator, retained verbatim as the reference
@@ -307,46 +228,17 @@ pub mod naive {
         });
         out.into_iter().collect()
     }
-
-    /// The scan-based equivalent of [`super::evaluate_boolean`].
-    pub fn evaluate_boolean(q: &ConjunctiveQuery, db: &Database) -> bool {
-        let order = atom_order(q, db);
-        let mut b = Bindings::new(q.vars.len());
-        search(q, db, &order, 0, &mut b, &mut |_| true)
-    }
-
-    /// The scan-based equivalent of [`super::contains_tuple`].
-    pub fn contains_tuple(q: &ConjunctiveQuery, db: &Database, t: &Tuple) -> bool {
-        if t.len() != q.output_arity() {
-            return false;
-        }
-        let mut b = Bindings::new(q.vars.len());
-        for (ht, v) in q.head.iter().zip(t.iter()) {
-            match ht {
-                Term::Const(c) => {
-                    if !matches!(v, Value::Const(vc) if vc == c) {
-                        return false;
-                    }
-                }
-                Term::Var(var) => match b.get(*var) {
-                    Some(bound) => {
-                        if bound != v {
-                            return false;
-                        }
-                    }
-                    None => b.set(*var, v.clone()),
-                },
-            }
-        }
-        let order = atom_order(q, db);
-        search(q, db, &order, 0, &mut b, &mut |_| true)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::database::Database;
     use cqchase_ir::{parse_program, Catalog};
+
+    fn eval(q: &ConjunctiveQuery, db: &Database) -> Vec<Tuple> {
+        evaluate(q, &DbIndex::build(db))
+    }
 
     fn setup() -> (Catalog, Vec<ConjunctiveQuery>, Database) {
         let p = parse_program(
@@ -369,26 +261,11 @@ mod tests {
     fn intro_queries_differ_without_ind() {
         let (_, qs, db) = setup();
         // Employee 2's department 20 has no DEP row, so Q1 misses it.
-        assert_eq!(evaluate(&qs[0], &db), vec![vec![Value::int(1)]]);
+        assert_eq!(eval(&qs[0], &db), vec![vec![Value::int(1)]]);
         assert_eq!(
-            evaluate(&qs[1], &db),
+            eval(&qs[1], &db),
             vec![vec![Value::int(1)], vec![Value::int(2)]]
         );
-    }
-
-    #[test]
-    fn contains_tuple_matches_evaluate() {
-        let (_, qs, db) = setup();
-        assert!(contains_tuple(&qs[0], &db, &vec![Value::int(1)]));
-        assert!(!contains_tuple(&qs[0], &db, &vec![Value::int(2)]));
-        assert!(contains_tuple(&qs[1], &db, &vec![Value::int(2)]));
-        assert!(!contains_tuple(&qs[1], &db, &vec![Value::int(9)]));
-        // Wrong arity.
-        assert!(!contains_tuple(
-            &qs[1],
-            &db,
-            &vec![Value::int(1), Value::int(1)]
-        ));
     }
 
     #[test]
@@ -397,7 +274,7 @@ mod tests {
         let mut db = Database::new(&p.catalog);
         db.insert_named("R", [1i64, 1]).unwrap();
         db.insert_named("R", [1i64, 2]).unwrap();
-        assert_eq!(evaluate(&p.queries[0], &db), vec![vec![Value::int(1)]]);
+        assert_eq!(eval(&p.queries[0], &db), vec![vec![Value::int(1)]]);
     }
 
     #[test]
@@ -406,7 +283,7 @@ mod tests {
         let mut db = Database::new(&p.catalog);
         db.insert_named("R", [1i64, 7]).unwrap();
         db.insert_named("R", [2i64, 8]).unwrap();
-        assert_eq!(evaluate(&p.queries[0], &db), vec![vec![Value::int(1)]]);
+        assert_eq!(eval(&p.queries[0], &db), vec![vec![Value::int(1)]]);
     }
 
     #[test]
@@ -414,11 +291,10 @@ mod tests {
         let p = parse_program("relation R(a, b). Q() :- R(x, x).").unwrap();
         let mut db = Database::new(&p.catalog);
         db.insert_named("R", [1i64, 2]).unwrap();
-        assert!(!evaluate_boolean(&p.queries[0], &db));
+        assert!(eval(&p.queries[0], &db).is_empty());
         db.insert_named("R", [3i64, 3]).unwrap();
-        assert!(evaluate_boolean(&p.queries[0], &db));
         // A Boolean query's answer set is {()} when satisfied.
-        assert_eq!(evaluate(&p.queries[0], &db), vec![Vec::<Value>::new()]);
+        assert_eq!(eval(&p.queries[0], &db), vec![Vec::<Value>::new()]);
     }
 
     #[test]
@@ -430,7 +306,7 @@ mod tests {
         db.insert_named("S", [2i64, 3]).unwrap();
         db.insert_named("S", [2i64, 4]).unwrap();
         db.insert_named("R", [5i64, 6]).unwrap();
-        let ans = evaluate(&p.queries[0], &db);
+        let ans = eval(&p.queries[0], &db);
         assert_eq!(
             ans,
             vec![
@@ -450,7 +326,7 @@ mod tests {
         let r = p.catalog.resolve("R").unwrap();
         db.insert(r, vec![Value::int(1), n.clone()]).unwrap();
         db.insert(r, vec![n, Value::int(1)]).unwrap();
-        let ans = evaluate(&p.queries[0], &db);
+        let ans = eval(&p.queries[0], &db);
         assert_eq!(ans.len(), 2); // x = 1 and x = ⊥0 both work
     }
 
@@ -458,7 +334,7 @@ mod tests {
     fn empty_relation_gives_empty_answer() {
         let p = parse_program("relation R(a). Q(x) :- R(x).").unwrap();
         let db = Database::new(&p.catalog);
-        assert!(evaluate(&p.queries[0], &db).is_empty());
+        assert!(eval(&p.queries[0], &db).is_empty());
     }
 
     #[test]
@@ -479,18 +355,7 @@ mod tests {
             db.insert_named("S", [a, b]).unwrap();
         }
         for q in &p.queries {
-            assert_eq!(evaluate(q, &db), naive::evaluate(q, &db), "{}", q.name);
-            assert_eq!(
-                evaluate_boolean(q, &db),
-                naive::evaluate_boolean(q, &db),
-                "{}",
-                q.name
-            );
+            assert_eq!(eval(q, &db), naive::evaluate(q, &db), "{}", q.name);
         }
-        let probe = vec![Value::int(2), Value::int(3)];
-        assert_eq!(
-            contains_tuple(&p.queries[0], &db, &probe),
-            naive::contains_tuple(&p.queries[0], &db, &probe)
-        );
     }
 }

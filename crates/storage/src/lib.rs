@@ -12,7 +12,10 @@
 //! * [`indexed`] — [`DbIndex`], the interned, indexed fact store that
 //!   query evaluation and the service's sessions run on;
 //! * [`eval`] — conjunctive-query evaluation `Q(B)` by homomorphism
-//!   enumeration, exactly the paper's Section 2 semantics;
+//!   enumeration, exactly the paper's Section 2 semantics. It reads a
+//!   [`DbIndex`], never a [`Database`]: [`evaluate`] compiles and runs
+//!   one query, [`evaluate_plan`] runs a cached plan, and
+//!   [`eval::naive`] is the scan-based reference over a [`Database`];
 //! * [`enumerate`] — exhaustive enumeration of small instances, used to
 //!   verify finite-containment claims empirically (Section 4 experiments).
 
@@ -28,9 +31,6 @@ pub mod value;
 
 pub use check::{satisfies, violations, Violation};
 pub use database::{Database, RelationInstance, Tuple};
-pub use eval::{
-    contains_tuple, evaluate, evaluate_batch, evaluate_boolean, evaluate_indexed,
-    evaluate_indexed_with, evaluate_plan,
-};
+pub use eval::{evaluate, evaluate_plan};
 pub use indexed::DbIndex;
 pub use value::{NullId, Value};

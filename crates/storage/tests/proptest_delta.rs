@@ -11,7 +11,7 @@
 use cqchase_ir::builder::TermSpec;
 use cqchase_ir::{Catalog, ConjunctiveQuery, QueryBuilder};
 use cqchase_storage::eval::naive;
-use cqchase_storage::{evaluate_indexed, Database, DbIndex, Value};
+use cqchase_storage::{evaluate, Database, DbIndex, Value};
 use proptest::prelude::*;
 
 fn catalog() -> Catalog {
@@ -108,8 +108,8 @@ proptest! {
                 }
                 DeltaOp::Eval(qi) => {
                     let q = &queries[*qi];
-                    let live = evaluate_indexed(q, &idx);
-                    let rebuilt = evaluate_indexed(q, &DbIndex::build(&db));
+                    let live = evaluate(q, &idx);
+                    let rebuilt = evaluate(q, &DbIndex::build(&db));
                     prop_assert_eq!(&live, &rebuilt, "step {}: live vs rebuild, {}", step, &q.name);
                     prop_assert_eq!(&live, &naive::evaluate(q, &db), "step {}: vs naive", step);
                 }
@@ -123,7 +123,7 @@ proptest! {
         }
         // Final state: full agreement on every query in the pool.
         for q in &queries {
-            prop_assert_eq!(evaluate_indexed(q, &idx), naive::evaluate(q, &db), "{}", &q.name);
+            prop_assert_eq!(evaluate(q, &idx), naive::evaluate(q, &db), "{}", &q.name);
         }
     }
 
@@ -202,8 +202,8 @@ proptest! {
             prop_assert_eq!(idx.num_rows(r), rebuilt.num_rows(r));
             for q in &queries {
                 prop_assert_eq!(
-                    evaluate_indexed(q, &idx),
-                    evaluate_indexed(q, &rebuilt),
+                    evaluate(q, &idx),
+                    evaluate(q, &rebuilt),
                     "{}", &q.name
                 );
             }

@@ -1,6 +1,6 @@
 //! Random database-instance generation.
 
-use cqchase_core::{chase_instance, DataChaseBudget, DataChaseOutcome};
+use cqchase_core::{chase_instance, ChaseBudget, DataChaseOutcome};
 use cqchase_ir::{Catalog, DependencySet};
 use cqchase_storage::{Database, Value};
 use rand::rngs::StdRng;
@@ -51,7 +51,7 @@ impl DatabaseGen {
         &self,
         catalog: &Catalog,
         sigma: &DependencySet,
-        budget: DataChaseBudget,
+        budget: ChaseBudget,
     ) -> Option<Database> {
         let db = self.generate(catalog);
         match chase_instance(&db, sigma, budget) {
@@ -64,6 +64,7 @@ impl DatabaseGen {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cqchase_core::INSTANCE_CHASE_BUDGET;
     use cqchase_ir::DependencySetBuilder;
     use cqchase_storage::satisfies;
 
@@ -112,7 +113,7 @@ mod tests {
                 tuples_per_relation: 4,
                 domain: 6,
             };
-            if let Some(db) = gen.generate_satisfying(&c, &sigma, DataChaseBudget::default()) {
+            if let Some(db) = gen.generate_satisfying(&c, &sigma, INSTANCE_CHASE_BUDGET) {
                 assert!(satisfies(&db, &sigma));
                 found += 1;
             }

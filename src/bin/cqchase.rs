@@ -37,7 +37,7 @@ use cqchase::core::classify::classify;
 use cqchase::core::{contained, equivalent, minimize, render_chase_witness, ContainmentOptions};
 use cqchase::ir::{display, parse_program, ConjunctiveQuery, Program};
 use cqchase::service::{Client, ServeOptions, Server};
-use cqchase::storage::{evaluate, Database};
+use cqchase::storage::{evaluate, Database, DbIndex};
 
 fn load(path: &str) -> Result<Program, String> {
     let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -167,7 +167,7 @@ fn cmd_eval(path: &str, qname: &str) -> Result<(), String> {
     let p = load(path)?;
     let q = query(&p, qname)?;
     let db = Database::from_facts(&p.catalog, &p.facts).map_err(|e| e.to_string())?;
-    let rows = evaluate(q, &db);
+    let rows = evaluate(q, &DbIndex::build(&db));
     println!("{} rows", rows.len());
     for row in rows {
         let cells: Vec<String> = row.iter().map(|v| v.to_string()).collect();

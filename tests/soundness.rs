@@ -5,9 +5,9 @@
 //! evaluation → containment engine.
 
 use cqchase::core::chase::ChaseBudget;
-use cqchase::core::{contained, ContainmentOptions, DataChaseBudget};
+use cqchase::core::{contained, ContainmentOptions};
 use cqchase::ir::{Catalog, DependencySet};
-use cqchase::storage::evaluate;
+use cqchase::storage::{evaluate, DbIndex};
 
 /// Small budgets: cyclic dependency sets make both the query chase and
 /// the data chase unbounded, and debug-mode tests must cut off early.
@@ -21,10 +21,10 @@ fn small_opts() -> ContainmentOptions {
     }
 }
 
-fn small_data_budget() -> DataChaseBudget {
-    DataChaseBudget {
+fn small_data_budget() -> ChaseBudget {
+    ChaseBudget {
         max_steps: 1_500,
-        max_tuples: 1_500,
+        max_conjuncts: 1_500,
     }
 }
 use cqchase::workload::{DatabaseGen, IndSetGen, KeyBasedGen, QueryGen};
@@ -47,8 +47,9 @@ fn check_on_instances(
         let Some(db) = gen.generate_satisfying(catalog, sigma, small_data_budget()) else {
             continue;
         };
-        let a = evaluate(q, &db);
-        let b: HashSet<_> = evaluate(qp, &db).into_iter().collect();
+        let idx = DbIndex::build(&db);
+        let a = evaluate(q, &idx);
+        let b: HashSet<_> = evaluate(qp, &idx).into_iter().collect();
         for t in &a {
             assert!(
                 b.contains(t),
@@ -164,5 +165,6 @@ fn equivalence_means_equal_answers() {
     db.insert_named("R", [2i64, 3]).unwrap();
     db.insert_named("R", [3i64, 1]).unwrap();
     assert!(cqchase::storage::satisfies(&db, &p.deps));
-    assert_eq!(evaluate(q, &db), evaluate(deep, &db));
+    let idx = DbIndex::build(&db);
+    assert_eq!(evaluate(q, &idx), evaluate(deep, &idx));
 }
