@@ -1,7 +1,7 @@
 //! FD-chase cost: queries with n atoms sharing a key, which the FD rule
 //! merges pairwise (the classical chase workload of [1,2,11]).
 
-use cqchase_core::chase::{chase_query, ChaseBudget, ChaseMode, ChaseStatus};
+use cqchase_core::chase::{Chase, ChaseBudget, ChaseMode, ChaseStatus};
 use cqchase_ir::{parse_program, QueryBuilder};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -20,13 +20,8 @@ fn bench_fd_chase(c: &mut Criterion) {
         let q = b.build().unwrap();
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bch, _| {
             bch.iter(|| {
-                let (ch, status) = chase_query(
-                    &q,
-                    &p.deps,
-                    &p.catalog,
-                    ChaseMode::Required,
-                    ChaseBudget::default(),
-                );
+                let mut ch = Chase::new(&q, &p.deps, &p.catalog, ChaseMode::Required);
+                let status = ch.run_to_completion(ChaseBudget::default());
                 assert_eq!(status, ChaseStatus::Complete);
                 assert_eq!(ch.state().num_alive(), 1);
                 std::hint::black_box(ch.fd_steps())

@@ -465,25 +465,10 @@ impl Chase {
         true
     }
 
-    /// Runs until the chase completes or the budget is exhausted.
+    /// Runs until the chase completes or the budget is exhausted: an
+    /// expansion with no level target.
     pub fn run_to_completion(&mut self, budget: ChaseBudget) -> ChaseStatus {
-        loop {
-            if self.state.failed {
-                return ChaseStatus::Failed;
-            }
-            if self.live_pending == 0 {
-                return ChaseStatus::Complete;
-            }
-            if self.steps >= budget.max_steps
-                || self.state.all_conjuncts().len() >= budget.max_conjuncts
-            {
-                return ChaseStatus::BudgetExhausted;
-            }
-            if self.cancel_fired() {
-                return ChaseStatus::Cancelled;
-            }
-            self.step_once();
-        }
+        self.expand_to_level(u32::MAX, budget)
     }
 
     /// Expands until every conjunct of level ≤ `level` exists (i.e. the

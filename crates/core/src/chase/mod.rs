@@ -31,47 +31,10 @@ pub use driver::{
 pub use instance::{chase_instance, DataChaseOutcome, INSTANCE_CHASE_BUDGET};
 pub use state::{ArcKind, CTerm, CVar, CVarOrigin, ChaseArc, ChaseState, ConjId, Conjunct};
 
-use cqchase_ir::{Catalog, ConjunctiveQuery, DependencySet};
-
-/// Convenience: runs the chase of `q` w.r.t. `deps` to completion under
-/// `budget`. Returns the chase and its final status — remember that IND
-/// chases may be infinite, in which case the status is
-/// [`ChaseStatus::BudgetExhausted`] and the state holds a partial chase.
-pub fn chase_query(
-    q: &ConjunctiveQuery,
-    deps: &DependencySet,
-    catalog: &Catalog,
-    mode: ChaseMode,
-    budget: ChaseBudget,
-) -> (Chase, ChaseStatus) {
-    let mut ch = Chase::new(q, deps, catalog, mode);
-    let status = ch.run_to_completion(budget);
-    (ch, status)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cqchase_ir::parse_program;
-
-    #[test]
-    fn chase_query_convenience() {
-        let p = parse_program(
-            "relation R(a). relation S(a).
-             ind R[1] <= S[1].
-             Q(x) :- R(x).",
-        )
-        .unwrap();
-        let (ch, status) = chase_query(
-            &p.queries[0],
-            &p.deps,
-            &p.catalog,
-            ChaseMode::Required,
-            ChaseBudget::default(),
-        );
-        assert_eq!(status, ChaseStatus::Complete);
-        assert_eq!(ch.state().num_alive(), 2);
-    }
 
     /// Maier–Mendelzon–Sagiv determinism: chasing twice yields the same
     /// state (our construction is canonical, so even names agree).
@@ -105,13 +68,8 @@ mod tests {
              Q(x) :- R(x, y), R(x, z), S(y, q).",
         )
         .unwrap();
-        let (ch, status) = chase_query(
-            &p.queries[0],
-            &p.deps,
-            &p.catalog,
-            ChaseMode::Required,
-            ChaseBudget::default(),
-        );
+        let mut ch = Chase::new(&p.queries[0], &p.deps, &p.catalog, ChaseMode::Required);
+        let status = ch.run_to_completion(ChaseBudget::default());
         assert_eq!(status, ChaseStatus::Complete);
         // Interpret each chase symbol as a distinct labelled null.
         let db = instance::thaw(ch.state(), Database::new(&p.catalog), &[]);

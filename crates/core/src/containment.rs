@@ -7,10 +7,9 @@
 //! **Theorem 2.** When Σ consists of INDs only, or is key-based, a
 //! witness homomorphism (if any) lands within chase level
 //! `|Q′| · |Σ| · (W+1)^W`. We therefore expand the chase level by level
-//! (iterative deepening: levels up to 32 are each checked, so a positive
-//! found there returns at the first level that holds it; past 32 only
-//! every 8th level and the bound are checked) and declare
-//! non-containment once the bound is fully explored.
+//! (iterative deepening, searching the levels `searched_at` picks and
+//! always the bound) and declare non-containment once the bound is
+//! fully explored.
 //!
 //! For Σ = ∅ this degenerates to the Chandra–Merlin homomorphism test;
 //! for FDs-only, to the classical finite chase of Aho–Sagiv–Ullman /
@@ -97,7 +96,14 @@ pub struct ContainmentAnswer {
     pub class: SigmaClass,
     /// The Theorem 2 level bound used (0 when not applicable).
     pub bound: u32,
-    /// Highest chase level actually materialized.
+    /// The level the loop last expanded the chase to: the argument of
+    /// its final [`Chase::expand_to_level`] call. A chase that completed
+    /// or ran out of budget may stop short of it, and an FD merge can
+    /// lower the chase's own deepest level below it. Calling
+    /// `expand_to_level(levels_explored, budget)` on a fresh chase of
+    /// `Q` in the same mode, under the same budget, rebuilds the chase
+    /// this answer was read from, so the witness's conjunct ids name
+    /// conjuncts of that chase.
     pub levels_explored: u32,
     /// Live conjuncts in the final (partial) chase.
     pub chase_conjuncts: usize,
@@ -115,7 +121,8 @@ pub enum ContainmentEngineError {
     BudgetExhausted {
         /// The Theorem 2 bound that had to be explored.
         bound: u32,
-        /// How far the chase got.
+        /// The level the loop was expanding the chase to when the
+        /// budget ran out (see [`ContainmentAnswer::levels_explored`]).
         levels_explored: u32,
         /// Chase size when the budget ran out.
         chase_conjuncts: usize,
@@ -125,7 +132,8 @@ pub enum ContainmentEngineError {
     /// partial-progress counters; no partial answer is produced and no
     /// shared state is corrupted.
     Cancelled {
-        /// Highest chase level materialized before the stop.
+        /// The level the loop was expanding or searching when it
+        /// stopped (see [`ContainmentAnswer::levels_explored`]).
         levels_explored: u32,
         /// Chase size at the stop.
         chase_conjuncts: usize,
@@ -166,26 +174,16 @@ impl From<IrError> for ContainmentEngineError {
     }
 }
 
-fn answer(
-    contained: bool,
-    exact: bool,
-    witness: Option<Homomorphism>,
-    empty_chase: bool,
-    class: SigmaClass,
-    bound: u32,
-    chase: &Chase,
-) -> ContainmentAnswer {
-    ContainmentAnswer {
-        contained,
-        exact,
-        witness,
-        empty_chase,
-        class,
-        bound,
-        levels_explored: chase.state().max_level().unwrap_or(0),
-        chase_conjuncts: chase.state().num_alive(),
-        chase_steps: chase.steps(),
-    }
+/// Whether the containment loop searches the chase cut at `level`
+/// (the bound is always searched). Every level up to 32 is searched,
+/// so a shallow positive returns at the first level that holds it; past
+/// 32 only every 8th level is. Each search re-joins `Q′` against all
+/// levels ≤ `level`, so searching every level costs more where chases
+/// run deep: on the branching IND sets of `bench_containment.rs`,
+/// answered checks under width-2 sets of 3 and 4 INDs read 6–8%
+/// slower per call with every level searched (see ROADMAP).
+fn searched_at(level: u32, bound: u32) -> bool {
+    level <= 32 || level.is_multiple_of(8) || level >= bound
 }
 
 /// Tests `Σ ⊨ Q ⊆∞ Q′`.
@@ -241,100 +239,81 @@ fn contained_against(
     opts: &ContainmentOptions,
     cancel: &CancelToken,
 ) -> Result<ContainmentAnswer, ContainmentEngineError> {
-    let budget = opts.budget;
     let certified = class.bound_is_certified();
-    let bound = if certified {
-        match class {
-            SigmaClass::Empty => 0,
-            SigmaClass::FdsOnly => 0,
-            _ => theorem2_bound(q_prime, sigma),
-        }
-    } else {
-        u32::MAX
+    let bound = match class {
+        SigmaClass::Empty | SigmaClass::FdsOnly => 0,
+        _ if certified => theorem2_bound(q_prime, sigma),
+        _ => u32::MAX,
     };
 
-    if chase.state().is_failed() {
-        // Q is unsatisfiable w.r.t. Σ: contained in everything.
-        return Ok(answer(true, true, None, true, class, bound, chase));
-    }
-
-    // One finder for the whole loop: `Q′` is compiled against the chase
-    // once (the plan stays valid as the chase grows — constants are all
-    // interned at initialization) and the join scratch is reused, so the
-    // per-level recheck allocates nothing beyond the witness itself.
-    let mut finder = ChaseHomFinder::new(q_prime);
-
-    // Thread the stop signal into both halves of the loop. On a shared
-    // chase (batch mode) this replaces the previous pair's token, so a
-    // cancelled pair never poisons its successors.
-    chase.set_cancel(cancel.clone());
-    finder.set_cancel(cancel.clone());
-    let cancelled = |chase: &Chase| ContainmentEngineError::Cancelled {
-        levels_explored: chase.state().max_level().unwrap_or(0),
+    let answer = |contained, exact, witness: Option<Homomorphism>, chase: &Chase, level| {
+        ContainmentAnswer {
+            contained,
+            exact,
+            // Only a failed chase proves containment without a witness.
+            empty_chase: contained && witness.is_none(),
+            witness,
+            class: class.clone(),
+            bound,
+            levels_explored: level,
+            chase_conjuncts: chase.state().num_alive(),
+            chase_steps: chase.steps(),
+        }
+    };
+    let cancelled = |chase: &Chase, level| ContainmentEngineError::Cancelled {
+        levels_explored: level,
         chase_conjuncts: chase.state().num_alive(),
         chase_steps: chase.steps(),
     };
 
-    // Iterative deepening over levels 0, 1, …, bound. Early levels are
-    // checked one by one (cheap, returns positives as soon as possible);
-    // past level 32 the homomorphism search runs every 8 levels. The
-    // finder probes the chase's own indexes, but each check re-joins Q′
-    // against every level ≤ L, so per-level checking would make deep
-    // negatives quadratic in the chase.
+    // Thread the stop signal into both halves of the loop. On a shared
+    // chase (batch mode) this replaces the previous pair's token, so a
+    // cancelled pair never poisons its successors. One finder serves
+    // the whole loop and reuses its join scratch across searches.
+    chase.set_cancel(cancel.clone());
+    let mut finder = ChaseHomFinder::new(q_prime);
+    finder.set_cancel(cancel.clone());
+
+    // Iterative deepening over levels 0, 1, …, bound. Each iteration
+    // maps the chase status to at most one cut to search (a level that
+    // `searched_at` picks, or the whole chase once it stops growing),
+    // runs that one search, and only then decides a negative.
     let mut level: u32 = 0;
     loop {
-        let status = chase.expand_to_level(level, budget);
+        let status = chase.expand_to_level(level, opts.budget);
+        let cut = match status {
+            // Q is unsatisfiable w.r.t. Σ: contained in everything.
+            ChaseStatus::Failed => return Ok(answer(true, true, None, chase, level)),
+            ChaseStatus::Cancelled => return Err(cancelled(chase, level)),
+            ChaseStatus::LevelReached => searched_at(level, bound).then_some(level),
+            // A finite chase, or one last look at what the budget built.
+            ChaseStatus::Complete | ChaseStatus::BudgetExhausted => Some(u32::MAX),
+        };
+        if let Some(cut) = cut {
+            let h = finder.find(chase.state(), cut);
+            if h.is_some() {
+                return Ok(answer(true, true, h, chase, level));
+            }
+            // A cut-short probe must not count as "no hom in this cut".
+            if finder.cancelled() {
+                return Err(cancelled(chase, level));
+            }
+        }
         match status {
-            ChaseStatus::Failed => {
-                return Ok(answer(true, true, None, true, class, bound, chase));
+            // Finite chase: Theorem 1 decides outright.
+            ChaseStatus::Complete => return Ok(answer(false, true, None, chase, level)),
+            ChaseStatus::BudgetExhausted if certified => {
+                return Err(ContainmentEngineError::BudgetExhausted {
+                    bound,
+                    levels_explored: level,
+                    chase_conjuncts: chase.state().num_alive(),
+                });
             }
-            ChaseStatus::Complete => {
-                // Finite chase: Theorem 1 decides outright.
-                let h = finder.find(chase.state(), u32::MAX);
-                if h.is_none() && finder.cancelled() {
-                    return Err(cancelled(chase));
-                }
-                let found = h.is_some();
-                return Ok(answer(found, true, h, false, class, bound, chase));
-            }
-            ChaseStatus::LevelReached => {
-                let check = level <= 32 || level.is_multiple_of(8) || level >= bound;
-                if check {
-                    match finder.find(chase.state(), level) {
-                        Some(h) => {
-                            return Ok(answer(true, true, Some(h), false, class, bound, chase));
-                        }
-                        // A cut-short probe must not count as "no hom
-                        // at this level".
-                        None if finder.cancelled() => return Err(cancelled(chase)),
-                        None => {}
-                    }
-                }
-                if level >= bound {
-                    // Bound fully explored without a witness.
-                    return Ok(answer(false, certified, None, false, class, bound, chase));
-                }
-                level += 1;
-            }
-            ChaseStatus::BudgetExhausted => {
-                // One last look at whatever was built.
-                if let Some(h) = finder.find(chase.state(), u32::MAX) {
-                    return Ok(answer(true, true, Some(h), false, class, bound, chase));
-                }
-                if finder.cancelled() {
-                    return Err(cancelled(chase));
-                }
-                if certified {
-                    return Err(ContainmentEngineError::BudgetExhausted {
-                        bound,
-                        levels_explored: chase.state().max_level().unwrap_or(0),
-                        chase_conjuncts: chase.state().num_alive(),
-                    });
-                }
-                // Mixed semi-decision: inconclusive negative.
-                return Ok(answer(false, false, None, false, class, bound, chase));
-            }
-            ChaseStatus::Cancelled => return Err(cancelled(chase)),
+            // Mixed semi-decision: inconclusive negative.
+            ChaseStatus::BudgetExhausted => return Ok(answer(false, false, None, chase, level)),
+            // Bound fully explored without a witness.
+            _ if level >= bound => return Ok(answer(false, certified, None, chase, level)),
+            _ => level += 1,
         }
     }
 }
@@ -398,8 +377,8 @@ impl<P: BatchPair + ?Sized> BatchPair for &P {
 ///   classes). Such chases grow monotonically (no FD merge can restage
 ///   IND-created conjuncts or vice versa), so a deeper-than-needed chase
 ///   presents level-for-level identical views to every `Q′`;
-/// * each containment run compiles its `Q′` once and reuses join
-///   scratch across levels (see [`ChaseHomFinder`]).
+/// * each containment run keeps one [`ChaseHomFinder`] for its `Q′`,
+///   which reuses its plan and join scratch across levels.
 ///
 /// When Σ mixes FDs and INDs, each pair gets a fresh chase: later FD
 /// merges can reshape low levels, so view equality across pairs would
@@ -830,9 +809,9 @@ mod tests {
 
     #[test]
     fn deep_witness_beyond_check_stride_is_found() {
-        // The hom search runs every 8 levels past level 32; a witness
-        // that only appears at level 35 must still be found (at the
-        // level-40 check, whose target contains all shallower levels).
+        // `searched_at` skips levels past 32 that are not multiples of
+        // 8; a witness that only appears at level 35 must still be found
+        // (by the level-40 search, whose cut holds all shallower levels).
         let mut src =
             String::from("relation R(a, b). ind R[2] <= R[1].\nQ(x) :- R(x, y).\nQp(v0) :- ");
         let n = 36;
@@ -861,6 +840,8 @@ mod tests {
         .unwrap();
         assert!(a.contained, "deep chain must be found despite the stride");
         assert_eq!(a.witness.unwrap().max_level, 35);
+        // Levels 33–39 are skipped: the level-40 search finds it.
+        assert_eq!(a.levels_explored, 40);
     }
 
     #[test]

@@ -35,8 +35,8 @@ pub mod isomorphism;
 pub mod minimize;
 
 pub use chase::{
-    chase_instance, chase_query, theorem2_bound, Chase, ChaseBudget, ChaseMode, ChaseStatus,
-    DataChaseOutcome, INSTANCE_CHASE_BUDGET,
+    chase_instance, theorem2_bound, Chase, ChaseBudget, ChaseMode, ChaseStatus, DataChaseOutcome,
+    INSTANCE_CHASE_BUDGET,
 };
 pub use classify::{classify, SigmaClass};
 pub use containment::{

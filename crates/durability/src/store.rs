@@ -35,6 +35,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use cqchase_obs::hist::{Pow2Histogram, BUCKETS};
+
 use crate::frame::{
     check_header, file_header, frame, read_frame, Frame, FILE_HEADER_LEN, MAX_PAYLOAD, SNAP_MAGIC,
     WAL_MAGIC,
@@ -109,17 +111,6 @@ impl From<io::Error> for StoreError {
     }
 }
 
-/// Buckets in the fsync latency histogram: power-of-two microseconds,
-/// same convention as the service latency histograms (bucket 0 holds
-/// only 0 µs, bucket *i* ≥ 1 covers `[2^(i-1), 2^i)` µs, the last
-/// bucket absorbs everything slower).
-pub const FSYNC_HIST_BUCKETS: usize = 20;
-
-/// The histogram bucket holding a `us` fsync sample.
-fn fsync_bucket(us: u64) -> usize {
-    ((u64::BITS - us.leading_zeros()) as usize).min(FSYNC_HIST_BUCKETS - 1)
-}
-
 /// Monotonic counters exposed through the service `stats` op.
 #[derive(Debug, Default)]
 pub struct StoreStats {
@@ -128,7 +119,7 @@ pub struct StoreStats {
     wal_bytes: AtomicU64,
     fsyncs: AtomicU64,
     fsync_total_us: AtomicU64,
-    fsync_hist: [AtomicU64; FSYNC_HIST_BUCKETS],
+    fsync_hist: Pow2Histogram,
     recoveries: AtomicU64,
     torn_tails_discarded: AtomicU64,
 }
@@ -154,13 +145,9 @@ impl StoreStats {
     pub fn fsync_total_us(&self) -> u64 {
         self.fsync_total_us.load(Ordering::Relaxed)
     }
-    /// Power-of-two fsync latency histogram (see [`FSYNC_HIST_BUCKETS`]).
-    pub fn fsync_histogram(&self) -> [u64; FSYNC_HIST_BUCKETS] {
-        let mut out = [0u64; FSYNC_HIST_BUCKETS];
-        for (o, b) in out.iter_mut().zip(self.fsync_hist.iter()) {
-            *o = b.load(Ordering::Relaxed);
-        }
-        out
+    /// Power-of-two fsync latency histogram ([`Pow2Histogram`]).
+    pub fn fsync_histogram(&self) -> [u64; BUCKETS] {
+        self.fsync_hist.counts()
     }
     /// Records one successful fsync: bumps the call counter and lands
     /// the latency in the histogram.
@@ -168,7 +155,7 @@ impl StoreStats {
         let us = elapsed.as_micros() as u64;
         self.fsyncs.fetch_add(1, Ordering::Relaxed);
         self.fsync_total_us.fetch_add(us, Ordering::Relaxed);
-        self.fsync_hist[fsync_bucket(us)].fetch_add(1, Ordering::Relaxed);
+        self.fsync_hist.record_us(us);
     }
     /// Boots that restored existing on-disk state.
     pub fn recoveries(&self) -> u64 {
@@ -657,11 +644,6 @@ mod tests {
         // Only the three successful appends land in the histogram.
         assert_eq!(total, 3);
         assert_eq!(total, store.stats().fsyncs());
-        // Bucket arithmetic matches the shared pow-2 convention.
-        assert_eq!(fsync_bucket(0), 0);
-        assert_eq!(fsync_bucket(1), 1);
-        assert_eq!(fsync_bucket(1024), 11);
-        assert_eq!(fsync_bucket(u64::MAX), FSYNC_HIST_BUCKETS - 1);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Request tracing and unified metrics exposition.
 //!
-//! Two independent pieces live here, both dependency-free on the rest
+//! Three independent pieces live here, all dependency-free on the rest
 //! of the workspace so every layer (service, durability, benches) can
 //! use them without cycles:
 //!
@@ -17,10 +17,13 @@
 //!   the canonical numeric flattening both sides are defined against
 //!   (so "text output parses back to the snapshot" is a testable
 //!   pure-function property).
+//! * **[`hist`]** — the lock-free power-of-two µs latency histogram
+//!   behind every `histogram_us_pow2` array in that snapshot.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod hist;
 pub mod prom;
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -95,18 +95,13 @@ fn walk(v: &Value, path: &str, out: &mut BTreeMap<String, f64>) {
 }
 
 /// The inclusive upper edge label of power-of-two latency bucket `i`
-/// (bucket 0 holds only `0 µs`; bucket `i ≥ 1` covers
-/// `[2^(i-1), 2^i)` µs, so its largest integer member is `2^i - 1`;
-/// the final bucket is the overflow).
+/// ([`bucket_edge_us`](crate::hist::bucket_edge_us)); the final bucket
+/// is the overflow.
 fn edge(i: usize, len: usize) -> String {
-    if i + 1 == len {
+    if i + 1 == len || i >= 64 {
         "+Inf".to_string()
-    } else if i == 0 {
-        "0".to_string()
-    } else if i < 64 {
-        ((1u64 << i) - 1).to_string()
     } else {
-        "+Inf".to_string()
+        crate::hist::bucket_edge_us(i).to_string()
     }
 }
 

@@ -53,7 +53,7 @@ use cqchase_durability::{
 };
 use cqchase_ir::{parse_program, Program};
 use cqchase_obs::{SpanKind, Tracer};
-use serde_json::{Map, Value};
+use serde_json::{json, Value};
 
 use crate::catalog::{catalog_key, check_query_sizes, program_schema_text, CatalogRegistry};
 use crate::proto::FactSpec;
@@ -87,34 +87,14 @@ impl RecoveryReport {
     /// The report as one structured JSON object — logged as a single
     /// line at boot so recovery outcomes are machine-grepable.
     pub fn to_json(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("event".into(), Value::from("recovery"));
-        m.insert(
-            "snapshot_sessions".into(),
-            Value::from(self.snapshot_sessions),
-        );
-        m.insert(
-            "wal_records_replayed".into(),
-            Value::from(self.wal_records_replayed),
-        );
-        m.insert("fresh".into(), Value::from(self.fresh));
-        m.insert(
-            "refused_sessions".into(),
-            Value::Array(
-                self.refused_sessions
-                    .iter()
-                    .map(|r| Value::from(r.as_str()))
-                    .collect(),
-            ),
-        );
-        m.insert(
-            "torn_tail".into(),
-            match &self.torn_tail {
-                Some(t) => Value::from(t.as_str()),
-                None => Value::Null,
-            },
-        );
-        Value::Object(m)
+        json!({
+            "event": "recovery",
+            "snapshot_sessions": self.snapshot_sessions,
+            "wal_records_replayed": self.wal_records_replayed,
+            "fresh": self.fresh,
+            "refused_sessions": self.refused_sessions.clone(),
+            "torn_tail": self.torn_tail.as_deref().map_or(Value::Null, Value::from),
+        })
     }
 }
 
@@ -543,40 +523,23 @@ impl Durability {
     /// The `durability` block of the `stats` response.
     pub fn stats_block(&self) -> Value {
         let stats = self.store.stats();
-        let mut m = Map::new();
-        m.insert("enabled".into(), Value::from(true));
-        m.insert("seq".into(), Value::from(self.store.seq()));
-        m.insert(
-            "snapshots_written".into(),
-            Value::from(stats.snapshots_written()),
-        );
-        m.insert("wal_records".into(), Value::from(stats.wal_records()));
-        m.insert("wal_bytes".into(), Value::from(stats.wal_bytes()));
-        m.insert("wal_len".into(), Value::from(self.store.wal_len()));
-        m.insert("fsyncs".into(), Value::from(stats.fsyncs()));
-        m.insert("fsync_total_us".into(), Value::from(stats.fsync_total_us()));
-        m.insert(
-            "fsync_histogram_us_pow2".into(),
-            Value::Array(
-                stats
-                    .fsync_histogram()
-                    .iter()
-                    .map(|&c| Value::from(c))
-                    .collect(),
-            ),
-        );
-        m.insert("recoveries".into(), Value::from(stats.recoveries()));
-        m.insert(
-            "torn_tails_discarded".into(),
-            Value::from(stats.torn_tails_discarded()),
-        );
-        Value::Object(m)
+        json!({
+            "enabled": true,
+            "seq": self.store.seq(),
+            "snapshots_written": stats.snapshots_written(),
+            "wal_records": stats.wal_records(),
+            "wal_bytes": stats.wal_bytes(),
+            "wal_len": self.store.wal_len(),
+            "fsyncs": stats.fsyncs(),
+            "fsync_total_us": stats.fsync_total_us(),
+            "fsync_histogram_us_pow2": stats.fsync_histogram().to_vec(),
+            "recoveries": stats.recoveries(),
+            "torn_tails_discarded": stats.torn_tails_discarded(),
+        })
     }
 
     /// The stats placeholder when the server runs without a data dir.
     pub fn disabled_stats_block() -> Value {
-        let mut m = Map::new();
-        m.insert("enabled".into(), Value::from(false));
-        Value::Object(m)
+        json!({ "enabled": false })
     }
 }

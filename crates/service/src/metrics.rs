@@ -3,23 +3,16 @@
 //! endpoint reports.
 //!
 //! All counters are atomics, so the request hot path takes no lock to
-//! record a sample. Latencies land in power-of-two microsecond buckets:
-//! bucket 0 holds only `0` µs and bucket *i* (for `i ≥ 1`) covers
-//! `[2^(i-1), 2^i)` µs, the final bucket absorbing everything slower.
-//! The snapshot derives approximate p50/p99 from the buckets —
-//! histogram-derived percentiles are upper bounds at bucket
-//! granularity, the standard trade for lock-free recording.
+//! record a sample. Latencies land in a [`Pow2Histogram`], whose
+//! buckets give the snapshot's approximate p50/p99.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use serde_json::{Map, Value};
+use cqchase_obs::hist::{quantile_us, Pow2Histogram, BUCKETS};
+use serde_json::{json, Map, Value};
 
 use crate::proto::{Op, ALL_OPS};
-
-/// Number of latency buckets: covers up to ~2^19 µs ≈ 0.5 s per bucket
-/// top; slower requests land in the last bucket.
-const BUCKETS: usize = 20;
 
 /// Lock-free counters for one endpoint.
 #[derive(Debug, Default)]
@@ -27,25 +20,7 @@ pub struct EndpointStats {
     count: AtomicU64,
     errors: AtomicU64,
     total_us: AtomicU64,
-    hist: [AtomicU64; BUCKETS],
-}
-
-/// The bucket holding a `us` sample: 0 for `us = 0`, otherwise
-/// `⌊log2(us)⌋ + 1` capped at the overflow bucket — so bucket `i ≥ 1`
-/// covers `[2^(i-1), 2^i)` µs.
-fn bucket_of(us: u64) -> usize {
-    ((u64::BITS - us.leading_zeros()) as usize).min(BUCKETS - 1)
-}
-
-/// The largest `us` value bucket `i` can hold (its inclusive upper
-/// edge): 0 for bucket 0, else `2^i − 1`. The overflow bucket is
-/// unbounded; its nominal edge saturates the reported quantile.
-fn bucket_edge_us(i: usize) -> u64 {
-    if i == 0 {
-        0
-    } else {
-        (1u64 << i) - 1
-    }
+    hist: Pow2Histogram,
 }
 
 impl EndpointStats {
@@ -57,7 +32,7 @@ impl EndpointStats {
             self.errors.fetch_add(1, Ordering::Relaxed);
         }
         self.total_us.fetch_add(us, Ordering::Relaxed);
-        self.hist[bucket_of(us)].fetch_add(1, Ordering::Relaxed);
+        self.hist.record_us(us);
     }
 
     /// Snapshot of the sum of `stats` (one endpoint, or one histogram
@@ -69,8 +44,8 @@ impl EndpointStats {
             count += s.count.load(Ordering::Relaxed);
             errors += s.errors.load(Ordering::Relaxed);
             total_us += s.total_us.load(Ordering::Relaxed);
-            for (sum, b) in hist.iter_mut().zip(&s.hist) {
-                *sum += b.load(Ordering::Relaxed);
+            for (sum, c) in hist.iter_mut().zip(s.hist.counts()) {
+                *sum += c;
             }
         }
         let mut m = Map::new();
@@ -90,26 +65,6 @@ impl EndpointStats {
     fn snapshot(&self) -> Value {
         EndpointStats::snapshot_sum([self])
     }
-}
-
-/// The inclusive upper edge (µs) of the bucket containing the
-/// `q`-quantile sample of `hist` ([`bucket_edge_us`]), or 0 with no
-/// samples — so the reported quantile is the tightest value with "the
-/// q-fraction of samples took at most this long" at bucket granularity.
-fn quantile_us(hist: &[u64; BUCKETS], q: f64) -> u64 {
-    let total: u64 = hist.iter().sum();
-    if total == 0 {
-        return 0;
-    }
-    let rank = ((total as f64 * q).ceil() as u64).clamp(1, total);
-    let mut seen = 0;
-    for (i, c) in hist.iter().enumerate() {
-        seen += c;
-        if seen >= rank {
-            return bucket_edge_us(i);
-        }
-    }
-    bucket_edge_us(BUCKETS - 1)
 }
 
 /// One lane's slice of the batching metrics, plus a live queue-depth
@@ -284,9 +239,6 @@ impl Metrics {
         for (i, shard) in self.lanes.iter().enumerate() {
             lane_detail.insert(i.to_string(), shard.snapshot());
         }
-        let mut lanes = Map::new();
-        lanes.insert("count".into(), Value::from(self.lanes.len()));
-        lanes.insert("detail".into(), Value::Object(lane_detail));
         let mut m = Map::new();
         m.insert(
             "uptime_us".into(),
@@ -306,30 +258,19 @@ impl Metrics {
             "queue_wait".into(),
             EndpointStats::snapshot_sum(self.lanes.iter().map(|s| &s.queue_wait)),
         );
-        m.insert("lanes".into(), Value::Object(lanes));
-        let mut resilience = Map::new();
-        resilience.insert(
-            "deadline_exceeded".into(),
-            Value::from(self.deadline_exceeded.load(Ordering::Relaxed)),
+        m.insert(
+            "lanes".into(),
+            json!({ "count": self.lanes.len(), "detail": lane_detail }),
         );
-        resilience.insert(
-            "cancelled_disconnect".into(),
-            Value::from(self.cancelled_disconnect.load(Ordering::Relaxed)),
-        );
-        resilience.insert(
-            "shed".into(),
-            Value::from(self.shed.load(Ordering::Relaxed)),
-        );
-        resilience.insert(
-            "pressure_evictions".into(),
-            Value::from(self.pressure_evictions.load(Ordering::Relaxed)),
-        );
-        resilience.insert(
-            "write_timeouts".into(),
-            Value::from(self.write_timeouts.load(Ordering::Relaxed)),
-        );
-        resilience.insert("deadline_overrun".into(), self.deadline_overrun.snapshot());
-        m.insert("resilience".into(), Value::Object(resilience));
+        let resilience = json!({
+            "deadline_exceeded": self.deadline_exceeded.load(Ordering::Relaxed),
+            "cancelled_disconnect": self.cancelled_disconnect.load(Ordering::Relaxed),
+            "shed": self.shed.load(Ordering::Relaxed),
+            "pressure_evictions": self.pressure_evictions.load(Ordering::Relaxed),
+            "write_timeouts": self.write_timeouts.load(Ordering::Relaxed),
+            "deadline_overrun": self.deadline_overrun.snapshot(),
+        });
+        m.insert("resilience".into(), resilience);
         m
     }
 }
@@ -337,57 +278,6 @@ impl Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn buckets_cover_the_range() {
-        assert_eq!(bucket_of(0), 0);
-        assert_eq!(bucket_of(1), 1);
-        assert_eq!(bucket_of(2), 2);
-        assert_eq!(bucket_of(3), 2);
-        assert_eq!(bucket_of(1024), 11);
-        assert_eq!(bucket_of(u64::MAX), BUCKETS - 1);
-    }
-
-    #[test]
-    fn bucket_boundaries_are_exact() {
-        // Bucket 0 holds only 0 µs; bucket i ≥ 1 covers [2^(i-1), 2^i).
-        assert_eq!(bucket_of(0), 0);
-        assert_eq!(bucket_of(1), 1);
-        assert_eq!(bucket_of(2), 2);
-        for k in 1..18u32 {
-            let p = 1u64 << k;
-            assert_eq!(bucket_of(p - 1), k as usize, "2^{k} - 1 stays below");
-            assert_eq!(bucket_of(p), k as usize + 1, "2^{k} opens bucket {}", k + 1);
-        }
-        // The overflow bucket starts at 2^(BUCKETS-2) and is unbounded.
-        let overflow_lo = 1u64 << (BUCKETS - 2);
-        assert_eq!(bucket_of(overflow_lo - 1), BUCKETS - 2);
-        assert_eq!(bucket_of(overflow_lo), BUCKETS - 1);
-        assert_eq!(bucket_of(u64::MAX), BUCKETS - 1);
-        // Edges are the largest value each bucket holds.
-        assert_eq!(bucket_edge_us(0), 0);
-        assert_eq!(bucket_edge_us(1), 1);
-        assert_eq!(bucket_edge_us(2), 3);
-        for k in 1..BUCKETS - 1 {
-            assert_eq!(bucket_edge_us(k), (1u64 << k) - 1);
-            assert_eq!(bucket_of(bucket_edge_us(k)), k, "edge stays in bucket");
-            assert_eq!(bucket_of(bucket_edge_us(k) + 1), k + 1, "edge + 1 leaves");
-        }
-    }
-
-    #[test]
-    fn quantiles_report_inclusive_bucket_edges() {
-        for (us, edge) in [(0u64, 0u64), (1, 1), (2, 3), (1024, 2047), (4096, 8191)] {
-            let mut hist = [0; BUCKETS];
-            hist[bucket_of(us)] = 1;
-            assert_eq!(quantile_us(&hist, 0.5), edge, "single sample at {us} µs");
-            assert!(quantile_us(&hist, 0.5) >= us, "edge never under-reports");
-        }
-        // Overflow bucket saturates at its nominal edge.
-        let mut hist = [0; BUCKETS];
-        hist[bucket_of(1 << 30)] = 1;
-        assert_eq!(quantile_us(&hist, 0.99), (1u64 << (BUCKETS - 1)) - 1);
-    }
 
     #[test]
     fn snapshot_reports_counts_and_percentiles() {

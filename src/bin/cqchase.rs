@@ -109,8 +109,8 @@ fn cmd_contain(path: &str, a: &str, b: &str) -> Result<(), String> {
     let p = load(path)?;
     let q = query(&p, a)?;
     let qp = query(&p, b)?;
-    let ans = contained(q, qp, &p.deps, &p.catalog, &ContainmentOptions::default())
-        .map_err(|e| e.to_string())?;
+    let opts = ContainmentOptions::default();
+    let ans = contained(q, qp, &p.deps, &p.catalog, &opts).map_err(|e| e.to_string())?;
     let mode = ans.class.preferred_mode();
     println!(
         "Σ ⊨ {a} ⊆ {b}: {}{}",
@@ -130,9 +130,10 @@ fn cmd_contain(path: &str, a: &str, b: &str) -> Result<(), String> {
         ans.class, ans.bound, ans.levels_explored, ans.chase_conjuncts
     );
     if let Some(h) = &ans.witness {
-        // Re-derive the chase for rendering (answers don't retain state).
+        // Re-derive the chase for rendering (answers don't retain state):
+        // the loop's last expansion, under the same budget, rebuilds it.
         let mut ch = Chase::new(q, &p.deps, &p.catalog, mode);
-        ch.expand_to_level(h.max_level, ChaseBudget::default());
+        ch.expand_to_level(ans.levels_explored, opts.budget);
         println!("{}", render_chase_witness(h, qp, ch.state()));
     }
     Ok(())
